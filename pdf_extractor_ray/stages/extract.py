@@ -83,16 +83,19 @@ def sniff_doc_kind(batch: pa.Table) -> pa.Table:
 
 
 def _spans_array(spans_per_row: List[List[tuple]]) -> pa.Array:
-    return pa.array(
-        [
-            [
-                {"block_id": b, "start": s, "stop": e, "kind": k}
-                for (b, s, e, k) in row_spans
-            ]
-            for row_spans in spans_per_row
-        ],
-        type=pa.list_(SPAN_TYPE),
+    """Per-row ``(block_id, start, stop, kind)`` tuples → ``list<SPAN_TYPE>``,
+    built column-wise from flat arrays."""
+    offsets = [0]
+    flat: List[tuple] = []
+    for row_spans in spans_per_row:
+        flat.extend(row_spans)
+        offsets.append(len(flat))
+    # one column per field; zip(*flat) would allocate an iterator per span
+    values = pa.StructArray.from_arrays(
+        [pa.array([t[i] for t in flat], f.type) for i, f in enumerate(SPAN_TYPE)],
+        fields=list(SPAN_TYPE),
     )
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
 
 
 class _ExtractBase:
@@ -109,6 +112,7 @@ class _ExtractBase:
         statuses: List[str],
         n_pages: List[int],
         n_blocks: List[int],
+        n_words: List[int],
         pages: List[List[dict]],
         tables: List[List[list]],
     ) -> pa.Table:
@@ -122,9 +126,7 @@ class _ExtractBase:
             "n_pages": pa.array(n_pages, pa.int32()),
             "n_blocks": pa.array(n_blocks, pa.int32()),
             "n_chars": pc.cast(pc.utf8_length(text_arr), pa.int64()),
-            "n_words": pa.array(
-                [len(t.split()) for t in texts], pa.int64()
-            ),
+            "n_words": pa.array(n_words, pa.int64()),
         }
         if self.emit_pages:
             cols["pages"] = pa.array(pages, pa.list_(PAGE_STRUCT_TYPE))
@@ -148,18 +150,21 @@ class HtmlExtractStage(_ExtractBase):
         self.emit_pages = emit_pages
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts, spans, statuses, n_blocks, pages, tables = [], [], [], [], [], []
+        texts, spans, statuses, n_blocks, n_words, pages, tables = (
+            [], [], [], [], [], [], [],
+        )
         kinds = []
         for payload in batch.column("html").to_pylist():
             if not payload:
-                r = None
                 kinds.append("unknown")
                 texts.append("")
                 spans.append([])
                 statuses.append("empty")
                 n_blocks.append(0)
-                pages.append([])
-                tables.append([])
+                n_words.append(0)
+                if self.emit_pages:
+                    pages.append([])
+                    tables.append([])
                 continue
             r = self.codec.extract(payload)
             kinds.append("html")
@@ -167,15 +172,17 @@ class HtmlExtractStage(_ExtractBase):
             spans.append(r.spans)
             statuses.append(r.status)
             n_blocks.append(r.n_blocks)
-            # HTML document = one logical page (reference page records
-            # generalize; width/height meaningless for web pages)
-            pages.append(
-                [{"page_num": 1, "text": r.text, "width": 0.0, "height": 0.0}]
-            )
-            tables.append([r.tables])
+            n_words.append(r.n_words)
+            if self.emit_pages:
+                # HTML document = one logical page (reference page records
+                # generalize; width/height meaningless for web pages)
+                pages.append(
+                    [{"page_num": 1, "text": r.text, "width": 0.0, "height": 0.0}]
+                )
+                tables.append([r.tables])
         return self._assemble(
             batch, kinds, texts, spans, statuses,
-            [1] * len(texts), n_blocks, pages, tables,
+            [1] * len(texts), n_blocks, n_words, pages, tables,
         )
 
 
@@ -277,19 +284,20 @@ class PdfExtractStage(_ExtractBase):
             statuses.append(r.status)
             n_pages.append(len(r.pages))
             n_blocks.append(len(r.spans))
-            pages.append(
-                [
-                    {
-                        "page_num": p.page_num,
-                        "text": p.text,
-                        "width": p.width,
-                        "height": p.height,
-                    }
-                    for p in r.pages
-                ]
-            )
-            tables.append([p.tables for p in r.pages])
+            if self.emit_pages:
+                pages.append(
+                    [
+                        {
+                            "page_num": p.page_num,
+                            "text": p.text,
+                            "width": p.width,
+                            "height": p.height,
+                        }
+                        for p in r.pages
+                    ]
+                )
+                tables.append([p.tables for p in r.pages])
         return self._assemble(
-            batch, ["pdf"] * len(texts), texts, spans, statuses,
-            n_pages, n_blocks, pages, tables,
+            batch, ["pdf"] * len(texts), texts, spans, statuses, n_pages,
+            n_blocks, [len(t.split()) for t in texts], pages, tables,
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 
+import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
 from pdf_extractor_ray.codecs.html_codec import HtmlCodec
@@ -116,6 +117,56 @@ def test_codecs_never_raise_on_garbage(payload):
     assert r.status in ("ok", "empty", "parse_error")
     p = PdfCodec().extract(b"%PDF-" + payload)
     assert p.status in ("ok", "empty", "parse_error")
+
+
+# every code point Python's str.split() treats as a separator
+_UNICODE_WS = "".join(chr(c) for c in range(0x110000) if chr(c).isspace())
+_SEPARATOR = st.text(alphabet=_UNICODE_WS, min_size=1, max_size=3)
+
+
+@st.composite
+def _ws_paragraph(draw):
+    """Words separated by runs of any Unicode whitespace, with optional
+    leading and trailing separators; may be empty or all whitespace."""
+    parts = [draw(_SEPARATOR)]
+    for word in draw(st.lists(_WORDS, max_size=14)):
+        parts += [word, draw(_SEPARATOR)]
+    if draw(st.booleans()):
+        parts[0] = ""
+    if draw(st.booleans()):
+        parts[-1] = ""
+    return "".join(parts)
+
+
+def _assert_n_words(paragraphs):
+    from pdf_extractor_ray.stages.extract import HtmlExtractStage
+
+    cells = "".join(f"<td>{p}</td>" for p in paragraphs[:3])
+    body = "".join(f"<p>{p}</p>" for p in paragraphs)
+    payloads = [
+        f"<html><body>{body}<table><tr>{cells}</tr></table></body></html>".encode(),
+        b"",
+        f"<p>{''.join(paragraphs)}</p>".encode(),
+    ]
+    for payload in payloads:
+        r = HtmlCodec().extract(payload)
+        assert r.n_words == len(r.text.split())
+    out = HtmlExtractStage()(pa.table({"url": ["u0", "u1", "u2"], "html": payloads}))
+    texts = out.column("extracted_text").to_pylist()
+    assert out.column("n_words").to_pylist() == [len(t.split()) for t in texts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ws_paragraph(), max_size=6))
+def test_html_n_words_equals_python_split(paragraphs):
+    _assert_n_words(paragraphs)
+
+
+def test_html_n_words_every_unicode_separator():
+    words = [f"w{i}" for i in range(len(_UNICODE_WS) + 1)]
+    mixed = words[0] + "".join(ws + w for ws, w in zip(_UNICODE_WS, words[1:]))
+    _assert_n_words([mixed, _UNICODE_WS + mixed + _UNICODE_WS, _UNICODE_WS, ""])
+    assert len(mixed.split()) == len(words)
 
 
 # ------------------------------------------------------------------ round 2

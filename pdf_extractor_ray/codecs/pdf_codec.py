@@ -24,8 +24,33 @@ codec suitable for ``map_batches`` over Arrow batches:
   ragged ``tables`` list (tables → rows → cells, nullable cells,
   reference: extractor/models/base.py:39-42)
 
-Partitioning assumption: one document per row; all state is
-document-local so rows parse embarrassingly parallel.
+Partitioning assumption: one document per row; all state but the
+font-decoder cache is document-local, so rows parse embarrassingly
+parallel.
+
+Lexer contract.  Both lexers run on compiled regexes whose leading
+``(?:whitespace|%comment)*`` skip makes one match one token; the few
+constructs without a fast pattern (nested or escaped literal strings,
+object hex strings, inline images, bad tokens) run exact byte loops.
+Their tokens, objects, end positions and exception classes must equal
+those of the byte-loop reference lexers in ``tests/pdf_reference.py``,
+which encode these rules:
+
+- content-stream names stop at bytes-regex ``\\s``, which includes
+  ``\\x0b`` and excludes ``\\x00``; the skip set is ``_WS``, which is the
+  other way round;
+- an ``N G R`` reference may have comments between N and G but only
+  whitespace between G and ``R``, and ``R`` must be followed by
+  whitespace, a delimiter or the end of the buffer;
+- ``true``/``false``/``null`` match as prefixes, with no word boundary;
+- dict entries whose key is not a name are dropped;
+- ``_Lexer.pos`` after each object is the reference's (``get()`` looks
+  for ``stream`` there), and an input the reference rejects raises the
+  same exception class.
+
+One rule differs on purpose: a ``#`` in a name that is not followed by
+two hex digits is a literal ``#``; the reference raised ``ValueError``,
+which the degrade handlers (they catch ``PdfParseError``) missed.
 """
 from __future__ import annotations
 
@@ -95,10 +120,7 @@ class StreamObj:
                         trimmed = trimmed[:-1]
                     raw = zlib.decompress(trimmed)
             elif name in ("ASCIIHexDecode", "AHx"):
-                hx = re.sub(rb"[^0-9A-Fa-f]", b"", raw.split(b">")[0])
-                if len(hx) % 2:
-                    hx += b"0"
-                raw = bytes.fromhex(hx.decode("ascii"))
+                raw = _hex_bytes(raw.split(b">")[0])
             elif name in ("ASCII85Decode", "A85"):
                 import base64
 
@@ -325,73 +347,107 @@ def _lzw_decode(data: bytes) -> bytes:
 
 
 _WS = b"\x00\t\n\x0c\r "
-_DELIM = b"()<>[]{}/%"
+
+# _WS bytes and %-comments (up to the next \r or \n) before a token
+_SKIP = rb"(?:[\x00\t\n\x0c\r\x20]++|%[^\r\n]*+)*+"
+_SKIP_RE = re.compile(_SKIP)
+# object names stop at _WS bytes and the delimiters ()<>[]{}/% (\x0b
+# belongs to the name)
+_NAME_BYTE = rb"[^\x00\t\n\x0c\r\x20()<>\[\]{}/%]"
+_NAME = _NAME_BYTE + rb"*+"
+# one object token after the skip; ``other`` (empty) hands literal
+# strings that nest or escape, hex strings, EOF and bad tokens to the
+# exact slow paths.  ``N G R`` skips comments between N and G but only
+# whitespace between G and R, and R must end at a byte that ends a name
+_OBJ_TOKEN = re.compile(
+    _SKIP
+    + rb"""(?:
+      /(?P<name>""" + _NAME + rb""")
+    | (?P<int>[+-]?\d++)(?!\.)
+      (?:""" + _SKIP + rb"""(?P<gen>[+-]?\d++)(?!\.)
+         [\x00\t\n\x0c\r\x20]*+R(?!""" + _NAME_BYTE + rb"""))?
+    | (?P<real>[+-]?(?:\d++\.\d*+|\.\d++))
+    | (?P<dict><<)
+    | (?P<array>\[)
+    | \((?P<lit>[^()\\]*+)\)
+    | (?P<true>true) | (?P<false>false) | (?P<null>null)
+    | (?P<other>)
+    )""",
+    re.VERBOSE,
+)
+# inside a dict: the closing ``>>`` or a plain name key
+_DICT_KEY = re.compile(_SKIP + rb"(?:(?P<end>>>)|/(?P<key>" + _NAME + rb"))?")
+_NAME_ESCAPE = re.compile(rb"#([0-9A-Fa-f]{2})")
+_LIT_ESCAPES = {0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12}
+
+
+_HEX_JUNK = re.compile(rb"[^0-9A-Fa-f]")
+
+
+def _hex_bytes(body: bytes) -> bytes:
+    """Hex-string body → bytes: non-hex bytes are dropped and an odd
+    final digit is padded with 0."""
+    hx = _HEX_JUNK.sub(b"", body)
+    if len(hx) % 2:
+        hx += b"0"
+    return bytes.fromhex(hx.decode("ascii"))
+
+
+def _name(raw: bytes) -> str:
+    """Decode a name's bytes: ``#xx`` with two hex digits is one byte;
+    any other ``#`` stays a literal ``#``."""
+    if b"#" in raw:
+        raw = _NAME_ESCAPE.sub(lambda m: bytes([int(m.group(1), 16)]), raw)
+    return raw.decode("latin-1")
 
 
 class _Lexer:
-    """Tokenizer over a PDF object byte region."""
+    """Tokenizer over a PDF object byte region.
+
+    ``pos`` is the byte after the last object parsed; ``get()`` looks for
+    ``stream`` there.
+    """
 
     def __init__(self, buf: bytes, pos: int = 0) -> None:
         self.buf = buf
         self.pos = pos
 
     def _skip_ws(self) -> None:
-        buf, n = self.buf, len(self.buf)
-        while self.pos < n:
-            c = buf[self.pos]
-            if c in _WS:
-                self.pos += 1
-            elif c == 0x25:  # % comment
-                while self.pos < n and buf[self.pos] not in (0x0A, 0x0D):
-                    self.pos += 1
-            else:
-                return
+        self.pos = _SKIP_RE.match(self.buf, self.pos).end()
 
     def parse_object(self):
-        self._skip_ws()
-        buf, n = self.buf, len(self.buf)
-        if self.pos >= n:
-            raise PdfParseError("eof")
-        c = buf[self.pos]
-        if c == 0x2F:  # /Name
-            return self._parse_name()
-        if c == 0x28:  # (string)
-            return self._parse_literal_string()
-        if c == 0x3C:  # << dict or <hex>
-            if buf.startswith(b"<<", self.pos):
-                return self._parse_dict()
-            return self._parse_hex_string()
-        if c == 0x5B:  # [ array ]
+        m = _OBJ_TOKEN.match(self.buf, self.pos)
+        self.pos = m.end()
+        kind = m.lastgroup
+        if kind == "name":
+            return _name(m.group("name"))
+        if kind == "int":
+            return int(m.group("int"))
+        if kind == "gen":
+            return Ref(int(m.group("int")), int(m.group("gen")))
+        if kind == "dict":
+            return self._parse_dict()
+        if kind == "array":
             return self._parse_array()
-        if buf.startswith(b"true", self.pos):
-            self.pos += 4
+        if kind == "lit":
+            return m.group("lit")
+        if kind == "real":
+            return float(m.group("real"))
+        if kind == "true":
             return True
-        if buf.startswith(b"false", self.pos):
-            self.pos += 5
+        if kind == "false":
             return False
-        if buf.startswith(b"null", self.pos):
-            self.pos += 4
+        if kind == "null":
             return None
-        return self._parse_number_or_ref()
-
-    def _parse_name(self) -> str:
-        self.pos += 1
-        buf, n = self.buf, len(self.buf)
-        start = self.pos
-        out = []
-        while self.pos < n:
-            c = buf[self.pos]
-            if c in _WS or c in _DELIM:
-                break
-            if c == 0x23 and self.pos + 2 < n:  # #xx escape
-                out.append(buf[start : self.pos])
-                out.append(bytes([int(buf[self.pos + 1 : self.pos + 3], 16)]))
-                self.pos += 3
-                start = self.pos
-            else:
-                self.pos += 1
-        out.append(buf[start : self.pos])
-        return b"".join(out).decode("latin-1")
+        buf, pos = self.buf, self.pos
+        if pos >= len(buf):
+            raise PdfParseError("eof")
+        c = buf[pos]
+        if c == 0x28:  # (string) with nesting or escapes
+            return self._parse_literal_string()
+        if c == 0x3C:  # <hex>
+            return self._parse_hex_string()
+        raise PdfParseError(f"bad token at {pos}: {buf[pos:pos+16]!r}")
 
     def _parse_literal_string(self) -> bytes:
         self.pos += 1
@@ -405,9 +461,8 @@ class _Lexer:
                 if self.pos >= n:
                     break
                 e = buf[self.pos]
-                mapping = {0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12}
-                if e in mapping:
-                    out.append(mapping[e])
+                if e in _LIT_ESCAPES:
+                    out.append(_LIT_ESCAPES[e])
                     self.pos += 1
                 elif 0x30 <= e <= 0x37:  # octal
                     oct_digits = bytearray()
@@ -442,14 +497,12 @@ class _Lexer:
         end = self.buf.find(b">", self.pos)
         if end < 0:
             raise PdfParseError("unterminated hex string")
-        hx = re.sub(rb"[^0-9A-Fa-f]", b"", self.buf[self.pos : end])
+        body = self.buf[self.pos : end]
         self.pos = end + 1
-        if len(hx) % 2:
-            hx += b"0"
-        return bytes.fromhex(hx.decode("ascii"))
+        return _hex_bytes(body)
 
     def _parse_array(self) -> list:
-        self.pos += 1
+        """Elements up to ``]``; ``pos`` is just past the ``[``."""
         out = []
         while True:
             self._skip_ws()
@@ -461,52 +514,36 @@ class _Lexer:
             out.append(self.parse_object())
 
     def _parse_dict(self) -> dict:
-        self.pos += 2
+        """Entries up to ``>>``; ``pos`` is just past the ``<<``.  Entries
+        whose key is not a name are parsed and dropped."""
+        buf, n = self.buf, len(self.buf)
         out: dict = {}
         while True:
-            self._skip_ws()
-            if self.buf.startswith(b">>", self.pos):
-                self.pos += 2
+            m = _DICT_KEY.match(buf, self.pos)
+            self.pos = m.end()
+            key = m.group("key")
+            if key is not None:
+                out[_name(key)] = self.parse_object()
+            elif m.group("end") is not None:
                 return out
-            if self.pos >= len(self.buf):
+            elif self.pos >= n:
                 raise PdfParseError("unterminated dict")
-            key = self.parse_object()
-            val = self.parse_object()
-            if isinstance(key, str):
-                out[key] = val
-
-    _NUM_RE = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)")
-
-    def _parse_number_or_ref(self):
-        m = self._NUM_RE.match(self.buf, self.pos)
-        if not m:
-            raise PdfParseError(f"bad token at {self.pos}: {self.buf[self.pos:self.pos+16]!r}")
-        tok = m.group()
-        self.pos = m.end()
-        if b"." in tok:
-            return float(tok)
-        # might be "N G R" indirect reference
-        save = self.pos
-        self._skip_ws()
-        m2 = self._NUM_RE.match(self.buf, self.pos)
-        if m2 and b"." not in m2.group():
-            after = m2.end()
-            k = after
-            while k < len(self.buf) and self.buf[k] in _WS:
-                k += 1
-            if k < len(self.buf) and self.buf[k : k + 1] == b"R" and (
-                k + 1 >= len(self.buf) or self.buf[k + 1] in _WS or self.buf[k + 1] in _DELIM
-            ):
-                self.pos = k + 1
-                return Ref(int(tok), int(m2.group()))
-        self.pos = save
-        return int(tok)
+            else:
+                key = self.parse_object()
+                val = self.parse_object()
+                if isinstance(key, str):
+                    out[key] = val
 
 
 # --------------------------------------------------------------------------
 # document
 # --------------------------------------------------------------------------
 _OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj\b")
+# the brute scan's pattern: never starts inside a digit run, so a long run
+# costs one attempt, not one per digit.  A whole-buffer finditer finds the
+# same objects as _OBJ_RE; get() keeps the anchored _OBJ_RE because an
+# xref offset may point into a run
+_OBJ_SCAN_RE = re.compile(rb"(?<![0-9])(\d++)\s++(\d++)\s++obj\b")
 
 
 class _PdfDocument:
@@ -661,7 +698,7 @@ class _PdfDocument:
         Handles truncated/corrupt xref tables (FIXTURES.md F1 edge rows)
         the way real-world crawler shards require.
         """
-        for m in _OBJ_RE.finditer(self.data):
+        for m in _OBJ_SCAN_RE.finditer(self.data):
             self.offsets[int(m.group(1))] = m.start()
 
     def _find_trailer(self) -> dict:
@@ -841,7 +878,8 @@ class Chunk:
         return self.x + len(self.text) * self.size * AVG_CHAR_WIDTH_EM
 
 
-# WinAnsiEncoding differences from Latin-1 in the 0x80-0x9F range
+# WinAnsiEncoding differences from Latin-1 in the 0x80-0x9F range, as a
+# str.translate table over the Latin-1 decoding
 _WINANSI_HIGH = {
     0x80: "€", 0x82: "‚", 0x83: "ƒ", 0x84: "„",
     0x85: "…", 0x86: "†", 0x87: "‡", 0x88: "ˆ",
@@ -854,7 +892,7 @@ _WINANSI_HIGH = {
 
 
 def _decode_winansi(b: bytes) -> str:
-    return "".join(_WINANSI_HIGH.get(c, chr(c)) for c in b)
+    return b.decode("latin-1").translate(_WINANSI_HIGH)
 
 
 # --------------------------------------------------------------------------
@@ -1052,10 +1090,11 @@ class _FontDecoder:
                         table2[code] = ch if ch is not None else ""
                         code += 1
 
+                # codes the /Differences array leaves alone decode as WinAnsi
+                table2 = {**_WINANSI_HIGH, **table2}
+
                 def decode_diff(b: bytes, _t=table2) -> str:
-                    return "".join(
-                        _t.get(c, _WINANSI_HIGH.get(c, chr(c))) for c in b
-                    )
+                    return b.decode("latin-1").translate(_t)
 
                 decode = decode_diff
 
@@ -1069,76 +1108,79 @@ class _FontDecoder:
         return _decode_winansi(b)
 
 
-_CS_TOKEN = re.compile(
-    rb"""
-    (?P<str>\() | (?P<hex><[0-9A-Fa-f\s]*>) | (?P<arr_open>\[) | (?P<arr_close>\])
-    | (?P<name>/[^\s()<>\[\]{}/%]*)
-    | (?P<num>[+-]?(?:\d+\.?\d*|\.\d+))
-    | (?P<op>[A-Za-z'"*]{1,3})
-    """,
+# one content-stream token after the skip.  Names stop at bytes-regex \s
+# (which takes \x0b and leaves \x00 in the name); literal strings without
+# nesting or escapes match whole, the rest go to _Lexer's exact loop.
+# ``junk`` skips bytes that start no token: a run of bytes that never can,
+# or one byte of a failed number or hex string
+_CS_SCAN = re.compile(
+    _SKIP
+    + rb"""(?:
+      (?P<op>[A-Za-z'"*]{1,3}+)
+    | (?P<int>[+-]?\d++)(?!\.)
+    | (?P<real>[+-]?(?:\d++\.\d*+|\.\d++))
+    | /(?P<name>[^\s()<>\[\]{}/%]*+)
+    | \((?P<lit>[^()\\]*+)\)
+    | (?P<str>\()
+    | <(?P<hex>[0-9A-Fa-f\s]*+)>
+    | (?P<arr_open>\[)
+    | (?P<arr_close>\])
+    | (?P<junk>[^\x00\t\n\x0c\r\x20%A-Za-z'"*+\-.0-9/(<\[\]]++|[\s\S])
+    | (?P<eof>\Z)
+    )""",
     re.VERBOSE,
 )
+def _skip_inline_image(buf: bytes, pos: int) -> int:
+    """Position after the ``EI`` that ends an inline image begun before
+    ``pos``: the first ``EI`` with _WS (or a buffer end) on both sides,
+    so image bytes never reach the text interpreter; the buffer end if
+    there is none."""
+    e = pos
+    while True:
+        e = buf.find(b"EI", e)
+        if e < 0:
+            return len(buf)
+        before_ws = e == 0 or buf[e - 1] in _WS
+        after = buf[e + 2 : e + 3]
+        after_ws = not after or after[0] in _WS
+        if before_ws and after_ws:
+            return e + 2
+        e += 2
 
 
 def _tokenize_content(buf: bytes):
-    """Yield ('num'|'name'|'str'|'op'|'arr', value) tokens."""
+    """Yield ('num'|'name'|'str'|'op'|'arr_open'|'arr_close', value) tokens."""
     pos = 0
-    n = len(buf)
-    while pos < n:
-        c = buf[pos]
-        if c in _WS:
-            pos += 1
-            continue
-        if c == 0x25:  # comment
-            while pos < n and buf[pos] not in (0x0A, 0x0D):
-                pos += 1
-            continue
-        if c == 0x28:
-            lex = _Lexer(buf, pos)
-            s = lex._parse_literal_string()
-            pos = lex.pos
-            yield ("str", s)
-            continue
-        m = _CS_TOKEN.match(buf, pos)
-        if not m:
-            pos += 1  # skip junk byte (degrade)
-            continue
-        pos = m.end()
-        if m.lastgroup == "hex":
-            hx = re.sub(rb"[^0-9A-Fa-f]", b"", m.group())
-            if len(hx) % 2:
-                hx += b"0"
-            yield ("str", bytes.fromhex(hx.decode("ascii")))
-        elif m.lastgroup == "name":
-            yield ("name", m.group()[1:].decode("latin-1"))
-        elif m.lastgroup == "num":
-            g = m.group()
-            yield ("num", float(g) if b"." in g else int(g))
-        elif m.lastgroup == "arr_open":
-            yield ("arr_open", None)
-        elif m.lastgroup == "arr_close":
-            yield ("arr_close", None)
-        else:
-            op = m.group().decode("latin-1")
-            if op == "BI":
-                # inline image: skip binary data through to "EI" at a
-                # token boundary (whitespace-delimited) so image bytes
-                # never reach the text interpreter
-                e = pos
-                while True:
-                    e = buf.find(b"EI", e)
-                    if e < 0:
-                        pos = n
-                        break
-                    before_ws = e == 0 or buf[e - 1] in _WS
-                    after = buf[e + 2 : e + 3]
-                    after_ws = not after or after[0] in _WS
-                    if before_ws and after_ws:
-                        pos = e + 2
-                        break
-                    e += 2
-                continue
-            yield ("op", op)
+    while pos is not None:
+        start, pos = pos, None
+        for m in _CS_SCAN.finditer(buf, start):
+            kind = m.lastgroup
+            if kind == "op":
+                op = m.group("op")
+                if op == b"BI":
+                    pos = _skip_inline_image(buf, m.end())
+                    break
+                yield ("op", op.decode("latin-1"))
+            elif kind == "int":
+                yield ("num", int(m.group("int")))
+            elif kind == "name":
+                yield ("name", m.group("name").decode("latin-1"))
+            elif kind == "lit":
+                yield ("str", m.group("lit"))
+            elif kind == "real":
+                yield ("num", float(m.group("real")))
+            elif kind == "arr_open" or kind == "arr_close":
+                yield (kind, None)
+            elif kind == "str":
+                lex = _Lexer(buf, m.start("str"))
+                s = lex._parse_literal_string()
+                yield ("str", s)
+                pos = lex.pos
+                break
+            elif kind == "hex":
+                yield ("str", _hex_bytes(m.group("hex")))
+            elif kind == "eof":
+                return
 
 
 @dataclass
@@ -1609,9 +1651,9 @@ def _page_has_image(doc: "_PdfDocument", resources: dict) -> bool:
 class PdfCodec:
     """Stateless-per-document PDF → (text, pages, tables, spans) codec.
 
-    Use as an actor-pool ``map_batches`` class so per-instance caches
-    (none cross-document today; the slot exists for font programs) are
-    amortized across batches.
+    Use as an actor-pool ``map_batches`` class so the per-instance
+    ``_font_cache`` (font decoders keyed by a hash of the font
+    definition, shared across documents) is amortized across batches.
     """
 
     def __init__(self, extract_tables: bool = True) -> None:

@@ -36,6 +36,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data import Datasink
+from ray.data.block import BlockAccessor
 
 from ..stages.extract import HtmlExtractStage, PdfExtractStage, sniff_doc_kind
 from ..stages.parse import EntitiesStage, ItemsStage
@@ -452,6 +455,59 @@ def write_per_doc_json(result_ds, out_dir: str, url_col: str = "url") -> int:
 
 
 # ---------------------------------------------------------------- job runner
+_COUNTS = ("docs_in", "docs_ok", "docs_html", "docs_pdf", "parse_errors")
+_NO_ROWS = {**dict.fromkeys(_COUNTS, 0), "checksum": 0}
+
+
+class _PartitionSink(Datasink):
+    """Writes one partition's extracted rows into ``path`` and folds the
+    write tasks' counts into the partition's manifest metrics, so the
+    rows are counted while still in memory instead of re-read."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.metrics: Dict[str, int] = {}
+
+    def on_write_start(self) -> None:
+        # a killed run may have left partial files in path; writing fresh
+        # output ALONGSIDE them would commit duplicates — clear first
+        if os.path.isdir(self.path):
+            shutil.rmtree(self.path)
+        os.makedirs(self.path)
+
+    def write(self, blocks, ctx) -> Dict[str, int]:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return _NO_ROWS
+        out = pa.concat_tables(tables)
+        # one file per task, named by task index: a retried task
+        # overwrites its own file instead of adding a second one
+        pq.write_table(out, os.path.join(self.path, f"part-{ctx.task_idx:05d}.parquet"))
+        status, kind = out.column("extract_status"), out.column("doc_kind")
+
+        def count(col, value) -> int:
+            return pc.sum(pc.equal(col, value)).as_py() or 0
+
+        return {
+            "docs_in": out.num_rows,
+            "docs_ok": count(status, "ok"),
+            "docs_html": count(kind, "html"),
+            "docs_pdf": count(kind, "pdf"),
+            "parse_errors": count(status, "parse_error"),
+            "checksum": rows_checksum(out.column("url").to_pylist(),
+                                      out.column("n_chars").to_pylist()),
+        }
+
+    def on_write_complete(self, write_result) -> None:
+        metrics = dict(_NO_ROWS)
+        for r in write_result.write_returns:
+            for k in _COUNTS:
+                metrics[k] += r[k]
+            metrics["checksum"] ^= r["checksum"]
+        self.metrics = metrics
+
+
 def run_extraction_job(
     input_files: Sequence[str],
     out_dir: str,
@@ -462,79 +518,37 @@ def run_extraction_job(
     commit points, each internally fully parallel; killed runs resume
     from the last committed partition (see state/manifest.py).
 
+    Each partition is one Ray Data execution: read → extract → write.
+    Its manifest metrics come from the write tasks, which count the
+    rows they write; the manifest gives each input file's record the
+    partition's totals (``docs_*`` counts, checksum) and the file's own
+    row range.
+
     Returns summary metrics {partitions_total, partitions_skipped,
-    docs_in, docs_ok, parse_errors}.
+    docs_in, docs_ok, docs_html, docs_pdf, parse_errors}.
     """
     import ray.data
 
     manifest = Manifest(out_dir)
     plan = partition_plan(input_files, files_per_partition)
     skipped = 0
-    totals = {"docs_in": 0, "docs_ok": 0, "docs_html": 0, "docs_pdf": 0, "parse_errors": 0}
+    totals = dict.fromkeys(_COUNTS, 0)
 
     for pid, files in enumerate(plan):
         if manifest.is_committed(pid):
             skipped += 1
             continue
-        tmp = manifest.tmp_dir(pid)
-        # a killed run may have left partial files in tmp; writing fresh
-        # output ALONGSIDE them would commit duplicates — clear first
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
         ds = ray.data.read_parquet(
             list(files), columns=["url", "warc_ts", "html", "lang"]
         )
-        extracted = extraction_pipeline(ds, **pipeline_kw)
-        extracted.write_parquet(tmp)
-
-        # cheap metrics pass over the WRITTEN output (column-pruned read
-        # of the small columns only — never re-runs extraction)
-        res = ray.data.read_parquet(
-            tmp, columns=["url", "doc_kind", "extract_status", "n_chars"]
-        )
-        stats = res.map_batches(
-            _partition_metrics_batch, batch_format="pyarrow"
-        ).to_pandas()
-        metrics = {
-            "docs_in": int(stats["docs_in"].sum()),
-            "docs_ok": int(stats["docs_ok"].sum()),
-            "docs_html": int(stats["docs_html"].sum()),
-            "docs_pdf": int(stats["docs_pdf"].sum()),
-            "parse_errors": int(stats["parse_errors"].sum()),
-            "checksum": _xor_all(stats["checksum"]),
-        }
-        manifest.commit(pid, files, metrics)
-        for k in ("docs_in", "docs_ok", "docs_html", "docs_pdf", "parse_errors"):
-            totals[k] += metrics[k]
+        sink = _PartitionSink(manifest.tmp_dir(pid))
+        extraction_pipeline(ds, **pipeline_kw).write_datasink(sink)
+        manifest.commit(pid, files, sink.metrics)
+        for k in _COUNTS:
+            totals[k] += sink.metrics[k]
 
     return {
         "partitions_total": len(plan),
         "partitions_skipped": skipped,
         **totals,
     }
-
-
-def _partition_metrics_batch(batch: pa.Table) -> pa.Table:
-    status = batch.column("extract_status").to_pylist()
-    kinds = batch.column("doc_kind").to_pylist()
-    urls = batch.column("url").to_pylist()
-    n_chars = batch.column("n_chars").to_pylist()
-    return pa.table(
-        {
-            "docs_in": pa.array([len(status)], pa.int64()),
-            "docs_ok": pa.array([sum(s == "ok" for s in status)], pa.int64()),
-            "docs_html": pa.array([sum(k == "html" for k in kinds)], pa.int64()),
-            "docs_pdf": pa.array([sum(k == "pdf" for k in kinds)], pa.int64()),
-            "parse_errors": pa.array(
-                [sum(s == "parse_error" for s in status)], pa.int64()
-            ),
-            "checksum": pa.array([rows_checksum(urls, n_chars)], pa.int64()),
-        }
-    )
-
-
-def _xor_all(series) -> int:
-    acc = 0
-    for v in series:
-        acc ^= int(v)
-    return acc

@@ -10,7 +10,11 @@ the last committed partition (north rule).  Design:
 - each partition writes to ``out_dir/_tmp/part-XXXXX`` then atomically
   renames to ``out_dir/part-XXXXX`` and appends one manifest record
   ``(partition_id, input_file, row_start, row_stop, checksum, docs_in,
-  docs_ok, parse_errors, commit_ts)`` per input file (FIXTURES.md F6)
+  docs_ok, docs_html, docs_pdf, parse_errors, commit_ts)`` per input file
+  (FIXTURES.md F6).  The ``docs_*`` counts and the checksum are the
+  partition's totals, which ``run_extraction_job``'s write tasks count
+  as they write; ``[row_start, row_stop)`` is the file's own row range
+  within the partition, from its parquet footer, in plan order
 - resume = read the manifest, skip committed partitions; a partition
   is committed iff its record exists AND its final dir exists, so a
   crash between write and commit re-processes (idempotent: the rename
@@ -24,6 +28,8 @@ import os
 import shutil
 import zlib
 from typing import Dict, List, Sequence
+
+import pyarrow.parquet as pq
 
 MANIFEST_DIR = "_manifest"
 TMP_DIR = "_tmp"
@@ -92,21 +98,24 @@ class Manifest:
     ) -> None:
         """Atomic publish: tmp dir → final dir, then manifest record.
 
-        ``metrics`` carries docs_in/docs_ok/parse_errors/checksum for
-        the whole partition; per-file row ranges come from the input
-        file footers recorded by the runner.
+        ``metrics`` carries the partition's docs_in/docs_ok/docs_html/
+        docs_pdf/parse_errors/checksum, counted by the write tasks; each
+        input file's row range is read from its parquet footer.
         """
         tmp, final = self.tmp_dir(partition_id), self.partition_dir(partition_id)
         if os.path.isdir(final):
             shutil.rmtree(final)  # crashed-after-rename rerun: replace
         os.rename(tmp, final)
         now = _dt.datetime.utcnow().isoformat()
-        records = [
-            {
+        records = []
+        row_start = 0
+        for f in input_files:
+            row_stop = row_start + pq.read_metadata(f).num_rows
+            records.append({
                 "partition_id": partition_id,
                 "input_file": f,
-                "row_start": metrics.get("row_ranges", {}).get(f, [0, -1])[0],
-                "row_stop": metrics.get("row_ranges", {}).get(f, [0, -1])[1],
+                "row_start": row_start,
+                "row_stop": row_stop,
                 "checksum": format(metrics.get("checksum", 0), "08x"),
                 "docs_in": metrics.get("docs_in", -1),
                 "docs_ok": metrics.get("docs_ok", -1),
@@ -114,9 +123,8 @@ class Manifest:
                 "docs_pdf": metrics.get("docs_pdf", -1),
                 "parse_errors": metrics.get("parse_errors", -1),
                 "commit_ts": now,
-            }
-            for f in input_files
-        ]
+            })
+            row_start = row_stop
         path = self.record_path(partition_id)
         tmp_path = path + ".tmp"
         with open(tmp_path, "w") as f:

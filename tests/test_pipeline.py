@@ -346,3 +346,135 @@ def test_unified_vs_branched_mode_identical(ray_session):
     assert uni.extracted_text.tolist() == bra.extracted_text.tolist()
     assert uni.extract_status.tolist() == bra.extract_status.tolist()
     assert uni.doc_kind.tolist() == bra.doc_kind.tolist()
+
+
+# ------------------------------------------------ checkpointed job: manifest
+@pytest.fixture(scope="module")
+def page_files(ray_session, sf_dir, tmp_path_factory):
+    """The sf0.001 pages as parquet input files (four files of ~125 rows)."""
+    from pdf_extractor_ray.sources.corpus import pages_dataset
+
+    pages_dir = tmp_path_factory.mktemp("pages")
+    pages_dataset(sf_dir).write_parquet(str(pages_dir))
+    return sorted(
+        str(pages_dir / f) for f in os.listdir(pages_dir) if f.endswith(".parquet")
+    )
+
+
+@pytest.fixture(scope="module")
+def committed_job(page_files, tmp_path_factory):
+    """A two-files-per-partition job over every page file: (out_dir, result)."""
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+
+    assert len(page_files) >= 4
+    out_dir = str(tmp_path_factory.mktemp("job") / "out")
+    return out_dir, run_extraction_job(page_files, out_dir, files_per_partition=2)
+
+
+def _records_by_partition(out_dir):
+    from pdf_extractor_ray.state.manifest import Manifest
+
+    by_pid = {}
+    for r in Manifest(out_dir).records():
+        by_pid.setdefault(r["partition_id"], []).append(r)
+    return by_pid
+
+
+def test_manifest_matches_committed_output(committed_job):
+    """Each partition's manifest metrics equal the counts and checksum
+    recomputed from the parquet it committed."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.state.manifest import Manifest, rows_checksum
+
+    out_dir, result = committed_job
+    manifest = Manifest(out_dir)
+    by_pid = _records_by_partition(out_dir)
+    assert sorted(by_pid) == list(range(result["partitions_total"])) != [0]
+    n_files = []
+    for pid, records in by_pid.items():
+        part = manifest.partition_dir(pid)
+        files = sorted(f for f in os.listdir(part) if f.endswith(".parquet"))
+        n_files.append(len(files))
+        t = pa.concat_tables(pq.read_table(os.path.join(part, f)) for f in files)
+        status, kind = t.column("extract_status"), t.column("doc_kind")
+        want = {
+            "docs_in": t.num_rows,
+            "docs_ok": pc.sum(pc.equal(status, "ok")).as_py(),
+            "docs_html": pc.sum(pc.equal(kind, "html")).as_py(),
+            "docs_pdf": pc.sum(pc.equal(kind, "pdf")).as_py(),
+            "parse_errors": pc.sum(pc.equal(status, "parse_error")).as_py(),
+            "checksum": format(rows_checksum(t.column("url").to_pylist(),
+                                             t.column("n_chars").to_pylist()), "08x"),
+        }
+        for r in records:
+            assert {k: r[k] for k in want} == want, pid
+    # several write tasks per partition: their returns are folded together
+    assert max(n_files) >= 2
+    assert result["docs_in"] == 500
+
+
+def test_manifest_row_ranges_tile_each_partition(committed_job):
+    """Per-file [row_start, row_stop) ranges follow the plan's file order
+    and tile [0, docs_in) of their partition."""
+    import pyarrow.parquet as pq
+
+    out_dir, _ = committed_job
+    for pid, records in _records_by_partition(out_dir).items():
+        start = 0
+        for r in records:
+            assert r["row_start"] == start
+            assert r["row_stop"] - start == pq.read_metadata(r["input_file"]).num_rows
+            start = r["row_stop"]
+        assert start == records[0]["docs_in"] > 0, pid
+
+
+def test_empty_input_partition_commits_and_is_skipped(page_files, tmp_path):
+    """A partition whose input file holds no rows commits an empty
+    partition dir with zero counts; the rerun skips it."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+    from pdf_extractor_ray.state.manifest import Manifest
+
+    empty = str(tmp_path / "zz-empty.parquet")
+    pq.write_table(pq.read_schema(page_files[0]).empty_table(), empty)
+    files = [page_files[0], empty]
+    out_dir = str(tmp_path / "out")
+
+    r = run_extraction_job(files, out_dir, files_per_partition=1)
+    assert r["partitions_total"] == 2 and r["partitions_skipped"] == 0
+    rec = next(x for x in Manifest(out_dir).records() if x["input_file"] == empty)
+    assert rec["partition_id"] == 1
+    assert (rec["docs_in"], rec["docs_ok"], rec["checksum"]) == (0, 0, "00000000")
+    assert (rec["row_start"], rec["row_stop"]) == (0, 0)
+    assert Manifest(out_dir).committed_ids() == [0, 1]
+
+    again = run_extraction_job(files, out_dir, files_per_partition=1)
+    assert again["partitions_skipped"] == 2 and again["docs_in"] == 0
+
+
+def test_one_read_pass_per_uncommitted_partition(page_files, tmp_path, monkeypatch):
+    """Each partition the job runs reads its input exactly once and
+    never reads its own output back; committed partitions read nothing."""
+    import ray.data
+
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+
+    out_dir = str(tmp_path / "out")
+    committed = 1
+    run_extraction_job(page_files[:committed], out_dir, files_per_partition=1)
+
+    calls = []
+    real = ray.data.read_parquet
+
+    def counting(paths, *args, **kw):
+        calls.append(paths)
+        return real(paths, *args, **kw)
+
+    monkeypatch.setattr(ray.data, "read_parquet", counting)
+    r = run_extraction_job(page_files, out_dir, files_per_partition=1)
+    assert r["partitions_skipped"] == committed
+    assert len(calls) == len(page_files) - committed
+    assert all(set(paths) <= set(page_files) for paths in calls)

@@ -6,21 +6,20 @@ Engine lifecycle target shape (SURVEY.md §3.4, single-pass dispatch):
       → map_batches(extract_unified)   # sniff + per-row codec dispatch
       → items / entities / stats / write
 
-Two architectures, measured head-to-head at 32 CPUs on a 40k-doc
-corpus (bench, 2026-08):
+One architecture, **unified** single-pass dispatch: ONE task-based
+``map_batches`` stage sniffs the batch and routes rows to the HTML/PDF
+codec inside the task.  Codec instances (pattern banks, font caches)
+are module-level worker-process globals — Ray reuses worker processes
+across tasks, so warm state amortizes exactly like an actor pool
+without the object-store round-trip per batch.  Measured at 32 CPUs on
+a 40k-doc corpus (bench, 2026-08): 22.4k docs/s, against 5.8k for the
+former sniff → filter×2 → HTML tasks ∪ PDF actor-pool plan, which was
+removed: its only use was a long-lived OCR/model actor, and extraction
+here is deterministic parsing.
 
-- **unified** (default): ONE task-based ``map_batches`` stage sniffs
-  the batch and routes rows to the HTML/PDF codec inside the task.
-  Codec instances (pattern banks, font caches) are module-level
-  worker-process globals — Ray reuses worker processes across tasks,
-  so warm state amortizes exactly like an actor pool without the
-  object-store round-trip per batch.  22.4k docs/s.
-- **branched**: sniff → filter(html)/filter(pdf) → stateless HTML
-  tasks ∪ PDF actor pool.  The shape SURVEY §3.4 sketched first; it
-  executes the read+sniff prefix once per branch and pays actor-pool
-  serialization.  5.8k docs/s — kept for workloads where the PDF side
-  needs dedicated long-lived actors (e.g. a real OCR/model stage
-  whose init cost is seconds, A1/A2 in SURVEY §2.3).
+``run_extraction_job`` runs that stage as one streaming execution per
+job and writes each batch inside the same task, committing partition
+by partition as their rows arrive.
 
 Skew note (north rule): giant PDFs are defused by MODEST BATCH SIZE —
 a straggler document occupies one small batch, not a 1024-row block —
@@ -30,15 +29,14 @@ would move the whole corpus.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-from ray.data import Datasink
-from ray.data.block import BlockAccessor
 
 from ..stages.extract import HtmlExtractStage, PdfExtractStage, sniff_doc_kind
 from ..stages.parse import EntitiesStage, ItemsStage
@@ -47,6 +45,10 @@ from ..state.manifest import Manifest, partition_plan, rows_checksum
 # module-level instances: compile-once-per-worker-process warm state
 # for the task path (SURVEY.md §7.3 / A3-A4 analogue)
 _STAGES: Dict[object, object] = {}
+
+# rows per extraction batch: small enough that a giant document holds up
+# one small batch, not a whole block
+_BATCH_SIZE = 128
 
 
 def _stage(kind: str, emit_pages: bool):
@@ -82,49 +84,14 @@ def extract_unified_batch_pages(batch: pa.Table) -> pa.Table:
     return _extract_unified(batch, emit_pages=True)
 
 
-def _default_pdf_concurrency() -> Tuple[int, int]:
-    """Size the branched-mode PDF actor pool from the cluster: PDFs
-    are ~10% of docs but most of the per-doc cost, so cap the pool at
-    half the CPUs — the HTML task path fills the rest."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return (2, max(4, cpus // 2))
-
-
 def extraction_pipeline(
     pages_ds,
     emit_pages: bool = False,
-    mode: str = "unified",
-    pdf_concurrency: Optional[Tuple[int, int]] = None,
-    pdf_batch_size: int = 16,
-    html_batch_size: int = 256,
-    batch_size: int = 128,
+    batch_size: int = _BATCH_SIZE,
 ):
     """pages Dataset → extraction Dataset (EXTRACT_SCHEMA [+pages])."""
-    if mode == "unified":
-        fn = extract_unified_batch_pages if emit_pages else extract_unified_batch
-        return pages_ds.map_batches(
-            fn, batch_format="pyarrow", batch_size=batch_size
-        )
-    if pdf_concurrency is None:
-        pdf_concurrency = _default_pdf_concurrency()
-    ds = pages_ds.map_batches(sniff_doc_kind, batch_format="pyarrow")
-    html_fn = extract_unified_batch_pages if emit_pages else extract_unified_batch
-    html_branch = ds.filter(expr="doc_kind != 'pdf'").map_batches(
-        html_fn, batch_format="pyarrow", batch_size=html_batch_size
-    )
-    pdf_branch = ds.filter(expr="doc_kind == 'pdf'").map_batches(
-        PdfExtractStage,
-        fn_constructor_kwargs={"emit_pages": emit_pages},
-        batch_format="pyarrow",
-        batch_size=pdf_batch_size,
-        concurrency=pdf_concurrency,
-    )
-    return html_branch.union(pdf_branch)
+    fn = extract_unified_batch_pages if emit_pages else extract_unified_batch
+    return pages_ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
 
 
 def _items_batch(batch: pa.Table) -> pa.Table:
@@ -457,39 +424,52 @@ def write_per_doc_json(result_ds, out_dir: str, url_col: str = "url") -> int:
 # ---------------------------------------------------------------- job runner
 _COUNTS = ("docs_in", "docs_ok", "docs_html", "docs_pdf", "parse_errors")
 _NO_ROWS = {**dict.fromkeys(_COUNTS, 0), "checksum": 0}
+_FRAGMENT_METRICS = pa.schema(
+    [("pid", pa.int64()), ("fragment", pa.string())]
+    + [(k, pa.int64()) for k in (*_COUNTS, "checksum")]
+)
 
 
-class _PartitionSink(Datasink):
-    """Writes one partition's extracted rows into ``path`` and folds the
-    write tasks' counts into the partition's manifest metrics, so the
-    rows are counted while still in memory instead of re-read."""
+def _write_fragments(
+    batch: pa.Table, pid_of: Dict[str, int], tmp_dirs: Dict[int, str]
+) -> pa.Table:
+    """Extract one batch and write it as one fragment per partition.
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.metrics: Dict[str, int] = {}
+    A batch can straddle partitions, so its rows are grouped by the
+    partition of the input file they came from (``path``).  Each group
+    is written to ``tmp_dirs[pid]`` under a digest of its input paths
+    and urls, so a retried task overwrites its own fragment.  Returns
+    one metrics row per fragment: partition, fragment name, the
+    ``docs_*`` counts (``docs_in`` is its row count: one row per input
+    row) and the rows' checksum.
+    """
+    paths = batch.column("path")
+    names = pc.unique(paths)
+    pid_by_name = {}
+    for name in names.to_pylist():
+        pid = pid_by_name[name] = pid_of.get(os.path.abspath(name))
+        if pid is None:
+            raise ValueError(f"read a file outside the job's plan: {name}")
+    pid_col = pc.take(pa.array(list(pid_by_name.values()), pa.int64()),
+                      pc.index_in(paths, value_set=names))
+    batch = batch.drop_columns(["path"])
 
-    def on_write_start(self) -> None:
-        # a killed run may have left partial files in path; writing fresh
-        # output ALONGSIDE them would commit duplicates — clear first
-        if os.path.isdir(self.path):
-            shutil.rmtree(self.path)
-        os.makedirs(self.path)
+    def count(col, value) -> int:
+        return pc.sum(pc.equal(col, value)).as_py() or 0
 
-    def write(self, blocks, ctx) -> Dict[str, int]:
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return _NO_ROWS
-        out = pa.concat_tables(tables)
-        # one file per task, named by task index: a retried task
-        # overwrites its own file instead of adding a second one
-        pq.write_table(out, os.path.join(self.path, f"part-{ctx.task_idx:05d}.parquet"))
+    rows = []
+    for pid in sorted(set(pid_by_name.values())):
+        keys = [name for name, i in pid_by_name.items() if i == pid]
+        group = batch.filter(pc.equal(pid_col, pid))
+        out = _extract_unified(group, emit_pages=False)
+        keys += map(str, group.column("url").to_pylist())
+        digest = hashlib.sha1("\0".join(keys).encode()).hexdigest()
+        fragment = f"{digest[:24]}.parquet"
+        pq.write_table(out, os.path.join(tmp_dirs[pid], fragment))
         status, kind = out.column("extract_status"), out.column("doc_kind")
-
-        def count(col, value) -> int:
-            return pc.sum(pc.equal(col, value)).as_py() or 0
-
-        return {
+        rows.append({
+            "pid": pid,
+            "fragment": fragment,
             "docs_in": out.num_rows,
             "docs_ok": count(status, "ok"),
             "docs_html": count(kind, "html"),
@@ -497,55 +477,96 @@ class _PartitionSink(Datasink):
             "parse_errors": count(status, "parse_error"),
             "checksum": rows_checksum(out.column("url").to_pylist(),
                                       out.column("n_chars").to_pylist()),
-        }
-
-    def on_write_complete(self, write_result) -> None:
-        metrics = dict(_NO_ROWS)
-        for r in write_result.write_returns:
-            for k in _COUNTS:
-                metrics[k] += r[k]
-            metrics["checksum"] ^= r["checksum"]
-        self.metrics = metrics
+        })
+    return pa.Table.from_pylist(rows, schema=_FRAGMENT_METRICS)
 
 
 def run_extraction_job(
     input_files: Sequence[str],
     out_dir: str,
     files_per_partition: int = 16,
-    **pipeline_kw,
 ) -> dict:
-    """Checkpointed job: partitions of input files run as sequential
-    commit points, each internally fully parallel; killed runs resume
-    from the last committed partition (see state/manifest.py).
+    """Checkpointed job: one streaming Ray Data execution over every
+    uncommitted input file, committed partition by partition as it goes;
+    a killed run resumes at partition granularity (see state/manifest.py).
 
-    Each partition is one Ray Data execution: read → extract → write.
-    Its manifest metrics come from the write tasks, which count the
-    rows they write; the manifest gives each input file's record the
+    The execution is ``read_parquet(include_paths=True)`` → one
+    ``map_batches`` step that extracts each batch and writes it as
+    fragments into the partitions' tmp dirs (``_write_fragments``).  The
+    driver folds the fragments' metrics rows per partition and commits
+    a partition as soon as its written rows reach the sum of its files'
+    footer row counts.  Partitions whose files hold no rows commit at
+    once without being read; with nothing left to run, no Ray execution
+    starts.  The manifest gives each input file's record the
     partition's totals (``docs_*`` counts, checksum) and the file's own
     row range.
 
     Returns summary metrics {partitions_total, partitions_skipped,
     docs_in, docs_ok, docs_html, docs_pdf, parse_errors}.
     """
-    import ray.data
-
     manifest = Manifest(out_dir)
     plan = partition_plan(input_files, files_per_partition)
-    skipped = 0
+    todo = {pid: files for pid, files in enumerate(plan)
+            if not manifest.is_committed(pid)}
+    skipped = len(plan) - len(todo)
     totals = dict.fromkeys(_COUNTS, 0)
 
-    for pid, files in enumerate(plan):
-        if manifest.is_committed(pid):
-            skipped += 1
-            continue
-        ds = ray.data.read_parquet(
-            list(files), columns=["url", "warc_ts", "html", "lang"]
-        )
-        sink = _PartitionSink(manifest.tmp_dir(pid))
-        extraction_pipeline(ds, **pipeline_kw).write_datasink(sink)
-        manifest.commit(pid, files, sink.metrics)
+    def commit(pid: int, metrics: Dict[str, int]) -> None:
+        manifest.commit(pid, todo.pop(pid), metrics)
         for k in _COUNTS:
-            totals[k] += sink.metrics[k]
+            totals[k] += metrics[k]
+
+    expected: Dict[int, int] = {}
+    tmp_dirs: Dict[int, str] = {}
+    pid_of: Dict[str, int] = {}
+    read: list = []
+    for pid, files in todo.items():
+        tmp = tmp_dirs[pid] = manifest.tmp_dir(pid)
+        if os.path.isdir(tmp):
+            shutil.rmtree(tmp)  # a killed run's fragments
+        os.makedirs(tmp)
+        n_rows = {f: pq.read_metadata(f).num_rows for f in files}
+        expected[pid] = sum(n_rows.values())
+        read += [f for f in files if n_rows[f]]
+        pid_of.update((os.path.abspath(f), pid) for f in files if n_rows[f])
+    for pid in [p for p, n in expected.items() if n == 0]:
+        commit(pid, _NO_ROWS)
+
+    if todo:
+        import ray.data
+
+        acc = {pid: {**_NO_ROWS, "fragments": set()} for pid in todo}
+        stream = ray.data.read_parquet(
+            read, columns=["url", "warc_ts", "html", "lang"], include_paths=True
+        ).map_batches(
+            _write_fragments,
+            fn_kwargs={"pid_of": pid_of, "tmp_dirs": tmp_dirs},
+            batch_format="pyarrow",
+            batch_size=_BATCH_SIZE,
+        )
+        for batch in stream.iter_batches(batch_format="pyarrow", batch_size=None):
+            for r in batch.to_pylist():
+                pid = r["pid"]
+                a = acc[pid]
+                if r["fragment"] in a["fragments"]:
+                    raise RuntimeError(
+                        f"partition {pid}: two fragments named {r['fragment']}")
+                a["fragments"].add(r["fragment"])
+                for k in _COUNTS:
+                    a[k] += r[k]
+                a["checksum"] ^= r["checksum"]
+                if a["docs_in"] > expected[pid]:
+                    raise RuntimeError(
+                        f"partition {pid}: {a['docs_in']} rows written, "
+                        f"{expected[pid]} in its input files")
+                if a["docs_in"] == expected[pid]:
+                    # an unreported file is an orphan of a retried task
+                    for name in set(os.listdir(tmp_dirs[pid])) - a["fragments"]:
+                        os.remove(os.path.join(tmp_dirs[pid], name))
+                    commit(pid, a)
+        if todo:
+            raise RuntimeError(
+                f"partitions {sorted(todo)} ended short of their input rows")
 
     return {
         "partitions_total": len(plan),

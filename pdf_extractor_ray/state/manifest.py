@@ -4,21 +4,28 @@ The reference has no checkpointing (rerun = redo the document,
 SURVEY.md §4.1); at 10^12-document scale a killed job must resume from
 the last committed partition (north rule).  Design:
 
-- a *partition* is a group of input files sized so one partition's
-  sub-pipeline saturates the cluster; partitions run sequentially as
-  commit points, each internally fully parallel
-- each partition writes to ``out_dir/_tmp/part-XXXXX`` then atomically
-  renames to ``out_dir/part-XXXXX`` and appends one manifest record
-  ``(partition_id, input_file, row_start, row_stop, checksum, docs_in,
-  docs_ok, docs_html, docs_pdf, parse_errors, commit_ts)`` per input file
-  (FIXTURES.md F6).  The ``docs_*`` counts and the checksum are the
-  partition's totals, which ``run_extraction_job``'s write tasks count
-  as they write; ``[row_start, row_stop)`` is the file's own row range
-  within the partition, from its parquet footer, in plan order
+- a *partition* is a group of input files and the unit of commit.
+  ``run_extraction_job`` reads every uncommitted partition's files in
+  ONE streaming Ray Data execution; its write tasks put fragments into
+  ``out_dir/_tmp/part-XXXXX`` and return their counts, and the driver
+  commits a partition as soon as its written input rows reach the sum
+  of its files' parquet footer row counts
+- before the commit, the job deletes every tmp file its write tasks
+  did not report (an orphan of a retried or killed task); the commit
+  atomically renames ``_tmp/part-XXXXX`` to ``out_dir/part-XXXXX`` and
+  writes one
+  manifest record ``(partition_id, input_file, row_start, row_stop,
+  checksum, docs_in, docs_ok, docs_html, docs_pdf, parse_errors,
+  commit_ts)`` per input file (FIXTURES.md F6).  The ``docs_*`` counts
+  and the checksum are the partition's totals; ``[row_start,
+  row_stop)`` is the file's own row range within the partition, from
+  its parquet footer, in plan order
 - resume = read the manifest, skip committed partitions; a partition
   is committed iff its record exists AND its final dir exists, so a
-  crash between write and commit re-processes (idempotent: the rename
-  replaces the partial tmp output, never duplicates)
+  crash between write and commit re-processes (idempotent: the job
+  clears every uncommitted partition's tmp dir before it starts, and
+  the rename replaces a final dir that has no record, never
+  duplicates)
 """
 from __future__ import annotations
 

@@ -1,20 +1,24 @@
-"""Per-partition Ray fixed cost of the checkpointed extract job.
+"""Per-partition and per-job Ray fixed cost of the checkpointed extract job.
 
 For one benchmark workload (``perfbench/corpus.py``) and seed, runs each
-partition of the job twice: through ``run_extraction_job`` on a local
-1-CPU Ray session, and through ``perfbench/layers.replay``, the
-in-process twin of the same job without Ray.  Both run on the same
-shards, pinned to one CPU, after one untimed warm-up partition.  The
-difference per partition is what Ray adds on top of the work itself:
-planning, task launch, object transfer and the write/commit round trip.
+partition of the job, and then the whole job over all files, twice:
+through ``run_extraction_job`` on a local 1-CPU Ray session, and through
+``perfbench/layers.replay``, the in-process twin of the same job without
+Ray.  Both run on the same shards, pinned to one CPU, after one untimed
+warm-up partition.  The difference is what Ray adds on top of the work
+itself: planning, task launch, object transfer and the write/commit
+round trip.  ``run_extraction_job`` is one Ray Data execution per call,
+so the per-partition lines pay that fixed cost once per partition and
+the whole-job line pays it once.
 
 Usage (from the repository root)::
 
     python scripts/partition_overhead.py --workload small_pages_resume --seed 1
 
-Prints one line per partition (median over ``--repeats``) and then one
-JSON summary line.  Inputs and outputs live in a temporary directory
-that is removed at exit; nothing under ``perfbench/`` is written.
+Prints one line per partition and one for the whole job (medians over
+``--repeats``), then one JSON summary line.  Inputs and outputs live in
+a temporary directory that is removed at exit; nothing under
+``perfbench/`` is written.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ sys.path[:0] = [ROOT, os.path.join(ROOT, "perfbench")]
 sys.dont_write_bytecode = True  # leave no __pycache__ behind in perfbench/
 
 
-def _ray_partition(files, out_dir, fpp) -> float:
+def _ray_job(files, out_dir, fpp) -> float:
     from pdf_extractor_ray.pipelines.extraction import run_extraction_job
 
     t = time.perf_counter()
@@ -40,7 +44,7 @@ def _ray_partition(files, out_dir, fpp) -> float:
     return time.perf_counter() - t
 
 
-def _replay_partition(files, out_dir, fpp) -> float:
+def _replay_job(files, out_dir, fpp) -> float:
     import layers
 
     return layers.replay(files, out_dir, fpp)["wall_s"]
@@ -75,8 +79,9 @@ def main(argv=None) -> int:
         ray.init(address="local", num_cpus=1, include_dashboard=False,
                  log_to_driver=False, object_store_memory=512 * 1024 * 1024)
         try:
-            runs = {"ray": _ray_partition, "replay": _replay_partition}
+            runs = {"ray": _ray_job, "replay": _replay_job}
             walls = {k: [[] for _ in plan] for k in runs}
+            job_walls = {k: [] for k in runs}
             outs = (os.path.join(work, f"out-{i}") for i in itertools.count())
             for run in runs.values():  # warm-up: imports, codecs, workers
                 run(plan[0], next(outs), shape.files_per_partition)
@@ -87,6 +92,9 @@ def main(argv=None) -> int:
                     for k in order:
                         walls[k][pid].append(
                             runs[k](pfiles, next(outs), shape.files_per_partition))
+                for k in order:
+                    job_walls[k].append(
+                        runs[k](files, next(outs), shape.files_per_partition))
         finally:
             ray.shutdown()
 
@@ -97,11 +105,16 @@ def main(argv=None) -> int:
         replay_s = statistics.median(walls["replay"][pid])
         diffs.append(ray_s - replay_s)
         print(f"{pid:>9} {len(pfiles):>5} {ray_s:>8.3f} {replay_s:>8.3f} {diffs[-1]:>11.3f}")
+    job_ray_s = statistics.median(job_walls["ray"])
+    job_replay_s = statistics.median(job_walls["replay"])
+    print(f"{'job':>9} {len(files):>5} {job_ray_s:>8.3f} {job_replay_s:>8.3f} "
+          f"{job_ray_s - job_replay_s:>11.3f}")
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "repeats": args.repeats,
         "partitions": len(plan), "loadavg": os.getloadavg(),
         "ray_fixed_s_median": statistics.median(diffs),
         "ray_fixed_s_total": sum(diffs),
+        "job_ray_fixed_s": job_ray_s - job_replay_s,
     }))
     return 0
 

@@ -73,24 +73,6 @@ def test_entities_pipeline(ray_session, sf_dir):
     assert (df["date"].str.len() > 0).any()
 
 
-def test_branched_mode_matches_unified(ray_session, sf_dir):
-    """mode='branched' (sniff → filter×2 → HTML tasks ∪ PDF actor pool)
-    must produce exactly the unified pipeline's rows."""
-    from pdf_extractor_ray.pipelines.extraction import extraction_pipeline
-    from pdf_extractor_ray.sources.corpus import pages_dataset
-
-    cols = ["url", "doc_kind", "extracted_text", "extract_status"]
-    uni = (
-        extraction_pipeline(pages_dataset(sf_dir))
-        .select_columns(cols).to_pandas().sort_values("url").reset_index(drop=True)
-    )
-    bra = (
-        extraction_pipeline(pages_dataset(sf_dir), mode="branched")
-        .select_columns(cols).to_pandas().sort_values("url").reset_index(drop=True)
-    )
-    assert uni.equals(bra)
-
-
 def test_checkpoint_resume(ray_session, sf_dir, tmp_path):
     """Kill-and-resume semantics: committed partitions are skipped, the
     rerun completes the remainder, no duplicate outputs."""
@@ -321,33 +303,6 @@ def test_gunzip_payloads_edge_cases(ray_session):
     assert gunzip_payloads(empty).num_rows == 0
 
 
-def test_unified_vs_branched_mode_identical(ray_session):
-    """The two physical plans (unified single-pass dispatch vs
-    sniff→filter branches with a PDF actor pool) must produce
-    identical logical results over a mixed corpus slice."""
-    import pyarrow as pa
-
-    from pdf_extractor_ray.pipelines.extraction import extraction_pipeline
-    from pdf_extractor_ray.sources.corpus import PageSynthesizer
-
-    batch = pa.table({
-        "doc_id": pa.array(list(range(0, 60)), pa.int64()),
-        "text": pa.array([" ".join(f"w{i}" for i in range(30))] * 60),
-        "lang": pa.array(["en"] * 60),
-    })
-    import ray.data
-
-    pages = ray.data.from_arrow(PageSynthesizer()(batch))
-    uni = extraction_pipeline(pages).to_pandas() \
-        .sort_values("url").reset_index(drop=True)
-    bra = extraction_pipeline(pages, mode="branched").to_pandas() \
-        .sort_values("url").reset_index(drop=True)
-    assert uni.url.tolist() == bra.url.tolist()
-    assert uni.extracted_text.tolist() == bra.extracted_text.tolist()
-    assert uni.extract_status.tolist() == bra.extract_status.tolist()
-    assert uni.doc_kind.tolist() == bra.doc_kind.tolist()
-
-
 # ------------------------------------------------ checkpointed job: manifest
 @pytest.fixture(scope="module")
 def page_files(ray_session, sf_dir, tmp_path_factory):
@@ -380,54 +335,74 @@ def _records_by_partition(out_dir):
     return by_pid
 
 
-def test_manifest_matches_committed_output(committed_job):
+def _assert_manifest_matches_output(out_dir):
     """Each partition's manifest metrics equal the counts and checksum
-    recomputed from the parquet it committed."""
+    recomputed from the parquet it committed; returns the number of
+    files in each partition dir."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from pdf_extractor_ray.state.manifest import Manifest, rows_checksum
 
-    out_dir, result = committed_job
     manifest = Manifest(out_dir)
-    by_pid = _records_by_partition(out_dir)
-    assert sorted(by_pid) == list(range(result["partitions_total"])) != [0]
-    n_files = []
-    for pid, records in by_pid.items():
+    n_files = {}
+    for pid, records in _records_by_partition(out_dir).items():
         part = manifest.partition_dir(pid)
         files = sorted(f for f in os.listdir(part) if f.endswith(".parquet"))
-        n_files.append(len(files))
-        t = pa.concat_tables(pq.read_table(os.path.join(part, f)) for f in files)
-        status, kind = t.column("extract_status"), t.column("doc_kind")
-        want = {
-            "docs_in": t.num_rows,
-            "docs_ok": pc.sum(pc.equal(status, "ok")).as_py(),
-            "docs_html": pc.sum(pc.equal(kind, "html")).as_py(),
-            "docs_pdf": pc.sum(pc.equal(kind, "pdf")).as_py(),
-            "parse_errors": pc.sum(pc.equal(status, "parse_error")).as_py(),
-            "checksum": format(rows_checksum(t.column("url").to_pylist(),
-                                             t.column("n_chars").to_pylist()), "08x"),
-        }
+        n_files[pid] = len(files)
+        if not files:
+            want = {"docs_in": 0, "docs_ok": 0, "docs_html": 0, "docs_pdf": 0,
+                    "parse_errors": 0, "checksum": "00000000"}
+        else:
+            t = pa.concat_tables(pq.read_table(os.path.join(part, f)) for f in files)
+            status, kind = t.column("extract_status"), t.column("doc_kind")
+            want = {
+                "docs_in": t.num_rows,
+                "docs_ok": pc.sum(pc.equal(status, "ok")).as_py() or 0,
+                "docs_html": pc.sum(pc.equal(kind, "html")).as_py() or 0,
+                "docs_pdf": pc.sum(pc.equal(kind, "pdf")).as_py() or 0,
+                "parse_errors": pc.sum(pc.equal(status, "parse_error")).as_py() or 0,
+                "checksum": format(rows_checksum(
+                    t.column("url").to_pylist(),
+                    t.column("n_chars").to_pylist()), "08x"),
+            }
         for r in records:
             assert {k: r[k] for k in want} == want, pid
-    # several write tasks per partition: their returns are folded together
-    assert max(n_files) >= 2
-    assert result["docs_in"] == 500
+    return n_files
 
 
-def test_manifest_row_ranges_tile_each_partition(committed_job):
+def _assert_row_ranges_tile(out_dir):
     """Per-file [row_start, row_stop) ranges follow the plan's file order
     and tile [0, docs_in) of their partition."""
     import pyarrow.parquet as pq
 
-    out_dir, _ = committed_job
     for pid, records in _records_by_partition(out_dir).items():
         start = 0
         for r in records:
             assert r["row_start"] == start
             assert r["row_stop"] - start == pq.read_metadata(r["input_file"]).num_rows
             start = r["row_stop"]
-        assert start == records[0]["docs_in"] > 0, pid
+        assert start == records[0]["docs_in"], pid
+
+
+def test_manifest_matches_committed_output(committed_job):
+    """Each partition's manifest metrics equal the counts and checksum
+    recomputed from the parquet it committed."""
+    out_dir, result = committed_job
+    n_files = _assert_manifest_matches_output(out_dir)
+    assert sorted(n_files) == list(range(result["partitions_total"])) != [0]
+    # several fragments per partition: their metrics rows are folded together
+    assert max(n_files.values()) >= 2
+    assert result["docs_in"] == 500
+
+
+def test_manifest_row_ranges_tile_each_partition(committed_job):
+    """Per-file [row_start, row_stop) ranges follow the plan's file order
+    and tile [0, docs_in) of their partition."""
+    out_dir, _ = committed_job
+    _assert_row_ranges_tile(out_dir)
+    assert all(recs[0]["docs_in"] > 0
+               for recs in _records_by_partition(out_dir).values())
 
 
 def test_empty_input_partition_commits_and_is_skipped(page_files, tmp_path):
@@ -455,13 +430,18 @@ def test_empty_input_partition_commits_and_is_skipped(page_files, tmp_path):
     assert again["partitions_skipped"] == 2 and again["docs_in"] == 0
 
 
-def test_one_read_pass_per_uncommitted_partition(page_files, tmp_path, monkeypatch):
-    """Each partition the job runs reads its input exactly once and
-    never reads its own output back; committed partitions read nothing."""
+def test_one_read_per_job(page_files, tmp_path, monkeypatch):
+    """A job with work left reads every uncommitted non-empty input file
+    in exactly one read_parquet call; a job with every partition
+    committed or empty starts no read at all."""
+    import pyarrow.parquet as pq
     import ray.data
 
     from pdf_extractor_ray.pipelines.extraction import run_extraction_job
 
+    empty = str(tmp_path / "zz-empty.parquet")
+    pq.write_table(pq.read_schema(page_files[0]).empty_table(), empty)
+    files = page_files + [empty]
     out_dir = str(tmp_path / "out")
     committed = 1
     run_extraction_job(page_files[:committed], out_dir, files_per_partition=1)
@@ -470,11 +450,60 @@ def test_one_read_pass_per_uncommitted_partition(page_files, tmp_path, monkeypat
     real = ray.data.read_parquet
 
     def counting(paths, *args, **kw):
-        calls.append(paths)
+        calls.append(list(paths))
         return real(paths, *args, **kw)
 
     monkeypatch.setattr(ray.data, "read_parquet", counting)
-    r = run_extraction_job(page_files, out_dir, files_per_partition=1)
+    r = run_extraction_job(files, out_dir, files_per_partition=1)
     assert r["partitions_skipped"] == committed
-    assert len(calls) == len(page_files) - committed
-    assert all(set(paths) <= set(page_files) for paths in calls)
+    assert r["partitions_total"] == len(files)
+    assert len(calls) == 1
+    assert set(calls[0]) == set(page_files[committed:])
+
+    calls.clear()
+    again = run_extraction_job(files, out_dir, files_per_partition=1)
+    assert again["partitions_skipped"] == len(files)
+    only_empty = run_extraction_job([empty], str(tmp_path / "out-empty"),
+                                    files_per_partition=1)
+    assert only_empty["partitions_skipped"] == 0 and only_empty["docs_in"] == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("files_per_partition", [1, 2])
+def test_partitions_straddling_batches_and_orphan_fragments(
+    page_files, tmp_path, files_per_partition
+):
+    """Input files of 50, 130, 7 and 0 rows: 128-row batches cross
+    partition boundaries, yet every partition commits exactly its own
+    rows.  A stray file planted in a partition's tmp dir is not
+    committed."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+    from pdf_extractor_ray.state.manifest import Manifest
+
+    pages = pa.concat_tables(pq.read_table(f) for f in page_files)
+    files, start = [], 0
+    for name, n in zip("abcd", (50, 130, 7, 0)):
+        files.append(str(tmp_path / f"{name}-{n}.parquet"))
+        pq.write_table(pages.slice(start, n), files[-1])
+        start += n
+    out_dir = tmp_path / "out"
+    stray = out_dir / "_tmp" / "part-00001"
+    stray.mkdir(parents=True)
+    pq.write_table(pages.slice(400, 5), str(stray / "stray.parquet"))
+
+    r = run_extraction_job(files, str(out_dir), files_per_partition=files_per_partition)
+    n_parts = -(-len(files) // files_per_partition)
+    assert r["partitions_total"] == n_parts and r["docs_in"] == 187
+    assert Manifest(str(out_dir)).committed_ids() == list(range(n_parts))
+    _assert_manifest_matches_output(str(out_dir))
+    _assert_row_ranges_tile(str(out_dir))
+    committed = [
+        os.path.join(d, f)
+        for d in sorted(out_dir.glob("part-*")) for f in os.listdir(d)
+    ]
+    assert not any(f.endswith("stray.parquet") for f in committed)
+    urls = pa.concat_tables(pq.read_table(f, columns=["url"]) for f in committed)
+    assert sorted(urls.column("url").to_pylist()) == sorted(
+        pages.slice(0, 187).column("url").to_pylist())

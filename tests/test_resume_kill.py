@@ -1,6 +1,7 @@
-"""Job-level kill/resume integration test (SURVEY §5.2.5): SIGKILL a
-running ``run_web_prep_job`` subprocess mid-run, resume in-process, and
-assert no-duplicate, remainder-processed, checksum-consistent output.
+"""Job-level kill/resume integration tests (SURVEY §5.2.5): SIGKILL a
+running ``run_web_prep_job`` or ``run_extraction_job`` subprocess
+mid-run, resume in-process, and assert no-duplicate,
+remainder-processed, checksum-consistent output.
 
 The subprocess owns its own local Ray cluster (fresh process group,
 killed wholesale); the resume leg runs on the pytest session cluster.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import glob
+import hashlib
 import os
 import signal
 import subprocess
@@ -146,3 +148,110 @@ def test_sigkill_mid_job_then_resume(ray_session, tmp_path):
     fresh = run_web_prep_job(files, fresh_out, files_per_partition=1,
                              min_words=5)
     assert _survivors(fresh["output"]) == resumed
+
+
+# ------------------------------------------------------- run_extraction_job
+EXTRACT_SHARDS = 40
+EXTRACT_DOCS_PER_SHARD = 40
+
+_EXTRACT_KILL_SCRIPT = """
+import glob, sys
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+
+files = sorted(glob.glob(sys.argv[1] + "/shard-*.parquet"))
+run_extraction_job(files, sys.argv[2], files_per_partition=1)
+ray.shutdown()
+"""
+
+
+def _make_extract_shards(dirpath: str) -> list:
+    os.makedirs(dirpath, exist_ok=True)
+    files = []
+    for s in range(EXTRACT_SHARDS):
+        rows = [
+            _page(doc_id, f"Doc {doc_id}", f"text of doc {doc_id} " * 20)
+            for doc_id in range(s * EXTRACT_DOCS_PER_SHARD,
+                                (s + 1) * EXTRACT_DOCS_PER_SHARD)
+        ]
+        files.append(os.path.join(dirpath, f"shard-{s:03d}.parquet"))
+        pq.write_table(pa.Table.from_pylist(rows), files[-1])
+    return files
+
+
+def _committed_pairs(out_dir: str) -> list:
+    """(url, extracted_text) of every committed row, sorted."""
+    t = pa.concat_tables([
+        pq.read_table(f, columns=["url", "extracted_text"])
+        for f in sorted(glob.glob(os.path.join(out_dir, "part-*", "*.parquet")))
+    ])
+    return sorted(zip(t.column("url").to_pylist(),
+                      t.column("extracted_text").to_pylist()))
+
+
+def _pairs_sha256(pairs) -> str:
+    h = hashlib.sha256()
+    for url, text in pairs:
+        for part in (url.encode(), (text or "").encode()):
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    return h.hexdigest()
+
+
+def test_sigkill_extraction_job_then_resume(ray_session, tmp_path):
+    """One streaming execution commits partitions as they complete: a
+    SIGKILL right after the first commit leaves a partly committed
+    manifest, and the resumed job's output equals an unkilled run's."""
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+    from pdf_extractor_ray.state.manifest import Manifest
+
+    files = _make_extract_shards(str(tmp_path / "shards"))
+    out = str(tmp_path / "out")
+    manifest_glob = os.path.join(out, "_manifest", "part-*.json")
+
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _EXTRACT_KILL_SCRIPT, str(tmp_path / "shards"), out],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        start_new_session=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    deadline = time.time() + 180
+    try:
+        while time.time() < deadline and proc.poll() is None:
+            if glob.glob(manifest_glob):
+                os.killpg(proc.pid, signal.SIGKILL)  # driver + its ray cluster
+                break
+            time.sleep(0.005)
+        proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+
+    committed = Manifest(out).committed_ids()
+    assert 0 < len(committed) < EXTRACT_SHARDS, committed
+    # a partition dir renamed but not yet recorded is not committed: the
+    # resume redoes it, so only recorded partitions must stay untouched
+    mtimes_before = {
+        f: os.path.getmtime(f)
+        for pid in committed
+        for f in glob.glob(os.path.join(Manifest(out).partition_dir(pid), "*"))
+    }
+
+    r = run_extraction_job(files, out, files_per_partition=1)
+    assert r["partitions_skipped"] == len(committed)
+    assert r["partitions_total"] == EXTRACT_SHARDS
+    for f, m in mtimes_before.items():
+        assert os.path.getmtime(f) == m, f"resume rewrote {f}"
+
+    resumed = _committed_pairs(out)
+    urls = [u for u, _ in resumed]
+    assert len(urls) == len(set(urls)) == EXTRACT_SHARDS * EXTRACT_DOCS_PER_SHARD
+    assert {rec["input_file"] for rec in Manifest(out).records()} == set(files)
+
+    fresh = str(tmp_path / "fresh")
+    run_extraction_job(files, fresh, files_per_partition=1)
+    assert _pairs_sha256(resumed) == _pairs_sha256(_committed_pairs(fresh))

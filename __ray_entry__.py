@@ -1,10 +1,13 @@
 """Driver contract for the graft builder (Ray Data target).
 
 ``entry()`` runs the flagship extraction pipeline on sf0.001.
-``queries()`` exposes one callable per implemented operator/pipeline
-from SURVEY.md §2 plus the corpus-scale functions (dedup, similarity,
-text analysis); ``oracle_sql()`` gives the DuckDB-equivalent SQL for
-every SQL-expressible query (same column names both sides).
+``queries()`` holds 58 keys: first the 50 keys that CORRECTNESS_r05.json
+checks, in its order, then eight product-surface queries
+(construction/standard parse, corpus prep and the recrawl LSH index).
+``oracle_sql()`` gives the DuckDB-equivalent SQL, with the same column
+names, for every key except six that are checked by row count only:
+``extract_golden_match``, ``extract_items``, ``standard_result``,
+``construction_result``, ``items_summary`` and ``merge_items``.
 
 Ray is initialised by the driver BEFORE this module is imported: no
 ``ray.init()`` / ``ray.shutdown()`` here or in the library.
@@ -27,7 +30,7 @@ def _pages(sf_dir: str):
     """Pages corpus via a /tmp parquet read-through cache.
 
     Synthesis is a PURE function of documents.parquet and the
-    synthesizer source, so the ~28 page-family queries in one gate run
+    synthesizer source, so the 23 page-family queries in one gate run
     re-READ the materialized corpus instead of re-synthesizing it
     query after query (PDF building dominates synthesis cost).  Cache
     key = (sf dir, documents.parquet size+mtime, corpus.py source
@@ -69,59 +72,6 @@ def _pages(sf_dir: str):
         return ray.data.read_parquet(out)
     except Exception:
         return corpus_mod.pages_dataset(sf_dir)
-
-
-def _outlinks(sf_dir: str):
-    """(src_url, dst_url) edge list via a /tmp parquet read-through
-    cache layered on the pages cache: outlink extraction is a PURE
-    function of the pages corpus and ``functions/url.py``, and seven
-    link-graph queries in one gate run (anchor aggregation, BFS depth,
-    url/site PageRank, HITS, triangles, whole-graph stats, mirror
-    pairs) consume the identical edge list — re-extracting it per query
-    re-regexes the full raw corpus seven times.  Same contract as
-    :func:`_pages`: key misses cleanly on any input/source change,
-    atomic tmp-then-rename writes, and any failure falls back to the
-    live extraction pipeline, so correctness never depends on the
-    cache."""
-    import hashlib
-    import os
-
-    import ray.data
-
-    from pdf_extractor_ray.functions import url as url_mod
-    from pdf_extractor_ray.functions.url import extract_outlinks
-    from pdf_extractor_ray.sources import corpus as corpus_mod
-
-    try:
-        doc_path = os.path.join(sf_dir, "documents.parquet")
-        st = os.stat(doc_path)
-        srcs = b""
-        for m in (corpus_mod, url_mod):
-            with open(m.__file__, "rb") as f:
-                srcs += f.read()
-        key = hashlib.md5(
-            f"outlinks:{os.path.abspath(sf_dir)}:{st.st_size}:"
-            f"{st.st_mtime_ns}:".encode() + srcs
-        ).hexdigest()[:16]
-        out = os.path.join(_PAGES_CACHE_ROOT, key)
-        if not os.path.exists(os.path.join(out, "_SUCCESS")):
-            tmp = f"{out}.tmp.{os.getpid()}"
-            if os.path.isdir(tmp):
-                import shutil
-
-                shutil.rmtree(tmp)
-            extract_outlinks(_pages(sf_dir)).write_parquet(tmp)
-            with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-                f.write("ok\n")
-            try:
-                os.rename(tmp, out)
-            except OSError:  # concurrent writer won the rename
-                import shutil
-
-                shutil.rmtree(tmp, ignore_errors=True)
-        return ray.data.read_parquet(out)
-    except Exception:
-        return extract_outlinks(_pages(sf_dir))
 
 
 def _docs(sf_dir: str):
@@ -951,58 +901,6 @@ def _q_boolean_search(sf_dir: str):
     return docs.map_batches(match, batch_format="pyarrow")
 
 
-def _q_hits_scores(sf_dir: str):
-    """HITS hubs & authorities over the site link graph (same edge
-    extraction as link_depth): top-15 authorities with hub scores —
-    link analysis beyond PageRank (a page can be a great directory
-    without being a great target).  Fully DuckDB-oracled: the raw
-    per-page edge feed makes this a WEIGHTED multigraph (two pages of
-    one site linking the same target count twice), and the oracle
-    carries that multiplicity as an edge weight through 20 unrolled
-    L2-normalized half-rounds; local-vs-distributed agreement is
-    additionally test-pinned."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.graph import hits
-
-    links = _outlinks(sf_dir)
-
-    def to_site_edges(batch: pa.Table) -> pa.Table:
-        dst_m = pc.extract_regex(
-            batch.column("dst_url"), r"^https://example\.org/p/(?P<n>[0-9]+)$"
-        )
-        src_m = pc.extract_regex(
-            batch.column("src_url"),
-            r"^https://example\.org/(?P<s>[0-9]{4})/",
-        )
-        keep = pc.and_(dst_m.is_valid(), src_m.is_valid())
-        t = pa.table(
-            {
-                "src": pc.cast(pc.struct_field(src_m, "s"), pa.int64()),
-                "dst": pc.cast(pc.struct_field(dst_m, "n"), pa.int64()),
-            }
-        )
-        return t.filter(keep)
-
-    edges = links.map_batches(to_site_edges, batch_format="pyarrow")
-
-    def round6(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "hub": pc.round(batch.column("hub"), ndigits=6),
-                "authority": pc.round(batch.column("authority"), ndigits=6),
-            }
-        )
-
-    return (
-        hits(edges, iters=20)
-        .map_batches(round6, batch_format="pyarrow")
-        .sort(["authority", "node"], descending=[True, False])
-        .limit(15)
-    )
-
-
 def _q_pdf_outline(sf_dir: str):
     """PDF document-outline (bookmark) channel: per multi-page PDF,
     one row per top-level outline item in /First→/Next order — the
@@ -1333,8 +1231,8 @@ def _docs_mod_split(sf_dir: str, rems):
 
 
 def _lsh_index_cached(sf_dir: str, tag: str, build) -> str:
-    """Persisted-LSH-index /tmp read-through cache (the ``_pages`` /
-    ``_outlinks`` contract): the index is a PURE function of
+    """Persisted-LSH-index /tmp read-through cache (the ``_pages``
+    contract): the index is a PURE function of
     documents.parquet, the split tag and the index/dedup sources, and
     the gate's incremental-dedup queries rebuild the SAME historical
     index per run — so build once into an atomic tmp-then-rename dir
@@ -1509,16 +1407,6 @@ def _q_simhash_dups(sf_dir: str):
     return simhash_dedup(_docs(sf_dir), max_hamming=10)
 
 
-def _emb_dim(sf_dir: str) -> int:
-    """Embedding dimensionality from the first row group's first row —
-    metadata-scale read, avoids a Dataset take(1) execution."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
-    t = next(pf.iter_batches(batch_size=1, columns=["embedding"]))
-    return len(t.column("embedding")[0])
-
-
 def _emb_queries(sf_dir: str, ids=(0, 1, 2)):
     """Fetch the query vectors ONLY (predicate pushed to the parquet
     reader — row groups without the ids are skipped; the embedding
@@ -1545,194 +1433,6 @@ def _q_ann_topk(sf_dir: str):
     return res.drop_columns(["sim"])  # float parity handled via rank
 
 
-def _q_ivf_kmeans_topk(sf_dir: str):
-    """True IVF ANN: distributed k-means coarse quantizer + nprobe
-    cluster search.  VALUE-ORACLED (round 5) by ``_ivf_kmeans_sql``:
-    the five Lloyd iterations are unrolled into MATERIALIZED CTEs with
-    measured argmax margins ≥ 5.8e-6 (orders above float-order noise);
-    probed candidates ranked by the ann_topk rank recipe (sim column
-    dropped, rank compared).  Recall vs exact additionally tested."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import ivf_kmeans_topk
-
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    q = _emb_queries(sf_dir)
-    return ivf_kmeans_topk(
-        emb, q, k=10, n_clusters=16, nprobe=4, query_ids=[0, 1, 2]
-    ).drop_columns(["sim"])
-
-
-def _q_ann_recall_bound(sf_dir: str):
-    """DRIVER-ORACLED quality envelope for the three approximate ANN
-    paths (the ``hll_users_bound`` pattern): one row per
-    (method, query_id) whose ``ok`` flag certifies the method's
-    contract — the oracle asserts all-TRUE, so a broken bucket router,
-    distance kernel or quantizer hash-mismatches the driver compare.
-
-    Per-method contract (the query vectors are corpus members, so
-    "find yourself" is a hard invariant of any correct ANN):
-    - ``ivf``: the query's own vec_id is its RANK-1 hit (its bucket
-      always matches, and nothing beats cosine 1.0 under the asc-id
-      tie-break at these ids) with distinct results — the probed
-      bucket may legitimately hold < k vectors, so no length gate;
-      recall beyond self is workload-dependent on these random test
-      embeddings (measured 0.1–0.2) and is NOT gated;
-    - ``pq``: full-corpus scan — exactly k distinct results with the
-      query in its own top-k (PQ quantization error makes rank-1 not
-      guaranteed; measured recall 0.2–0.6 not gated);
-    - ``ivf_kmeans``: k distinct results, self-recovery, AND per-query
-      recall@10 ≥ 0.8 vs the exact brute baseline (measured 0.9–1.0
-      at sf0.01/0.1; the in-suite mean gate lives in
-      tests/test_ivf_kmeans.py)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import (
-        ann_topk,
-        ivf_kmeans_topk,
-        ivf_topk,
-        pq_topk,
-    )
-
-    q = _emb_queries(sf_dir)
-    qids = [0, 1, 2]
-
-    def load():
-        return ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
-
-    def topsets(tbl) -> dict:
-        out: dict = {}
-        for r in tbl.to_pylist():
-            out.setdefault(r["query_id"], []).append(r["vec_id"])
-        return out
-
-    brute = topsets(ann_topk(load(), q, k=10, query_ids=qids))
-    methods = {
-        "ivf": topsets(ivf_topk(load(), q, k=10, dim=q.shape[1])),
-        "ivf_kmeans": topsets(ivf_kmeans_topk(
-            load(), q, k=10, n_clusters=16, nprobe=4, query_ids=qids)),
-        "pq": topsets(pq_topk(load(), q, k=10, m=8, ksub=16,
-                              query_ids=qids)),
-    }
-    rows = []
-    for m, ts in sorted(methods.items()):
-        for qid in qids:
-            got = ts.get(qid, [])
-            distinct = len(set(got)) == len(got)
-            if m == "ivf":
-                ok = distinct and bool(got) and got[0] == qid
-            elif m == "pq":
-                ok = distinct and len(got) == 10 and qid in got
-            else:  # ivf_kmeans
-                ok = (distinct and len(got) == 10 and qid in got
-                      and len(set(got) & set(brute[qid])) / 10 >= 0.8)
-            rows.append({"method": m, "query_id": qid, "ok": bool(ok)})
-    return pa.Table.from_pylist(rows, schema=pa.schema(
-        [("method", pa.string()), ("query_id", pa.int64()),
-         ("ok", pa.bool_())]))
-
-
-def _q_jl_recall_bound(sf_dir: str):
-    """DRIVER-ORACLED quality envelope for ANN over the JL-projected
-    space (the ``ann_recall_bound`` pattern): per query, the projected
-    brute top-10 must be distinct, length-10, and recover the query
-    itself at rank 1 (self-similarity is exactly 1.0 in the projected
-    space too, and the asc-id tie-break holds at these ids). recall@10
-    vs the original space is reported but NOT gated — on these random
-    test embeddings pairwise similarities are noise-dominated (the
-    same measured 0.1–0.3 regime the ivf contract documents)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import (
-        ann_topk,
-        jl_project_vectors,
-        jl_query_vectors,
-    )
-
-    q = _emb_queries(sf_dir)
-    qids = [0, 1, 2]
-
-    def load():
-        return ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
-
-    def topsets(tbl) -> dict:
-        out: dict = {}
-        for r in tbl.to_pylist():
-            out.setdefault(r["query_id"], []).append(r["vec_id"])
-        return out
-
-    brute = topsets(ann_topk(load(), q, k=10, query_ids=qids))
-    qp = jl_query_vectors(q, out_dims=8, dims=q.shape[1])
-    proj = topsets(ann_topk(
-        jl_project_vectors(load(), out_dims=8, dims=q.shape[1]),
-        qp, k=10, query_ids=qids,
-    ))
-    rows = []
-    for qid in qids:
-        got = proj.get(qid, [])
-        ok = (len(set(got)) == len(got) == 10 and got[0] == qid)
-        recall = len(set(got) & set(brute.get(qid, []))) / 10.0
-        rows.append({"query_id": qid, "ok": bool(ok),
-                     "recall_reported": round(recall, 6) >= 0.0})
-    return pa.Table.from_pylist(rows, schema=pa.schema(
-        [("query_id", pa.int64()), ("ok", pa.bool_()),
-         ("recall_reported", pa.bool_())]))
-
-
-def _q_ivf_index_topk(sf_dir: str):
-    """ANN against a PERSISTED IVF index (functions/ann_index.py —
-    the embedding sibling of the LSH recrawl index): the corpus is
-    quantized ONCE into bucketed co-partitioned parquet keyed by
-    cluster id, and each query batch reads ONLY the bucket dirs of its
-    probed clusters — no quantizer refit, no full scan.  Query
-    semantics are IDENTICAL to ``ivf_kmeans_topk`` (same fit, same
-    union-of-probes candidate set, same matmul orientation and
-    rank/tiebreak), so the unrolled-Lloyd SQL oracle applies verbatim
-    and a parity test pins persisted == in-memory exactly."""
-    import tempfile
-
-    import ray.data
-
-    from pdf_extractor_ray.functions.ann_index import (build_ivf_index,
-                                                       query_ivf_index)
-
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    index_dir = tempfile.mkdtemp(prefix="ivfidx-")
-    build_ivf_index(emb, index_dir, n_clusters=16, iters=5)
-    q = _emb_queries(sf_dir)
-    return query_ivf_index(
-        q, index_dir, k=10, nprobe=4, query_ids=[0, 1, 2]
-    ).drop_columns(["sim"])
-
-
-def _q_pq_topk(sf_dir: str):
-    """Product-quantization ANN: codebooks from one bounded sample pass,
-    uint8 asymmetric-distance scan (approximate — recall vs exact
-    pinned in tests).  VALUE-ORACLED (round 5) by ``_pq_topk_sql``:
-    per-subspace Lloyd fit + expansion encode + fixed-order ADC sum
-    unrolled in SQL; measured fit/encode/rank margins rule out float
-    flips, and identical codes score bit-identically on both sides so
-    exact ties resolve the same.  The float sim column is dropped —
-    ranks are compared."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import pq_topk
-
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    q = _emb_queries(sf_dir)
-    return pq_topk(
-        emb, q, k=10, m=8, ksub=16, query_ids=[0, 1, 2]
-    ).drop_columns(["sim"])
-
-
 def _q_detect_language_ngram(sf_dir: str):
     from pdf_extractor_ray.functions.text import detect_language_ngram
 
@@ -1741,17 +1441,6 @@ def _q_detect_language_ngram(sf_dir: str):
         .map_batches(detect_language_ngram, batch_format="pyarrow")
         .select_columns(["doc_id", "detected_lang_ngram"])
     )
-
-
-def _q_embedding_near_dups(sf_dir: str):
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import embedding_near_dups
-
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return embedding_near_dups(
-        emb, threshold=0.45, dim=_emb_dim(sf_dir)
-    ).drop_columns(["sim"])
 
 
 def _q_ivf_topk(sf_dir: str):
@@ -1802,16 +1491,6 @@ def _q_page_previews(sf_dir: str):
         )
 
     return ds.map_batches(previews, batch_format="pyarrow")
-
-
-def _q_bpe_token_count(sf_dir: str):
-    from pdf_extractor_ray.functions.text import count_bpe_tokens
-
-    return (
-        _docs(sf_dir)
-        .map_batches(count_bpe_tokens, batch_format="pyarrow")
-        .select_columns(["doc_id", "n_bpe_tokens"])
-    )
 
 
 _ENTITY_PARSER = None
@@ -1942,799 +1621,6 @@ def _q_merge_items(sf_dir: str):
     return merge_tagged(tagged)
 
 
-def _q_media_meta_stats(sf_dir: str):
-    from pdf_extractor_ray.functions.multimodal import media_meta_stats
-
-    return media_meta_stats(sf_dir)
-
-
-def _q_image_features(sf_dir: str):
-    import pyarrow.compute as pc
-    from pdf_extractor_ray.functions.multimodal import image_features
-
-    ds = image_features(sf_dir)
-
-    def flat(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "media_id": batch.column("media_id"),
-                "mean_r": pc.list_element(batch.column("channel_mean"), 0),
-                "std_r": pc.list_element(batch.column("channel_std"), 0),
-            }
-        )
-
-    return ds.map_batches(flat, batch_format="pyarrow")
-
-
-def _q_audio_features(sf_dir: str):
-    from pdf_extractor_ray.functions.multimodal import audio_features
-
-    return audio_features(sf_dir)
-
-
-def _q_video_frames(sf_dir: str):
-    from pdf_extractor_ray.functions.multimodal import video_frames
-
-    return video_frames(sf_dir).drop_columns(["payload"])
-
-
-def _q_agg_lineitem_pricing(sf_dir: str):
-    """Low-cardinality groupby → partial aggregation inside map_batches
-    + tiny final combine (functions/agg.py) — only (key, partial) rows
-    shuffle, never lineitem rows."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
-    )
-    t = lowcard_groupby_agg(
-        ds,
-        ["l_returnflag", "l_linestatus"],
-        [
-            ("l_quantity", "sum", "sum_qty"),
-            ("l_extendedprice", "sum", "sum_price"),
-            ("l_quantity", "count", "count_order"),
-        ],
-    )
-    return t.set_column(
-        t.column_names.index("sum_price"),
-        "sum_price",
-        pc.round(t.column("sum_price"), ndigits=2),
-    )
-
-
-def _q_join_revenue_by_nation(sf_dir: str):
-    """customer ⋈ orders via the hash-shuffle equi-join (both sides
-    grow with SF — neither is broadcastable at the 100× tier), then
-    nation (25 rows, constant at every scale) broadcast once and
-    attached vectorized with pc.index_in."""
-    import ray
-    import ray.data
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.joins import hash_join
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    )
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    joined = hash_join(
-        orders, cust, "o_custkey", "c_custkey",
-        ["o_totalprice"], ["c_nationkey"],
-        how="inner", num_partitions=16,
-    )
-
-    nat = pa.concat_tables(
-        [ray.get(r) for r in ray.data.read_parquet(
-            f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-        ).to_arrow_refs()]
-    )
-    nat_ref = ray.put(
-        (nat.column("n_nationkey").combine_chunks(), nat.column("n_name").combine_chunks())
-    )
-
-    def attach_nation(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(nat_ref)
-        idx = pc.index_in(batch.column("c_nationkey"), value_set=keys)
-        name = pc.fill_null(pc.take(names, idx), "UNKNOWN")
-        return batch.append_column("n_name", name)
-
-    t = lowcard_groupby_agg(
-        joined.map_batches(attach_nation, batch_format="pyarrow"),
-        ["n_name"],
-        [
-            ("o_totalprice", "count", "n_orders"),
-            ("o_totalprice", "sum", "revenue"),
-        ],
-    )
-    return t.set_column(
-        t.column_names.index("revenue"),
-        "revenue",
-        pc.round(t.column("revenue"), ndigits=2),
-    )
-
-
-def _q_chunk_docs(sf_dir: str):
-    """Context-window chunking: every document split into 32-token
-    windows with 8 tokens of overlap — the tokenizer-prep transform.
-    Pure streaming map_batches, no shuffle."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.chunk import chunk_text
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    return chunk_text(ds, max_tokens=32, overlap=8)
-
-
-def _q_pack_chunks(sf_dir: str):
-    """Greedy sequence packing of the 32-token chunks into 256-token
-    packs, sharded by doc-id hash bucket (deterministic, one shuffle).
-    VALUE-ORACLED (round 5): the doc→bucket splitmix64 hash is
-    reproduced in generated SQL and the greedy walk unrolled as a
-    lockstep recursive CTE over the 16 buckets; ``item_ids`` is
-    projected away only because list columns don't hash in the driver
-    compare (the packed-id lists stay pinned by tests/test_chunk*)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.chunk import chunk_text, pack_sequences
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    chunks = chunk_text(ds, max_tokens=32, overlap=8).drop_columns(["text"])
-    return pack_sequences(
-        chunks, id_col="doc_id", ntok_col="n_tokens", budget=256,
-        num_buckets=16, tiebreak_col="chunk_id",
-    ).drop_columns(["item_ids"])
-
-
-def _q_pack_chunks_per_doc(sf_dir: str):
-    """Document-local greedy sequence packing (sequences never mix
-    documents — the packing mode for contamination-averse training
-    setups): 32-token chunks of each doc packed first-fit into
-    256-token packs in chunk order via
-    :func:`chunk.pack_sequences_grouped`.  Fully deterministic, so
-    unlike the hash-bucket-packed ``pack_chunks`` this one is
-    value-oracled: the greedy walk is unrolled as a lockstep recursive
-    CTE (one recursion step advances EVERY doc by one chunk)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.chunk import (
-        chunk_text,
-        pack_sequences_grouped,
-    )
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    chunks = chunk_text(ds, max_tokens=32, overlap=8).drop_columns(["text"])
-    return pack_sequences_grouped(
-        chunks, group_col="doc_id", ntok_col="n_tokens", budget=256,
-        order_cols=("chunk_id",),
-    ).sort(["doc_id", "pack_seq"])
-
-
-def _q_customer_order_full(sf_dir: str):
-    """FULL OUTER equi-join (orders ⟗ customer): every order keeps its
-    customer, customers with no orders appear null-extended — the
-    coverage-audit join shape (which side has unmatched rows?)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import hash_join
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    )
-    return hash_join(
-        orders, cust, "o_custkey", "c_custkey",
-        ["o_orderkey", "o_custkey"], ["c_custkey"],
-        how="full", num_partitions=16,
-    )
-
-
-def _q_suppliers_by_region(sf_dir: str):
-    """Chained MAP-SIDE broadcast joins (supplier → nation → region):
-    both dimension tables stay constant-sized at every SF, so the fact
-    side streams through two fused ``map_batches`` attaches with ZERO
-    shuffles, then folds through the partial aggregate."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.joins import broadcast_join
-
-    sup = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_nationkey", "s_acctbal"]
-    )
-    nat = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-    )
-    reg = ray.data.read_parquet(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    enriched = broadcast_join(
-        broadcast_join(sup, nat, "s_nationkey", "n_nationkey", ["n_regionkey"]),
-        reg, "n_regionkey", "r_regionkey", ["r_name"],
-    )
-    t = lowcard_groupby_agg(
-        enriched,
-        ["r_name"],
-        [
-            ("s_acctbal", "count", "n_suppliers"),
-            ("s_acctbal", "sum", "total_acctbal"),
-        ],
-    )
-    return t.set_column(
-        t.column_names.index("total_acctbal"),
-        "total_acctbal",
-        pc.round(t.column("total_acctbal"), ndigits=2),
-    )
-
-
-def _q_lineitem_rollup(sf_dir: str):
-    """GROUP BY ROLLUP over (returnflag, linestatus): one distributed
-    partial pass at the finest level; subtotal and grand-total levels
-    re-aggregate the driver-resident finest table (zero extra
-    shuffles)."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import rollup_agg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity"],
-    )
-    t = rollup_agg(
-        ds,
-        ["l_returnflag", "l_linestatus"],
-        [("l_quantity", "sum", "sum_qty"), ("l_quantity", "count", "n_rows")],
-    )
-    return t.set_column(
-        t.column_names.index("sum_qty"),
-        "sum_qty",
-        pc.round(t.column("sum_qty"), ndigits=2),
-    )
-
-
-def _q_orders_cube(sf_dir: str):
-    """GROUP BY CUBE over (status, priority): all four grouping sets
-    from one distributed pass (subsets re-aggregate the finest table
-    on the driver)."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import cube_agg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
-    )
-    t = cube_agg(
-        ds,
-        ["o_orderstatus", "o_orderpriority"],
-        [("o_totalprice", "sum", "sum_price"), ("o_totalprice", "count", "n_orders")],
-    )
-    return t.set_column(
-        t.column_names.index("sum_price"),
-        "sum_price",
-        pc.round(t.column("sum_price"), ndigits=2),
-    )
-
-
-def _q_order_rank_per_customer(sf_dir: str):
-    """ROW_NUMBER() OVER (PARTITION BY custkey ORDER BY date, key) —
-    the full-row rank window (every order keeps its per-customer
-    chronological position)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import rank_in_group
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderkey", "o_orderdate"],
-    )
-    return rank_in_group(
-        ds, "o_custkey", ["o_orderdate", "o_orderkey"], out_col="rn"
-    ).select_columns(["o_custkey", "o_orderkey", "rn"])
-
-
-def _q_range_join_price_bands(sf_dir: str):
-    """Broadcast range join: orders banded into 8 equal-width price
-    intervals derived from the data (min/max via partial agg), bands
-    broadcast once, per-batch vectorized searchsorted — the pattern for
-    joining a stream against a small interval table without a shuffle."""
-    import numpy as np
-    import ray
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
-    lo = ds.min("o_totalprice")
-    hi = ds.max("o_totalprice")
-    n_bands = 8
-    width = (hi - lo) / n_bands
-    edges = np.asarray([lo + i * width for i in range(1, n_bands)], dtype=np.float64)
-    edges_ref = ray.put(edges)
-
-    def band(batch: pa.Table) -> pa.Table:
-        e = ray.get(edges_ref)
-        v = np.asarray(batch.column("o_totalprice").to_pylist(), dtype=np.float64)
-        idx = np.searchsorted(e, v, side="right").astype(np.int64)
-        return pa.table({"band": pa.array(idx, pa.int64())})
-
-    return lowcard_groupby_agg(
-        ds.map_batches(band, batch_format="pyarrow"),
-        ["band"],
-        [("band", "count", "n_orders")],
-    )
-
-
-def _q_events_sliding_3d(sf_dir: str):
-    """Sliding 3-day window count: distributed daily pre-aggregation
-    (partial combine — rows never shuffle), then the window runs over
-    the tiny day series. At any corpus size the windowed series is
-    |days| rows, so pre-aggregate-then-window is the scale pattern."""
-    import datetime as _dt
-
-    import numpy as np
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-
-    def day_col(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        return pa.table({"day": day})
-
-    daily = lowcard_groupby_agg(
-        ds.map_batches(day_col, batch_format="pyarrow"),
-        ["day"],
-        [("day", "count", "n")],
-    )
-    days = daily.column("day").to_pylist()
-    ns = np.asarray(daily.column("n").to_pylist(), dtype=np.int64)
-    order = np.argsort([d.toordinal() for d in days])
-    days = [days[i] for i in order]
-    ns = ns[order]
-    ords = np.asarray([d.toordinal() for d in days], dtype=np.int64)
-    csum = np.concatenate([[0], np.cumsum(ns)])
-    # window [day-2, day]: left boundary via searchsorted on ordinals
-    lo = np.searchsorted(ords, ords - 2, side="left")
-    hi = np.arange(1, len(ords) + 1)
-    win = csum[hi] - csum[lo]
-    return pa.table(
-        {
-            "day": pa.array(days, pa.date32()),
-            "n_events_3d": pa.array(win, pa.int64()),
-        }
-    )
-
-
-def _q_asof_latest_order(sf_dir: str):
-    """As-of join: each event enriched with the customer's latest order
-    at event time (key-grouped, vectorized in-group searchsorted)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import asof_join
-
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
-    )
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate", "o_orderkey"]
-    )
-
-    def rn(b: pa.Table) -> pa.Table:
-        return b.rename_columns(["user_id", "o_orderdate", "o_orderkey"])
-
-    return asof_join(
-        events,
-        orders.map_batches(rn, batch_format="pyarrow"),
-        key="user_id",
-        left_ts="ts",
-        right_ts="o_orderdate",
-        right_tiebreak="o_orderkey",
-        left_cols=["event_id", "user_id"],
-        right_cols=["o_orderkey"],
-    )
-
-
-def _q_repeat_orders_window(sf_dir: str):
-    """Keyed RANGE join (the non-equi join Ray Data lacks), genuinely
-    many-to-many: for every order, the same customer's later orders
-    placed inside the 30 days AFTER it (repeat-purchase windows),
-    folded per the earlier order's priority. One key shuffle; the
-    in-group interval match is a double searchsorted with a max_width
-    prune (every window is exactly 30 days wide, validated in-task).
-    Self-pairs (an order inside its own window) are filtered by key
-    inequality after the join, exactly as the SQL twin does."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.joins import range_join
-
-    month_us = 30 * 86_400 * 1_000_000
-    cols = ["o_custkey", "o_orderkey", "o_orderdate", "o_orderpriority"]
-    later = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=cols[:3]
-    ).map_batches(
-        lambda b: b.rename_columns(["o_custkey", "okey_b", "ts_b"]),
-        batch_format="pyarrow",
-    )
-
-    def widen(b: pa.Table) -> pa.Table:
-        lo = b.column("o_orderdate").cast(pa.timestamp("us"))
-        hi = pc.add(lo.cast(pa.int64()), month_us).cast(pa.timestamp("us"))
-        return pa.table({
-            "o_custkey": b.column("o_custkey"),
-            "okey_a": b.column("o_orderkey"),
-            "o_lo": lo,
-            "o_hi": hi,
-            "prio_a": b.column("o_orderpriority"),
-        })
-
-    earlier = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=cols
-    ).map_batches(widen, batch_format="pyarrow")
-
-    pairs = range_join(
-        later,
-        earlier,
-        key="o_custkey",
-        left_val="ts_b",
-        right_lo="o_lo",
-        right_hi="o_hi",
-        left_cols=["okey_b"],
-        right_cols=["okey_a", "prio_a"],
-        max_width=month_us,
-    ).map_batches(
-        lambda b: b.filter(pc.not_equal(b.column("okey_a"), b.column("okey_b"))),
-        batch_format="pyarrow",
-    )
-    return lowcard_groupby_agg(
-        pairs,
-        ["prio_a"],
-        [
-            ("okey_b", "count", "n_pairs"),
-            ("okey_b", "min", "min_later"),
-            ("okey_b", "max", "max_later"),
-        ],
-    )
-
-
-def _q_orders_price_bands(sf_dir: str):
-    """Keyless range join against a small NON-OVERLAPPING band table —
-    map-side broadcast (zero shuffle), vectorized searchsorted binning.
-    Orders outside every band are dropped (inner)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.joins import broadcast_range_join
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
-    )
-    bands = pa.table({
-        "band": ["P0", "P1", "P2", "P3"],
-        "lo": [0.0, 50_000.0, 100_000.0, 200_000.0],
-        "hi": [50_000.0, 100_000.0, 200_000.0, 400_000.0],
-    })
-    binned = broadcast_range_join(
-        orders, bands, left_val="o_totalprice",
-        lo_col="lo", hi_col="hi", band_cols=["band"],
-    )
-    return lowcard_groupby_agg(
-        binned,
-        ["band"],
-        [
-            ("o_orderkey", "count", "n_orders"),
-            ("o_totalprice", "min", "min_price"),
-            ("o_totalprice", "max", "max_price"),
-        ],
-    )
-
-
-def _q_upsample_docs(sf_dir: str):
-    """Epoch upsampling (data mixing): each document replicated
-    ceil(n_chars/200) times capped at 3 — longer docs weighted up,
-    copies numbered. Zero shuffle, per-batch np.repeat expansion."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.sample import repeat_rows
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
-
-    def weights(b: pa.Table) -> pa.Table:
-        k = pc.min_element_wise(
-            pc.cast(pc.ceil(pc.divide(
-                pc.cast(b.column("n_chars"), pa.float64()), 200.0
-            )), pa.int64()),
-            pa.scalar(3, pa.int64()),
-        )
-        return b.append_column("k", k)
-
-    return repeat_rows(
-        docs.map_batches(weights, batch_format="pyarrow"), times_col="k"
-    ).drop_columns(["k"])
-
-
-def _q_train_shuffle_docs(sf_dir: str):
-    """Deterministic training-data shuffle: md5-hash shard assignment
-    plus in-shard position for every document — the reproducible,
-    seed-rotatable, resumable replacement for random_shuffle(). The
-    ENTIRE permutation hash-matches the SQL twin."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.sample import train_shuffle
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-    return train_shuffle(docs, key_col="doc_id", n_shards=8, seed="42")
-
-
-def _q_dsir_select_docs(sf_dir: str):
-    """DSIR importance resampling (Xie et al. 2023), probe-set shape:
-    the target is a small fixed probe corpus over a SUBSET of the
-    vocabulary (the "data I want more of"), the source is the whole
-    documents table; every doc is scored by its hashed byte-4-gram log
-    importance ratio and 50 winners are Gumbel-resampled
-    deterministically. VALUE-ORACLED (round 5) by ``_dsir_select_sql``:
-    rolling byte-gram hash + splitmix64 reproduced bit-exactly in SQL,
-    probe-target counts inlined as constants, ratio/Gumbel as identical
-    IEEE expressions; measured rank-boundary and round-6 margins dwarf
-    cross-side log noise. Enrichment + determinism stay pinned in
-    test_dsir.py."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.dsir import dsir_select
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    probe_words = ["sort", "merge", "join", "filter", "query", "scan"]
-    probe_texts = [
-        " ".join(probe_words[i % 6] for i in range(j, j + 30))
-        for j in range(6)
-    ]
-    target = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(list(range(-6, 0)), pa.int64()),
-        "text": pa.array(probe_texts, pa.string()),
-    }))
-    # length-normalized log weights live on a ~0.2-std scale here, so
-    # unit Gumbel noise would swamp them — 0.1 keeps resampling
-    # stochastic while the probe signal (weight↔probe-word fraction
-    # corr ≈ 0.92 on this corpus) still drives selection
-    picked = dsir_select(docs, target, n=50, gumbel_scale=0.1)
-
-    def proj(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": b.column("doc_id"),
-            "dsir_logw": pc.round(b.column("dsir_logw"), ndigits=6),
-        })
-
-    return picked.map_batches(proj, batch_format="pyarrow")
-
-
-def _q_approx_distinct_users(sf_dir: str):
-    """HLL distinct sketch (p=12, ~1.6% error) — approximate vs TRUE
-    distinct but VALUE-ORACLED (round 5): the sketch is hash-defined
-    and deterministic, and the generated splitmix64 SQL reproduces
-    registers, ranks and the estimate expression exactly. Merge
-    associativity + accuracy additionally covered by tests."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.sketch import approx_distinct
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    est = approx_distinct(ds, "user_id", p=12)
-    return pa.table({"approx_distinct_users": pa.array([est], pa.int64())})
-
-
-def _q_topk_parts(sf_dir: str):
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name", "p_retailprice"]
-    )
-    return ds.sort(["p_retailprice", "p_partkey"], descending=[True, False]).limit(10)
-
-
-def _q_filter_lineitems(sf_dir: str):
-    """Predicate PUSHED INTO THE SCAN (`read_parquet(filter=...)`):
-    row groups whose min/max statistics exclude the predicate are never
-    read off storage — at 100 TB the difference between "filter after
-    shipping every block" and "skip the block at the footer". The
-    residual per-batch filter applies inside the scan task."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    filtered = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_linestatus", "l_quantity", "l_discount"],
-        filter=(pc.field("l_quantity") > 40) & (pc.field("l_discount") < 0.05),
-    )
-    return lowcard_groupby_agg(
-        filtered,
-        ["l_linestatus"],
-        [("l_quantity", "count", "n_rows"), ("l_quantity", "sum", "sum_qty")],
-    )
-
-
-def _q_events_by_type(sf_dir: str):
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value", "user_id"]
-    )
-    t = lowcard_groupby_agg(
-        ds,
-        ["event_type"],
-        [
-            ("value", "count", "n_events"),
-            ("value", "sum", "total_value"),
-            ("user_id", "min", "min_user"),
-            ("user_id", "max", "max_user"),
-        ],
-    )
-    return t.set_column(
-        t.column_names.index("total_value"),
-        "total_value",
-        pc.round(t.column("total_value"), ndigits=3),
-    )
-
-
-def _q_events_daily(sf_dir: str):
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-
-    def day_col(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        return pa.table({"day": day})
-
-    return lowcard_groupby_agg(
-        ds.map_batches(day_col, batch_format="pyarrow"),
-        ["day"],
-        [("day", "count", "n_events")],
-    )
-
-
-def _q_top_bigrams(sf_dir: str):
-    """Corpus top-25 word bigrams (token-statistics shape: per-block
-    partial counts → high-card hash groupby → deterministic top-k)."""
-    from pdf_extractor_ray.functions.text import top_ngrams
-
-    return top_ngrams(_docs(sf_dir), n=2, k=25)
-
-
-def _q_quantiles_chars(sf_dir: str):
-    """Exact distributed quantiles of document length via value-count
-    histogram partials (only (value,count) rows move)."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import exact_quantiles
-
-    def n_chars(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"n_chars": pc.cast(pc.utf8_length(batch.column("text")), pa.int64())}
-        )
-
-    ds = _docs(sf_dir).map_batches(n_chars, batch_format="pyarrow")
-    return exact_quantiles(ds, "n_chars", qs=(0.25, 0.5, 0.75, 0.9))
-
-
-def _q_top_doc_per_lang(sf_dir: str):
-    """Highest-quality document per language: single hash shuffle,
-    vectorized in-group argmax (score desc, doc_id asc ties)."""
-    from pdf_extractor_ray.functions.agg import argmax_per_group
-    from pdf_extractor_ray.functions.text import add_quality_score, add_text_features
-
-    ds = (
-        _docs(sf_dir)
-        .map_batches(add_text_features, batch_format="pyarrow")
-        .map_batches(add_quality_score, batch_format="pyarrow")
-        .select_columns(["lang", "doc_id", "quality_score"])
-    )
-    return argmax_per_group(ds, "lang", "quality_score", "doc_id")
-
-
-def _q_events_sessions(sf_dir: str):
-    """Session windows (gap > 1 day starts a new session per user) —
-    the sessionized-clickstream shape; vectorized in-group numpy."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import sessionize
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
-    )
-    return sessionize(ds, key="user_id", ts_col="ts", gap_seconds=86400.0,
-                      tiebreak="event_id")
-
-
-def _q_image_phash_dups(sf_dir: str):
-    """Near-duplicate images by perceptual average-hash — multimodal
-    dedup on the shared Hamming-bucket machinery (4-band pigeonhole
-    bucketing: candidate recall 1.0 at Hamming ≤ 3). Rows-only: pixel
-    content is not SQL-derivable; planted-pair parity is pinned by
-    tests/test_multimodal.py."""
-    from pdf_extractor_ray.functions.multimodal import image_near_dups
-
-    return image_near_dups(sf_dir, max_hamming=3)
-
-
-def _q_token_df(sf_dir: str):
-    """Top-25 tokens by document frequency (per-doc distinct → partial
-    counts → high-card groupby) — the IDF building block."""
-    from pdf_extractor_ray.functions.text import token_df
-
-    return token_df(_docs(sf_dir), k=25)
-
-
-def _q_events_props_stats(sf_dir: str):
-    """Semi-structured payload parse: the JSON ``props`` column's ``k``
-    field extracted VECTORIZED (pc.extract_regex — no per-row json
-    loads) and aggregated per event_type."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "props"]
-    )
-
-    def parse(batch: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(batch.column("props"), r'"k":\s*(?P<k>\d+)')
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "k": pc.cast(pc.struct_field(ex, "k"), pa.int64()),
-            }
-        )
-
-    return lowcard_groupby_agg(
-        ds.map_batches(parse, batch_format="pyarrow"),
-        ["event_type"],
-        [
-            ("k", "count", "n_events"),
-            ("k", "sum", "sum_k"),
-            ("k", "min", "min_k"),
-            ("k", "max", "max_k"),
-        ],
-    )
-
-
 def _q_corpus_prep(sf_dir: str):
     """The composed end-to-end corpus-prep pipeline: quality/language
     gate → exact dedup → MinHash near-dup removal. VALUE-ORACLED
@@ -2746,271 +1632,6 @@ def _q_corpus_prep(sf_dir: str):
     from pdf_extractor_ray.pipelines.corpus_prep import corpus_prep_pipeline
 
     return corpus_prep_pipeline(_docs(sf_dir))
-
-
-_CONTAMINATION_PROBES = ("key agg row", "window spark order", "slow filter value")
-
-
-def _q_events_value_stddev(sf_dir: str):
-    """Variance/stddev via DECOMPOSABLE partials: exact int64 cent sums
-    (n, Σc, Σc²) through the low-card fold, stddev_pop derived on the
-    driver from identical integers both sides — float summation order
-    can never flip the hash."""
-    import math
-
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-
-    def widen(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("value"), 100.0), ndigits=0),
-            pa.int64(),
-        )
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "cents": cents,
-                "cents2": pc.multiply(cents, cents),
-            }
-        )
-
-    t = lowcard_groupby_agg(
-        ds.map_batches(widen, batch_format="pyarrow"),
-        ["event_type"],
-        [
-            ("cents", "count", "n_events"),
-            ("cents", "sum", "sum_cents"),
-            ("cents2", "sum", "sumsq_cents"),
-        ],
-    )
-    n = np.asarray(t.column("n_events").to_pylist(), dtype=np.float64)
-    s = np.asarray(t.column("sum_cents").to_pylist(), dtype=np.float64)
-    ss = np.asarray(t.column("sumsq_cents").to_pylist(), dtype=np.float64)
-    std = np.sqrt(ss / n - (s / n) ** 2) / 100.0
-    return t.append_column(
-        "stddev_value", pa.array(np.round(std, 4), pa.float64())
-    )
-
-
-def _q_embedding_norm_stats(sf_dir: str):
-    """Vector-math over the list<float> column: per-label count + exact
-    int64 sum of milli-rounded L2 norms (norms quantized per vector so
-    block summation order cannot change the total)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
-    )
-
-    def norms(batch: pa.Table) -> pa.Table:
-        mat = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
-        milli = np.rint(np.sqrt((mat * mat).sum(axis=1)) * 1000.0).astype(np.int64)
-        return pa.table(
-            {
-                "label": batch.column("label").cast(pa.int64()),
-                "milli_norm": pa.array(milli, pa.int64()),
-            }
-        )
-
-    return lowcard_groupby_agg(
-        emb.map_batches(norms, batch_format="pyarrow"),
-        ["label"],
-        [
-            ("milli_norm", "count", "n_vecs"),
-            ("milli_norm", "sum", "sum_milli_norm"),
-        ],
-    )
-
-
-def _q_pii_redact(sf_dir: str):
-    """Training-data PII scrub: emails/SSNs/phones → type tokens, one
-    vectorized regex kernel per pattern; per-kind counts + redacted-text
-    md5 (the write-ready scrub stage every released corpus needs)."""
-    from pdf_extractor_ray.functions.text import redact_pii
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(redact_pii, batch_format="pyarrow")
-    )
-
-
-def _q_normalize_docs(sf_dir: str):
-    """C4-style text normalization (whitespace collapse + trim + lower)
-    as md5 fingerprints — the normalized-dedup key derivation."""
-    from pdf_extractor_ray.functions.text import normalize_text
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(normalize_text, batch_format="pyarrow")
-    )
-
-
-def _q_line_quality(sf_dir: str):
-    """C4-style line-gate statistics per document (lines kept iff
-    terminal punctuation + ≥3 words) — fully vectorized over the
-    flattened line set of each batch."""
-    from pdf_extractor_ray.functions.text import line_quality_stats
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(line_quality_stats, batch_format="pyarrow")
-    )
-
-
-def _q_contamination_ngram(sf_dir: str):
-    """Decontamination by word-bigram OVERLAP against the probe set —
-    catches eval leakage that substring probes miss (line breaks,
-    punctuation edits). Probe gram set is built in the task closure
-    (tiny by contract)."""
-    from pdf_extractor_ray.functions.text import ngram_overlap_vs_probes
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return ngram_overlap_vs_probes(batch, _CONTAMINATION_PROBES, n=2)
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(fn, batch_format="pyarrow")
-    )
-
-
-def _q_contamination_check(sf_dir: str):
-    """Benchmark-contamination screening: documents containing any of a
-    fixed probe-phrase blocklist, with per-probe hit flags — the
-    eval-set leakage scan a training corpus needs. One vectorized
-    ``match_substring`` kernel per probe over the whole batch; the
-    probe list broadcasts in the task closure (tiny by contract)."""
-    import pyarrow.compute as pc
-
-    def flags(batch: pa.Table) -> pa.Table:
-        cols = {"doc_id": batch.column("doc_id")}
-        hit = None
-        for i, p in enumerate(_CONTAMINATION_PROBES):
-            m = pc.match_substring(batch.column("text"), p)
-            cols[f"hit_{i}"] = pc.cast(m, pa.int64())
-            hit = m if hit is None else pc.or_(hit, m)
-        t = pa.table(cols)
-        return t.filter(hit)
-
-    return _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        flags, batch_format="pyarrow"
-    )
-
-
-def _q_repetition_stats(sf_dir: str):
-    """Gopher-style within-document repetition signals (duplicate-line
-    fraction, count- and character-weighted) — the boilerplate filter
-    every web-corpus recipe applies. Per-doc op, zero shuffle; one
-    ``dictionary_encode`` codes every line of a batch at once."""
-    from pdf_extractor_ray.functions.text import repetition_stats
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(repetition_stats, batch_format="pyarrow")
-    )
-
-
-def _q_top_bigram_char_frac(sf_dir: str):
-    """Gopher's top-n-gram character-fraction repetition filter (n=2):
-    per document, the most frequent word bigram (SQL tie order), its
-    count, and the fraction of the document's characters it covers.
-    Vectorized shifted-join bigrams + one np.unique composite count."""
-    from pdf_extractor_ray.functions.text import top_ngram_char_frac
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(top_ngram_char_frac, batch_format="pyarrow")
-    )
-
-
-def _q_classifier_score(sf_dir: str):
-    """Deterministic linear quality classifier (fastText-shape: fixed
-    weights over cheap features + rational-sigmoid squash, so DuckDB
-    and numpy agree bit-for-bit — no libm exp)."""
-    from pdf_extractor_ray.functions.text import (
-        add_classifier_score,
-        add_text_features,
-    )
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return add_classifier_score(add_text_features(batch)).select(
-            ["doc_id", "classifier_score"]
-        )
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(fn, batch_format="pyarrow")
-    )
-
-
-def _q_interdoc_line_dedup(sf_dir: str):
-    """Cross-document line dedup (CCNet/RefinedWeb boilerplate stage):
-    lines occurring in >1 distinct documents are dropped corpus-wide;
-    per doc the surviving-line count and cleaned-text md5. Three
-    minimal shuffles: 16-byte line keys (combiner-backed census),
-    keys-only anti-join, unique-key reassembly."""
-    from pdf_extractor_ray.functions.dedup import interdoc_line_dedup
-
-    return interdoc_line_dedup(
-        _docs(sf_dir).select_columns(["doc_id", "text"]), max_docs=1
-    )
-
-
-def _q_dedup_components(sf_dir: str):
-    """Dedup-cluster labeling: iterative connected components (hash-min
-    label propagation, one join + one groupby-min per round, free
-    convergence check via the decreasing label sum) over CHAIN edges of
-    the token-prefix near-dup groups (first 5 tokens — the template-
-    clustering heuristic) — labels must propagate multi-hop, so the
-    fixpoint genuinely exercises the iterative operator. Output:
-    (doc_id, component=min doc id of the transitive cluster) for every
-    doc in a cluster of size ≥ 2."""
-    from pdf_extractor_ray.functions.graph import (
-        connected_components,
-        keyed_chain_edges,
-    )
-
-    edges = keyed_chain_edges(
-        _docs(sf_dir).select_columns(["doc_id", "text"]),
-        key="prefix",
-        prefix_k=5,
-    )
-    comps = connected_components(edges)
-    return comps.map_batches(
-        lambda b: pa.table(
-            {"doc_id": b.column("node"), "component": b.column("component")}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def _q_order_percentile(sf_dir: str):
-    """percent_rank window: each order's total-price percentile within
-    its priority class (unique tiebreak ⇒ RANK == row_number, exactly
-    SQL-matchable). One hash shuffle, in-group lexsort."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import percent_rank_in_group
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
-    )
-    return percent_rank_in_group(
-        ds, "o_orderpriority", ["o_totalprice", "o_orderkey"]
-    ).select_columns(["o_orderkey", "o_orderpriority", "pct_rank"])
 
 
 def _q_incremental_ingest(sf_dir: str):
@@ -3049,1624 +1670,6 @@ def _q_incremental_ingest(sf_dir: str):
         "text_hash",
         left_cols=["doc_id", "source"],
         how="anti",
-    )
-
-
-def _q_events_key_skew(sf_dir: str):
-    """Shuffle-skew diagnostic: the 10 hottest user_id keys of the
-    events table and their row share — the pre-flight check before
-    keying a corpus-scale groupby/join on a column."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import key_skew_profile
-
-    return key_skew_profile(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"]),
-        "user_id",
-        k=10,
-    )
-
-
-def _q_table_profile_orders(sf_dir: str):
-    """ANALYZE-TABLE parity: per-column row/null counts, exact NDV and
-    numeric min/max over the orders table — one partial-stats pass
-    (one row per block × column) plus one distinct-pair shuffle."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import table_profile
-
-    cols = [
-        "o_orderkey", "o_custkey", "o_orderstatus",
-        "o_totalprice", "o_orderdate", "o_orderpriority",
-    ]
-    ds = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=cols)
-    return table_profile(
-        ds,
-        [
-            "o_orderkey",
-            "o_custkey",
-            "o_orderstatus",
-            "o_totalprice",
-            "o_orderdate",
-            "o_orderpriority",
-        ],
-    )
-
-
-def _q_remove_dup_spans(sf_dir: str):
-    """ExactSubstr scrub (the removal half of Lee et al. 2022; the
-    detection half is ``dup_span_pairs``): every token covered by an
-    8-token window whose exact text occurs ≥2 times anywhere in the
-    corpus is dropped; survivors re-join with single spaces. Two
-    key-space exchanges (gram hash, then doc_id); text shuffles zero
-    times and no driver structure scales with dup volume."""
-    from pdf_extractor_ray.functions.dedup import remove_dup_spans
-
-    return remove_dup_spans(
-        _docs(sf_dir).select_columns(["doc_id", "text"]), k=8
-    )
-
-
-def _q_cdc_chunks(sf_dir: str):
-    """Content-defined chunking (LBFS Rabin-boundary rule): per-chunk
-    rows with 1-based start, byte length and chunk md5 — the
-    storage-dedup primitive. Pure per-doc map, no shuffle; VALUE-
-    oracled via the HUGEINT rolling-hash + splitmix64 SQL chain."""
-    from pdf_extractor_ray.functions.fingerprint import cdc_chunks
-
-    return cdc_chunks(_docs(sf_dir), window=16, modulus=64)
-
-
-def _q_cdc_dedup_stats(sf_dir: str):
-    """Storage-dedup profile over the CDC chunks: chunks/bytes before
-    vs after distinct-chunk dedup. One key-space exchange on the chunk
-    hash; ≤64 partial rows fold in a single task."""
-    from pdf_extractor_ray.functions.fingerprint import cdc_dedup_stats
-
-    return cdc_dedup_stats(_docs(sf_dir), window=16, modulus=64)
-
-
-def _q_dup_span_pairs(sf_dir: str):
-    """Exact duplicated-span detection (Lee et al. 2022 shape): doc
-    pairs sharing an identical 8-token window, with the distinct
-    shared-window count. Only (8-byte window hash, doc_id) rows
-    shuffle; collision-first plan with the boilerplate bucket guard."""
-    from pdf_extractor_ray.functions.dedup import dup_span_pairs
-
-    return dup_span_pairs(
-        _docs(sf_dir).select_columns(["doc_id", "text"]), k=8
-    )
-
-
-def _q_doc_cross_entropy(sf_dir: str):
-    """Statistical-LM quality scoring (CCNet shape): per-document
-    unigram cross-entropy against the corpus's own token distribution.
-    TF-IDF-shaped plan — (token, count) pairs shuffle, vocabulary never
-    broadcast, associative per-block partials before the doc fold."""
-    from pdf_extractor_ray.functions.text import doc_unigram_cross_entropy
-
-    return doc_unigram_cross_entropy(
-        _docs(sf_dir).select_columns(["doc_id", "text"])
-    )
-
-
-def _q_gopher_filter(sf_dir: str):
-    """Composite Gopher-style quality gate — the filters used AS a
-    filter: keep documents with duplicate-line fraction ≤ 0.3,
-    classifier score ≥ 0.31 and ≥ 20 tokens. One vectorized pass
-    computes all three signals per batch (no joins: the signals are
-    per-doc and positional), then a boolean mask. Output: surviving
-    (doc_id, n_tokens, classifier_score)."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.text import (
-        add_classifier_score,
-        add_text_features,
-        repetition_stats,
-    )
-
-    def gate(batch: pa.Table) -> pa.Table:
-        rep = repetition_stats(batch)
-        cls = add_classifier_score(add_text_features(batch))
-        keep = pc.and_(
-            pc.and_(
-                pc.less_equal(rep.column("dup_line_frac"), 0.3),
-                pc.greater_equal(cls.column("classifier_score"), 0.31),
-            ),
-            pc.greater_equal(cls.column("n_tokens"), 20),
-        )
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_tokens": cls.column("n_tokens"),
-                "classifier_score": cls.column("classifier_score"),
-            }
-        ).filter(keep)
-
-    return (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "text"])
-        .map_batches(gate, batch_format="pyarrow")
-    )
-
-
-def _q_near_dup_keep_best(sf_dir: str):
-    """Quality-aware near-dup survivor selection: keep the HIGHEST
-    ``n_chars`` doc of each MinHash-LSH near-dup cluster (ties → min
-    doc_id) — the representative choice real pipelines make instead of
-    an arbitrary first. VALUE-ORACLED via the recursive-closure exact
-    pair SQL (LSH recall 1.0 at the fixed seed, verification exact)
-    plus a per-cluster row_number arg-max."""
-    from pdf_extractor_ray.functions.dedup import near_dup_keep_best
-
-    return near_dup_keep_best(_docs(sf_dir), score_col="n_chars",
-                              threshold=0.5)
-
-
-def _q_minhash_components(sf_dir: str):
-    """Near-dup CLUSTERS, not just pairs: MinHash+LSH verified pairs →
-    iterative connected components → (doc_id, component) with the
-    component labeled by its minimum doc id — the grouping a dedup
-    stage keeps one representative from. VALUE-ORACLED (round 5) via a
-    recursive-CTE transitive closure over the exact Jaccard pair SQL
-    (the ``mirror_site_clusters`` pattern); pair↔component consistency
-    is additionally pinned by tests/test_functions.py against a local
-    union-find."""
-    from pdf_extractor_ray.functions.dedup import minhash_lsh_verified
-    from pdf_extractor_ray.functions.graph import connected_components
-
-    pairs = minhash_lsh_verified(_docs(sf_dir), threshold=0.5)
-    comps = connected_components(pairs, col_a="doc_a", col_b="doc_b")
-    return comps.map_batches(
-        lambda b: pa.table(
-            {"doc_id": b.column("node"), "component": b.column("component")}
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def _q_source_quality_profile(sf_dir: str):
-    """Crawl-health dashboard: per-source document count, mean
-    classifier score, mean token count and distinct-language count —
-    the domain-level profile a 100-TB crawl is triaged with. Two
-    passes: a low-card partial aggregate (only 20×blocks partial rows
-    move) and an exact distinct-language count (per-block distinct
-    pairs → pair-space groupby); final 20-row merge on the driver."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import (
-        exact_distinct_by,
-        lowcard_groupby_agg,
-    )
-    from pdf_extractor_ray.functions.text import (
-        add_classifier_score,
-        add_text_features,
-    )
-
-    def feats(batch: pa.Table) -> pa.Table:
-        t = add_classifier_score(add_text_features(batch))
-        return t.select(["source", "n_tokens", "classifier_score"])
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "text"]
-    ).map_batches(feats, batch_format="pyarrow")
-    prof = lowcard_groupby_agg(
-        ds,
-        ["source"],
-        [
-            ("source", "count", "n_docs"),
-            ("classifier_score", "mean", "mean_classifier"),
-            ("n_tokens", "mean", "mean_tokens"),
-        ],
-    )
-    prof = prof.set_column(
-        prof.schema.get_field_index("mean_classifier"),
-        "mean_classifier",
-        pc.round(prof.column("mean_classifier"), ndigits=6),
-    )
-    prof = prof.set_column(
-        prof.schema.get_field_index("mean_tokens"),
-        "mean_tokens",
-        pc.round(prof.column("mean_tokens"), ndigits=6),
-    )
-    langs = exact_distinct_by(
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["source", "lang"]
-        ),
-        "source",
-        "lang",
-        out_col="n_langs",
-    )
-    return prof.to_pandas().merge(langs.to_pandas(), on="source")
-
-
-def _doc_urls(sf_dir: str):
-    """Deterministic absolute URL per document (synthesized from
-    (doc_id, source) identically in the SQL oracle) — the input for
-    the URL-component operators, since the testdata tables carry no
-    URL column."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    def build(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        src = batch.column("source").to_pylist()
-        urls = []
-        for i, s in zip(ids, src):
-            scheme = "http" if i % 7 == 0 else "https"
-            tld = "org" if i % 3 == 0 else "com"
-            path = f"/docs/a/{i}" if i % 2 == 0 else f"/p{i}"
-            q = "?ref=1" if i % 5 == 0 else ""
-            urls.append(f"{scheme}://{s}.example.{tld}{path}{q}")
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "url": pa.array(urls, pa.string()),
-            }
-        )
-
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    ).map_batches(build, batch_format="pyarrow")
-
-
-def _q_url_host_stats(sf_dir: str):
-    """Per-host crawl profile over parsed URL components: doc count,
-    plain-http count, mean path depth, querystring count. The parser
-    (`functions/url.parse_urls`) is one vectorized RE2 pass per
-    component; the oracle re-parses the same URLs with DuckDB
-    regexp_extract — two independent parser implementations must
-    agree. Aggregation is combiner-backed (hosts ≪ corpus)."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.url import parse_urls
-
-    def flags(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "host": batch.column("host"),
-                "is_http": pc.cast(
-                    pc.equal(batch.column("scheme"), "http"), pa.int64()
-                ),
-                "path_depth": batch.column("path_depth"),
-                "has_query": pc.cast(
-                    pc.not_equal(batch.column("query"), ""), pa.int64()
-                ),
-            }
-        )
-
-    parsed = (
-        _doc_urls(sf_dir)
-        .map_batches(parse_urls, batch_format="pyarrow")
-        .map_batches(flags, batch_format="pyarrow")
-    )
-    t = lowcard_groupby_agg(
-        parsed,
-        ["host"],
-        [
-            ("host", "count", "n_docs"),
-            ("is_http", "sum", "n_http"),
-            ("path_depth", "mean", "avg_depth"),
-            ("has_query", "sum", "n_query"),
-        ],
-    )
-    return t.set_column(
-        t.schema.get_field_index("avg_depth"),
-        "avg_depth",
-        pc.round(t.column("avg_depth"), ndigits=6),
-    )
-
-
-def _q_url_normalize(sf_dir: str):
-    """URL canonicalization golden check: each doc's URL is rendered in
-    one of four messy variants (default port, uppercased host, missing
-    path slash, fragment suffix) keyed by doc_id; ``normalize_urls``
-    must recover the one canonical form the oracle computes
-    analytically. Per-row, no aggregation — the strongest per-URL
-    check."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.url import normalize_urls
-
-    def messy(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        src = batch.column("source").to_pylist()
-        urls = []
-        for i, s in zip(ids, src):
-            v = i % 4
-            if v == 0:
-                urls.append(f"https://{s.upper()}.EXAMPLE.COM:443/d/{i}")
-            elif v == 1:
-                urls.append(f"https://{s}.example.com")
-            elif v == 2:
-                urls.append(f"https://{s}.example.com/d/{i}?x=2#frag")
-            else:
-                urls.append(f"https://{s}.example.com/d/{i}")
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "url": pa.array(urls, pa.string()),
-            }
-        )
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
-    ).map_batches(messy, batch_format="pyarrow")
-    return ds.map_batches(
-        lambda b: normalize_urls(b), batch_format="pyarrow"
-    ).select_columns(["doc_id", "url_norm"])
-
-
-def _q_order_ntile(sf_dir: str):
-    """NTILE(4) per order priority by (totalprice, orderkey) — the
-    quantile-bucket assignment used to stratify a corpus by a score
-    (e.g. train/holdout splits by quality quartile). Unique tiebreak
-    (orderkey) makes tiles deterministic and oracle-matchable."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import ntile_in_group
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
-    )
-    return ntile_in_group(
-        ds, "o_orderpriority", ["o_totalprice", "o_orderkey"], n=4,
-        out_col="tile",
-    ).select_columns(["o_orderkey", "o_orderpriority", "tile"])
-
-
-def _q_events_dense_rank(sf_dir: str):
-    """DENSE_RANK over naturally tied values (event value per type) —
-    deterministic without a tiebreak because the rank is a function of
-    the ORDER VALUES, exercising tie handling the row_number form
-    cannot."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import dense_rank_in_group
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "event_type", "value"],
-    )
-    return dense_rank_in_group(
-        ds, "event_type", ["value"], out_col="drank"
-    ).select_columns(["event_id", "event_type", "drank"])
-
-
-def _q_top_tokens_approx(sf_dir: str):
-    """Approximate heavy hitters: top-25 tokens with bounded per-block
-    state (local top-1000 truncation) — rows-only; agreement with the
-    exact shuffle is pinned by tests/test_functions.py."""
-    from pdf_extractor_ray.functions.text import top_tokens_approx
-
-    return top_tokens_approx(_docs(sf_dir), k=25)
-
-
-def _q_approx_value_quantiles(sf_dir: str):
-    """Approximate quantiles of the unbounded-cardinality event value
-    column — two constant-payload passes (min/max + 32 KiB bincount
-    partials). VALUE-ORACLED (round 5): approximate vs the TRUE
-    quantiles but fully deterministic — bin index, cumulative rank and
-    interpolated value are identical IEEE-double expressions on both
-    sides. Error ≤ range/4096 additionally pinned by
-    tests/test_joins_sketch.py against exact numpy."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.sketch import approx_quantiles
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
-    return approx_quantiles(ds, "value", qs=(0.25, 0.5, 0.75, 0.9))
-
-
-def _q_bloom_semi_customers(sf_dir: str):
-    """Bloom-prefiltered semi-join: customers with ≥1 URGENT order.
-    The 128 KiB bloom (built from urgent o_custkeys, OR-merged
-    constant-size bitmaps) prunes non-matching customers BEFORE the
-    exact semi-join shuffle — same result as the exact plan (no false
-    negatives), a fraction of the shuffle volume at scale."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import semi_anti_join
-    from pdf_extractor_ray.functions.sketch import bloom_build, bloom_prefilter
-
-    urgent = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"],
-        filter=_pc.field("o_orderpriority") == "1-URGENT",  # scan pushdown
-    ).materialize()
-    # ^ consumed twice: bloom build + exact verify
-    bloom = bloom_build(urgent, "o_custkey")
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
-    pruned = bloom_prefilter(cust, "c_custkey", bloom)
-    return semi_anti_join(
-        pruned, urgent, "c_custkey", "o_custkey", ["c_custkey", "c_name"],
-        how="semi",
-    )
-
-
-def _q_events_weekday_profile(sf_dir: str):
-    """Date-part extraction (§2.8 temporal scalars): events per ISO
-    weekday (Mon=1..Sun=7) with value sums — vectorized
-    ``pc.day_of_week`` (Arrow counts Mon=0, hence the +1 to match SQL
-    ISODOW) + low-card fold. Values sum in exact int64 CENTS so the
-    aggregate hash-matches SQL regardless of float summation order."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
-
-    def dow(batch: pa.Table) -> pa.Table:
-        d = pc.add(pc.day_of_week(batch.column("ts")), 1)  # Mon=1..Sun=7
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("value"), 100.0), ndigits=0),
-            pa.int64(),
-        )
-        return pa.table({"isodow": pc.cast(d, pa.int64()), "cents": cents})
-
-    return lowcard_groupby_agg(
-        ds.map_batches(dow, batch_format="pyarrow"),
-        ["isodow"],
-        [("cents", "count", "n_events"), ("cents", "sum", "sum_cents")],
-    )
-
-
-def _q_events_value_histogram(sf_dir: str):
-    """Fixed-width value histogram (bin = floor(value/50)) — the
-    distribution-profiling shape; vectorized bin assignment + low-card
-    partial fold, only (bin, count) rows move."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
-
-    def bin_col(batch: pa.Table) -> pa.Table:
-        b = pc.cast(pc.floor(pc.divide(batch.column("value"), 50.0)), pa.int64())
-        return pa.table({"bin": b})
-
-    return lowcard_groupby_agg(
-        ds.map_batches(bin_col, batch_format="pyarrow"),
-        ["bin"],
-        [("bin", "count", "n_events")],
-    )
-
-
-def _q_events_running_total(sf_dir: str):
-    """Per-user cumulative value (running total) — the unbounded-
-    preceding window; in-group cumsum accumulates in SQL frame order
-    so floats match a sequential window engine bit-for-bit."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import running_total
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
-    )
-    return running_total(ds, key="user_id", ts_col="ts", val_col="value",
-                         tiebreak="event_id")
-
-
-def _q_events_lag_value(sf_dir: str):
-    """LAG(value) per user in (ts, event_id) order — every event plus
-    its predecessor's value (null for each user's first event)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import lag_attach
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
-    )
-    return lag_attach(ds, key="user_id", ts_col="ts", val_col="value",
-                      tiebreak="event_id")
-
-
-def _q_events_moving_avg(sf_dir: str):
-    """3-row rolling mean of value per user — the bounded-frame window
-    (ROWS 2 PRECEDING..CURRENT), computed as cumsum differences."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import moving_avg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
-    )
-    return moving_avg(ds, key="user_id", ts_col="ts", val_col="value",
-                      tiebreak="event_id", window_rows=3)
-
-
-def _q_events_trailing_3d(sf_dir: str):
-    """Time-RANGE window frame (RANGE BETWEEN INTERVAL 3 DAY PRECEDING
-    AND CURRENT ROW): per event, count and sum of the same user's
-    values in the trailing 3 days — ts-peer rows included exactly as
-    SQL RANGE frames require."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import range_frame_agg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
-    )
-    return range_frame_agg(ds, key="user_id", ts_col="ts", val_col="value",
-                           tiebreak="event_id", width_seconds=3 * 86_400)
-
-
-def _q_events_pivot_daily(sf_dir: str):
-    """Pivot/crosstab: events per (day × event_type) as a WIDE table —
-    one int64 column per type via vectorized conditional partials, then
-    the low-card day fold. The columnar pivot shape dashboards read."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    types = ["click", "error", "purchase", "signup", "view"]
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "event_type"]
-    )
-
-    def widen(batch: pa.Table) -> pa.Table:
-        day = pc.cast(pc.floor_temporal(batch.column("ts"), unit="day"), pa.date32())
-        cols = {"day": day}
-        for t in types:
-            cols[f"n_{t}"] = pc.cast(
-                pc.equal(batch.column("event_type"), t), pa.int64()
-            )
-        return pa.table(cols)
-
-    return lowcard_groupby_agg(
-        ds.map_batches(widen, batch_format="pyarrow"),
-        ["day"],
-        [(f"n_{t}", "sum", f"n_{t}") for t in types],
-    )
-
-
-def _q_user_order_pairs(sf_dir: str):
-    """MANY-to-many equi-join (full SQL semantics): every (event,
-    order) pair for the same user, aggregated per order priority —
-    n_pairs + exact distinct users in ONE pass: per-block partial
-    (priority, user, count) → single (priority, user) value-space
-    shuffle → low-card fold where n_pairs = Σcount and n_users = row
-    count. The join output is consumed once (no materialize)."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.dedup import compact_blocks
-    from pdf_extractor_ray.functions.joins import hash_join
-
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "event_type"],
-        filter=_pc.field("event_type") == "purchase",  # scan pushdown
-    )
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
-    )
-    joined = hash_join(
-        events, orders, "user_id", "o_custkey",
-        ["event_id", "user_id"], ["o_orderpriority"],
-        how="inner", validate="many",
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(["o_orderpriority", "user_id"])
-            .group_by(["o_orderpriority", "user_id"])
-            .aggregate([("user_id", "count")])
-        )
-        return g.rename_columns(["o_orderpriority", "user_id", "n"])
-
-    from pdf_extractor_ray.functions.agg import partition_fold
-
-    per_user = partition_fold(
-        compact_blocks(joined.map_batches(partial, batch_format="pyarrow")),
-        ["o_orderpriority", "user_id"], "n", fn="sum",
-    )
-    return lowcard_groupby_agg(
-        per_user,
-        ["o_orderpriority"],
-        [("n", "sum", "n_pairs"), ("n", "count", "n_users")],
-    )
-
-
-def _q_exact_users_by_type(sf_dir: str):
-    """Exact count(DISTINCT user_id) per event_type — the exact twin
-    of approx_users_by_type; block-distinct pairs → one value-space
-    shuffle → low-card fold."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import exact_distinct_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
-    return exact_distinct_by(ds, "event_type", "user_id", out_col="n_users")
-
-
-def _q_fixed_sample_docs(sf_dir: str):
-    """Exactly-100 deterministic global sample by md5 rank — fixed
-    output size (vs hash_sample's fixed rate); associative per-block
-    top-n so only blocks×n rows shuffle."""
-    from pdf_extractor_ray.functions.sample import fixed_sample
-
-    ds = _docs(sf_dir).select_columns(["doc_id", "lang", "n_chars"])
-    return fixed_sample(ds, "doc_id", n=100)
-
-
-def _q_stratified_sample_docs(sf_dir: str):
-    """Balanced per-language sample: 10 docs per lang in deterministic
-    md5 pseudo-random order — the equal-per-class selection shape."""
-    from pdf_extractor_ray.functions.sample import stratified_sample
-
-    ds = _docs(sf_dir).select_columns(["doc_id", "lang", "n_chars"])
-    return stratified_sample(ds, "lang", "doc_id", n_per_group=10)
-
-
-def _q_rarest_token_per_doc(sf_dir: str):
-    """TF-IDF-style analytic: each document's lowest-df token via the
-    full high-cardinality pipeline (token explode → df groupby →
-    token-space hash join → per-doc argmin)."""
-    from pdf_extractor_ray.functions.text import rarest_token_per_doc
-
-    return rarest_token_per_doc(
-        _docs(sf_dir).select_columns(["doc_id", "text"])
-    )
-
-
-def _q_tfidf_top_terms(sf_dir: str):
-    """Per-doc keyword extraction: top-3 tokens by TF-IDF with
-    round-before-rank ordering (immune to ≤1e-13 cross-library log
-    noise — mathematically equal scores tie exactly and fall to the
-    token tie-break on both sides). Token-space df groupby + one
-    doc-space top-k exchange; vocabulary never broadcasts."""
-    from pdf_extractor_ray.functions.text import tfidf_top_terms
-
-    return tfidf_top_terms(
-        _docs(sf_dir).select_columns(["doc_id", "text"]), k=3
-    )
-
-
-def _q_quantiles_chars_by_lang(sf_dir: str):
-    """Per-language exact length quantiles — grouped histogram-partial
-    quantiles (only (lang, value, count) rows move)."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import exact_quantiles_by
-
-    def proj(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "lang": batch.column("lang"),
-                "n_chars": pc.cast(pc.utf8_length(batch.column("text")), pa.int64()),
-            }
-        )
-
-    ds = _docs(sf_dir).map_batches(proj, batch_format="pyarrow")
-    return exact_quantiles_by(ds, "lang", "n_chars", qs=(0.25, 0.5, 0.75, 0.9))
-
-
-def _q_approx_users_by_type(sf_dir: str):
-    """Per-event-type HLL approx distinct users — GROUPED sketch
-    aggregation: one 4 KiB register array per (block, type) moves,
-    never user ids. VALUE-ORACLED (round 5) via the generated
-    splitmix64 register SQL; accuracy vs exact additionally pinned by
-    tests/test_joins_sketch.py (±2% at p=12)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.sketch import approx_distinct_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
-    return approx_distinct_by(ds, "event_type", "user_id", p=12)
-
-
-def _q_winnow_fingerprint_dups(sf_dir: str):
-    """Document fingerprinting by winnowing (rolling-hash k-grams,
-    Schleimer et al. 2003): near-dup pairs sharing ≥3 selected
-    fingerprints. VALUE-ORACLED (round 5) by ``_winnow_dups_sql``:
-    normalization, polynomial gram hash, splitmix64, window minima and
-    the bucket-gated pair fold are all reconstructed in generated SQL.
-    Parity vs exact n-gram Jaccard (recall 0.96, precision 1.00 at
-    sf0.01) additionally pinned by tests/test_fingerprint.py.  Heavy
-    SQL twin — skip its SQL in big-SF sweeps (driver gate = sf0.01)."""
-    from pdf_extractor_ray.functions.fingerprint import winnow_dup_pairs
-
-    return winnow_dup_pairs(_docs(sf_dir))
-
-
-def _q_customers_no_orders(sf_dir: str):
-    """Distributed ANTI-join: customers with no big-ticket order
-    (o_totalprice > 400k). Single hash shuffle; the orders side ships
-    only ``o_custkey`` (the membership set), never order rows — the
-    scale-safe shape for 'skip already-processed keys' filters at
-    100 TB."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import semi_anti_join
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_acctbal"]
-    )
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"],
-        filter=_pc.field("o_totalprice") > 400000,  # scan pushdown
-    )
-    return semi_anti_join(
-        cust, orders, "c_custkey", "o_custkey",
-        ["c_custkey", "c_name", "c_acctbal"], how="anti",
-    )
-
-
-def _q_urgent_customer_segments(sf_dir: str):
-    """SEMI-join + aggregate: market-segment counts over customers with
-    at least one URGENT order. The semi-join keeps left rows without
-    duplicating them (unlike an inner join), then a low-card aggregate."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.joins import semi_anti_join
-
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    urgent = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"],
-        filter=_pc.field("o_orderpriority") == "1-URGENT",  # scan pushdown
-    )
-    kept = semi_anti_join(
-        cust, urgent, "c_custkey", "o_custkey",
-        ["c_custkey", "c_mktsegment"], how="semi",
-    )
-    return lowcard_groupby_agg(
-        kept, ["c_mktsegment"], [("c_custkey", "count", "n_customers")]
-    )
-
-
-def _q_event_gap_stats(sf_dir: str):
-    """LAG window reduced per user: count / sum / max of the gaps
-    between consecutive events, in exact int64 microseconds."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import lag_gap_stats
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
-    )
-    return lag_gap_stats(ds, key="user_id", ts_col="ts", tiebreak="event_id")
-
-
-def _q_top_suppliers_per_nation(sf_dir: str):
-    """Grouped top-k with rank (row_number PARTITION BY): top-3
-    suppliers by account balance per nation; nation names attached via
-    a broadcast lookup (nation is constant-size at every SF)."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import topk_per_group
-
-    sup = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey", "s_acctbal"]
-    )
-    top = topk_per_group(sup, "s_nationkey", "s_acctbal", "s_suppkey", k=3)
-    nat = pa.Table.from_pandas(
-        ray.data.read_parquet(
-            f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-        ).to_pandas()
-    )
-    keys = nat.column("n_nationkey").cast(pa.int32()).combine_chunks()
-    names = nat.column("n_name").combine_chunks()
-
-    def attach(batch: pa.Table) -> pa.Table:
-        idx = pc.index_in(batch.column("s_nationkey").cast(pa.int32()), value_set=keys)
-        return pa.table(
-            {
-                "n_name": names.take(idx),
-                "s_suppkey": batch.column("s_suppkey"),
-                "s_acctbal": batch.column("s_acctbal"),
-                "rk": batch.column("rk"),
-            }
-        )
-
-    return top.map_batches(attach, batch_format="pyarrow")
-
-
-def _q_sample_docs(sf_dir: str):
-    """Deterministic 1/8 hash sample of documents (md5 first hex digit
-    < '2') — reproducible across runs/retries and consistent across
-    tables, with the filter pushed right after the scan."""
-    from pdf_extractor_ray.functions.sample import hash_sample
-
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
-    return hash_sample(ds, "doc_id", keep=2)
-
-
-def _q_events_lead_value(sf_dir: str):
-    """LEAD(value) per user in (ts, event_id) order — every event plus
-    its successor's value (null for each user's last event)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import lead_attach
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
-    )
-    return lead_attach(ds, key="user_id", ts_col="ts", val_col="value",
-                       tiebreak="event_id")
-
-
-def _q_user_first_last_event(sf_dir: str):
-    """first_value/last_value(value) per user over (ts, event_id) order,
-    reduced to one row per user. First/last are associative, so the
-    per-block partial keeps ≤2 rows per key per block — a user with
-    10^9 events still ships ≤ 2·n_blocks rows into the shuffle."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import first_last_per_group
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
-    )
-    return first_last_per_group(ds, key="user_id", ts_col="ts",
-                                val_col="value", tiebreak="event_id")
-
-
-def _q_orders_cume_dist(sf_dir: str):
-    """cume_dist() of order totals within each priority class —
-    deterministic WITHOUT a tiebreak (ties share a value), unlike
-    percent_rank's unique-order requirement."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import cume_dist_in_group
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
-    )
-    return cume_dist_in_group(
-        ds, key="o_orderpriority", order_cols=["o_totalprice"]
-    )
-
-
-def _q_user_top_event_type(sf_dir: str):
-    """Grouped MODE: each user's most frequent event type, ties to the
-    alphabetically smallest — per-block count partials, one (key,
-    value)-space shuffle, associative argmax pick. Key cardinality is
-    unbounded (native hash groupby, not the low-card fold)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import mode_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
-    return mode_by(ds, key="user_id", col="event_type",
-                   out_col="top_type", count_col="n")
-
-
-def _q_events_hour_value_corr(sf_dir: str):
-    """Pearson corr(value, hour-of-day) per event type via exact
-    integer sufficient statistics (n, Σx, Σy, Σx², Σy², Σxy folded as
-    int64 cents×hours through the low-card partial aggregate) — the
-    decomposable-moments recipe of events_value_stddev extended to
-    covariance. corr is scale-invariant, so the cent scaling drops out."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouped_corr
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    )
-
-    def hour_col(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "value": batch.column("value"),
-                "hour": pc.cast(pc.hour(batch.column("ts")), pa.int64()),
-            }
-        )
-
-    return grouped_corr(
-        ds.map_batches(hour_col, batch_format="pyarrow"),
-        key="event_type", xcol="value", ycol="hour",
-        x_scale=100, y_scale=1,
-    )
-
-
-def _q_events_hour_value_spearman(sf_dir: str):
-    """Spearman rank corr(value, hour-of-day) per event type — the
-    monotonic-association twin of ``events_hour_value_corr``. Twice
-    the mid-rank is an exact int64, so every sufficient statistic
-    folds as an exact integer (no float-order drift); the joint-
-    histogram pre-fold bounds the per-group pass by distinct
-    (value, hour) pairs, not rows. Final ratio shares one expression
-    tree with the SQL twin."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouped_spearman
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    )
-
-    def hour_col(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "value": batch.column("value"),
-                "hour": pc.cast(pc.hour(batch.column("ts")), pa.int64()),
-            }
-        )
-
-    return grouped_spearman(
-        ds.map_batches(hour_col, batch_format="pyarrow"),
-        key="event_type", xcol="value", ycol="hour",
-        x_scale=100, y_scale=1,
-    )
-
-
-def _q_lineitem_price_qty_regr(sf_dir: str):
-    """Least-squares price-on-quantity line per return flag
-    (REGR_SLOPE / REGR_INTERCEPT) — exact int64 sufficient statistics
-    (cents × hundredths) fold through the partial aggregate; the line
-    is derived from identical integers on the driver. Σy² is never
-    accumulated (price² overflows int64 first), which is why this is
-    a separate operator from grouped_corr."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouped_linreg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_quantity", "l_extendedprice"],
-    )
-    return grouped_linreg(ds, key="l_returnflag",
-                          xcol="l_quantity", ycol="l_extendedprice",
-                          x_scale=100, y_scale=100)
-
-
-def _q_events_value_zscore(sf_dir: str):
-    """Per-type z-score standardization (feature scaling): group
-    moments from exact int64 cent statistics in ONE partial aggregate,
-    broadcast back and applied vectorized — rows never shuffle."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import zscore_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
-    )
-    out = zscore_by(ds, key="event_type", val_col="value", scale=100)
-    return out.select_columns(["event_id", "event_type", "zscore"])
-
-
-def _q_events_locf_fill(sf_dir: str):
-    """Forward fill (LOCF): error events observe no value (synthesized
-    NULLs), each row carries the user's last observed value forward —
-    last_value IGNORE NULLS semantics, NULL before the first
-    observation."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import locf_fill
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
-
-    def gap(b: pa.Table) -> pa.Table:
-        v = pc.if_else(
-            pc.equal(b.column("event_type"), "error"),
-            pa.nulls(b.num_rows, pa.float64()),
-            pc.cast(b.column("value"), pa.float64()),
-        )
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "ts": b.column("ts"),
-            "user_id": b.column("user_id"),
-            "v": v,
-        })
-
-    return locf_fill(ds.map_batches(gap, batch_format="pyarrow"),
-                     key="user_id", ts_col="ts", val_col="v",
-                     tiebreak="event_id")
-
-
-def _q_events_unpivot_daily(sf_dir: str):
-    """UNPIVOT (melt): the daily per-type pivot table back to long
-    (day, event_type, n) rows — zero-shuffle per-batch reshape over the
-    already-small pivot result, zero cells included (SQL UNPIVOT
-    INCLUDE NULLS analogue)."""
-    import ray.data as rd
-
-    from pdf_extractor_ray.functions.agg import unpivot
-
-    wide = _q_events_pivot_daily(sf_dir)  # pyarrow Table (day × n_<type>)
-    types = ["click", "error", "purchase", "signup", "view"]
-    long = unpivot(
-        rd.from_arrow(wide),
-        id_cols=["day"],
-        value_cols=[f"n_{t}" for t in types],
-        var_name="event_type",
-        value_name="n",
-    )
-
-    def strip_prefix(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.set_column(
-            batch.column_names.index("event_type"),
-            "event_type",
-            pc.utf8_replace_slice(batch.column("event_type"), 0, 2, ""),
-        )
-
-    return long.map_batches(strip_prefix, batch_format="pyarrow")
-
-
-def _q_semantic_dedup(sf_dir: str):
-    """SemDeDup (Abbas et al. 2023): k-means clusters over the
-    embedding space, drop every vector with a lower-id ε-ball neighbor
-    in its cluster. Deterministic (hash sample, fixed init/iters).
-    VALUE-ORACLED (round 5) by ``_semantic_dedup_sql``: the Lloyd
-    chain is unrolled into MATERIALIZED CTEs (shared with the
-    ``ivf_kmeans_topk`` twin) and the ε-ball drop is the O(n²/k)
-    within-cluster pair SQL; measured argmax/threshold margins rule
-    out float flips. The planted-dup recall test still pins drop
-    behavior at test scale."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import semantic_dedup
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    return semantic_dedup(ds, threshold=0.97, n_clusters=16)
-
-
-def _q_prefix_typo_pairs(sf_dir: str):
-    """Edit-distance near-match (FastSS/SymSpell deletion
-    neighborhoods): pairs of distinct 12-char normalized text prefixes
-    at Levenshtein distance ≤ 1 — recall-exact bucketing (two strings
-    within distance 1 always share a 1-deletion variant), collision-
-    first verify, O(len) capped-distance check per candidate."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import edit_distance_pairs
-
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
-
-    def prefix(batch: pa.Table) -> pa.Table:
-        t = pc.utf8_trim_whitespace(pc.fill_null(batch.column("text"), ""))
-        p = pc.utf8_slice_codeunits(pc.utf8_lower(t), 0, 12)
-        keep = pc.not_equal(t, "")
-        return pa.table({"pfx": p.filter(keep) if isinstance(p, pa.ChunkedArray) else pc.filter(p, keep)})
-
-    return edit_distance_pairs(
-        ds.map_batches(prefix, batch_format="pyarrow"), col="pfx"
-    )
-
-
-def _q_weighted_sample_docs(sf_dir: str):
-    """Exactly-50 weighted sample without replacement (Efraimidis–
-    Spirakis A-ES): inclusion probability ∝ n_chars, rank −ln(u)/w with
-    u a deterministic md5-derived uniform — reproducible, SQL-twinned,
-    associative per-block top-n (blocks×50 rows shuffle)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.sample import weighted_sample
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
-    return weighted_sample(ds, key_col="doc_id", weight_col="n_chars", n=50)
-
-
-def _q_user_event_paths(sf_dir: str):
-    """Ordered grouped string_agg: each user's full event-type sequence
-    in (ts, event_id) order joined by '>' — the clickstream-path shape.
-    One hash shuffle; in-group lexsort + join."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import string_agg_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts", "event_id"]
-    )
-    return string_agg_by(ds, key="user_id", val_col="event_type",
-                         order_cols=["ts", "event_id"], sep=">")
-
-
-def _q_link_depth(sf_dir: str):
-    """Crawl-depth analysis: BFS minimum-hop distance from the seed
-    site over the SITE link graph — href extraction from raw html
-    (actor-pool regex stage), cross-link targets ``/p/N`` mapped to
-    site ids, page urls to their site-prefix segment, distinct edges,
-    then :func:`graph.bfs_depths` (size-gated driver BFS vs semi-naive
-    distributed frontier expansion).  Oracle: recursive CTE over the
-    synthesizer's deterministic cross-link rule — transitive-closure
-    semantics checked end-to-end against SQL."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.graph import bfs_depths
-
-    links = _outlinks(sf_dir)
-
-    def to_site_edges(batch: pa.Table) -> pa.Table:
-        dst_m = pc.extract_regex(
-            batch.column("dst_url"), r"^https://example\.org/p/(?P<n>[0-9]+)$"
-        )
-        src_m = pc.extract_regex(
-            batch.column("src_url"),
-            r"^https://example\.org/(?P<s>[0-9]{4})/",
-        )
-        keep = pc.and_(dst_m.is_valid(), src_m.is_valid())
-        t = pa.table(
-            {
-                "src": pc.cast(pc.struct_field(src_m, "s"), pa.int64()),
-                "dst": pc.cast(pc.struct_field(dst_m, "n"), pa.int64()),
-            }
-        )
-        return t.filter(keep)
-
-    edges = links.map_batches(to_site_edges, batch_format="pyarrow")
-    return bfs_depths(edges, [0])
-
-
-def _q_url_pagerank(sf_dir: str):
-    """Web-graph analysis end-to-end: href extraction from the raw
-    html payload (compiled-regex actor stage, relative-link resolution,
-    per-page distinct) → url-level edge list → PageRank (damping 0.85,
-    20 fixed power iterations, dangling mass redistributed) → top 20
-    urls by rank. Node ids are md5-64 of the url; only (src, dst) id
-    pairs enter the iteration — payload bytes and url strings never
-    re-shuffle. Fully DuckDB-oracled at URL level: the oracle runs the
-    20 unrolled power iterations keyed on the url STRINGS themselves
-    (reconstructed from the synthesizer's full link rules — statics +
-    related + nav-only pages, both channels), so the md5 ids are an
-    internal detail the compare never sees; local-vs-distributed
-    parity additionally test-pinned."""
-    import hashlib
-
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import pagerank
-    from pdf_extractor_ray.functions.joins import hash_join
-
-    links = _outlinks(sf_dir).materialize()
-
-    def _h(u: str) -> int:
-        return int.from_bytes(
-            hashlib.md5(u.encode()).digest()[:8], "little"
-        ) & 0x7FFFFFFFFFFFFFFF
-
-    def to_ids(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": pa.array(
-                    [_h(u) for u in batch.column("src_url").to_pylist()],
-                    pa.int64(),
-                ),
-                "dst": pa.array(
-                    [_h(u) for u in batch.column("dst_url").to_pylist()],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def node_names(batch: pa.Table) -> pa.Table:
-        urls = set(batch.column("src_url").to_pylist())
-        urls.update(batch.column("dst_url").to_pylist())
-        urls = sorted(urls)
-        return pa.table(
-            {
-                "node": pa.array([_h(u) for u in urls], pa.int64()),
-                "url": pa.array(urls, pa.string()),
-            }
-        )
-
-    from ray.data.aggregate import Min
-
-    ranks = pagerank(links.map_batches(to_ids, batch_format="pyarrow"))
-    names = (
-        links.map_batches(node_names, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("url", alias_name="url"))
-    )
-    top = hash_join(
-        ranks, names, "node", "node",
-        left_cols=["node", "rank"], right_cols=["url"], how="inner",
-    )
-
-    def round6(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                "url": batch.column("url"),
-                "rank": pc.round(batch.column("rank"), ndigits=8),
-            }
-        )
-
-    return (
-        top.map_batches(round6, batch_format="pyarrow")
-        .sort(["rank", "url"], descending=[True, False])
-        .limit(20)
-    )
-
-
-def _q_quantiles_chars_cont(sf_dir: str):
-    """EXACT interpolated per-language quantiles (SQL quantile_cont,
-    type-7 linear) of document length — (key, value, count) histogram
-    partials only; both order statistics read off the cumulative
-    histogram on the driver."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import exact_quantiles_cont_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    )
-    return exact_quantiles_cont_by(ds, key="lang", col="n_chars")
-
-
-def _q_doc_compression_ratio(sf_dir: str):
-    """Per-document zlib compression ratio — the single-pass redundancy
-    signal (template/spam pages compress far below organic prose).
-    Rows-only: zlib is not SQL-expressible; pinned behavior tested on
-    constructed low/high-entropy texts."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import compression_ratio
-
-    return _docs(sf_dir).map_batches(
-        compression_ratio, batch_format="pyarrow"
-    ).select_columns(["doc_id", "n_bytes", "n_compressed", "ratio"])
-
-
-def _q_doc_compression_bound(sf_dir: str):
-    """DRIVER-ORACLED envelope for the zlib redundancy signal (the
-    ``hll_users_bound`` pattern for a non-SQL transform): per document
-    the oracle asserts the EXACT utf-8 byte length (pure SQL) and
-    ``zlib_within_bound = TRUE``, where the Ray side certifies the
-    zlib contract — non-empty text compresses to 0 < n_compressed ≤
-    n_bytes + 32 (deflate stored-block worst case + header) with
-    ratio = round6(n_compressed/n_bytes); empty text yields
-    n_compressed = 0, ratio = 1.0.  A violated contract or a wrong
-    byte count hash-mismatches the driver compare.  The raw ratios
-    stay available as ``doc_compression_ratio``."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.text import compression_ratio
-
-    ds = _docs(sf_dir).map_batches(compression_ratio,
-                                   batch_format="pyarrow")
-
-    def flags(batch: pa.Table) -> pa.Table:
-        import math
-
-        nb = batch.column("n_bytes").to_pylist()
-        nc = batch.column("n_compressed").to_pylist()
-        rt = batch.column("ratio").to_pylist()
-        ok = []
-        for b, c, r in zip(nb, nc, rt):
-            if b == 0:
-                ok.append(c == 0 and r == 1.0)
-            else:
-                want = math.floor(c / b * 1e6 + 0.5) / 1e6
-                ok.append(0 < c <= b + 32 and r == want)
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "n_bytes": batch.column("n_bytes"),
-            "zlib_within_bound": pa.array(ok, pa.bool_()),
-        })
-
-    return ds.map_batches(flags, batch_format="pyarrow")
-
-
-def _q_train_split(sf_dir: str):
-    """Deterministic train/val/test assignment (80/10/10): membership
-    is a pure function of md5(doc_id), so the split is reproducible
-    across runs/retries and stable under corpus growth — a document
-    never migrates between train and test (contamination control).
-    Oracle checks the FULL per-row assignment, not just the counts."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.mix import split_assign
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
-    return split_assign(
-        ds, "doc_id", {"train": 0.8, "val": 0.1, "test": 0.1}
-    ).select_columns(["doc_id", "split"])
-
-
-def _q_lang_rebalance(sf_dir: str):
-    """Equal-mix language rebalancing: downsample every language to the
-    smallest language's count by the deterministic (md5(doc_id),
-    doc_id) order — the mixture-balancing step before tokenizer
-    training on a multilingual corpus."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.mix import rebalance_equal
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
-    return rebalance_equal(ds, "lang", "doc_id").select_columns(
-        ["doc_id", "lang"]
-    )
-
-
-def _q_quality_len_filter(sf_dir: str):
-    """Drop the shortest quartile of documents against a GLOBAL exact
-    quantile_cont threshold (histogram partials → one driver scalar →
-    broadcast stateless filter; no row ever shuffles), then profile the
-    survivors per language."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.mix import percentile_keep
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    )
-    kept, _thr = percentile_keep(ds, "n_chars", 0.25, keep="upper")
-    return lowcard_groupby_agg(
-        kept,
-        keys=["lang"],
-        specs=[
-            ("n_chars", "count", "n_docs"),
-            ("n_chars", "min", "min_chars"),
-        ],
-    )
-
-
-def _q_crawl_diff_users(sf_dir: str):
-    """Recrawl snapshot diff: the latest value per (user, event_type)
-    in the first four days vs the last three days of the month,
-    classified added / removed / changed in one vectorized
-    hash-partition pass (no join bookkeeping) — the triage step before
-    an incremental ingest. Composite key via the standard concat idiom
-    (the same expression the oracle uses)."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import latest_by_key
-    from pdf_extractor_ray.functions.mix import snapshot_diff
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_type", "ts", "event_id", "value"],
-    )
-    cut_hi = datetime.datetime(2024, 1, 5)
-    cut_lo = datetime.datetime(2024, 1, 28)
-
-    def window(pred):
-        def f(batch):
-            b = batch.filter(pred(batch.column("ts")))
-            k = pc.binary_join_element_wise(
-                pc.cast(b.column("user_id"), pa.string()),
-                b.column("event_type"),
-                ":",
-            )
-            return pa.table({
-                "k": k, "ts": b.column("ts"),
-                "event_id": b.column("event_id"),
-                "value": b.column("value"),
-            })
-        return f
-
-    old = latest_by_key(
-        ev.map_batches(
-            window(lambda ts: pc.less(ts, pa.scalar(cut_hi))),
-            batch_format="pyarrow",
-        ),
-        key="k", ts_col="ts", tiebreak="event_id",
-    ).select_columns(["k", "value"])
-    new = latest_by_key(
-        ev.map_batches(
-            window(lambda ts: pc.greater_equal(ts, pa.scalar(cut_lo))),
-            batch_format="pyarrow",
-        ),
-        key="k", ts_col="ts", tiebreak="event_id",
-    ).select_columns(["k", "value"])
-    return snapshot_diff(old, new, "k", "value")
-
-
-def _q_doc_char_entropy(sf_dir: str):
-    """Per-document Shannon character entropy (bits) — alphabet-
-    diversity quality signal; one np.add.at histogram scatter per
-    batch, exact twin of DuckDB's entropy() aggregate."""
-    from pdf_extractor_ray.functions.text import char_entropy
-
-    return _docs(sf_dir).map_batches(
-        char_entropy, batch_format="pyarrow"
-    ).select_columns(["doc_id", "entropy"])
-
-
-def _ev_halves(sf_dir: str):
-    """(H1, Apr-Dec) event projections for the set-op queries."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import ray.data
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_type", "ts"],
-    )
-    cut = datetime.datetime(2024, 1, 28)
-
-    def h1(batch):
-        return batch.filter(pc.less(batch.column("ts"), pa.scalar(cut)))
-
-    def h2(batch):
-        return batch.filter(
-            pc.greater_equal(batch.column("ts"), pa.scalar(cut))
-        )
-
-    return (
-        ev.map_batches(h1, batch_format="pyarrow"),
-        ev.map_batches(h2, batch_format="pyarrow"),
-    )
-
-
-def _q_user_type_intersect(sf_dir: str):
-    """SQL INTERSECT as a distributed set op: distinct (user, type)
-    pairs active in BOTH halves of the year — left side distinct
-    groupby + keys-only semi join on row digests (right rows never
-    shuffle)."""
-    from pdf_extractor_ray.functions.setops import intersect_distinct
-
-    h1, h2 = _ev_halves(sf_dir)
-    return intersect_distinct(h1, h2, ["user_id", "event_type"])
-
-
-def _q_user_type_except(sf_dir: str):
-    """SQL EXCEPT: (user, type) pairs active in H1 but gone in H2 —
-    the churn set; same digest plan with an anti join."""
-    from pdf_extractor_ray.functions.setops import except_distinct
-
-    h1, h2 = _ev_halves(sf_dir)
-    return except_distinct(h1, h2, ["user_id", "event_type"])
-
-
-def _q_chars_mad_by_lang(sf_dir: str):
-    """Robust per-language dispersion profile: MEDIAN + MAD of document
-    length (the outlier gate heavy-tailed web data needs where 3-sigma
-    breaks). Two histogram passes, zero row shuffles."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import mad_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    )
-    return mad_by(ds, "lang", "n_chars")
-
-
-def _q_error_purchase_overlap(sf_dir: str):
-    """Keyed interval-OVERLAP join (two-sided sibling of range_join):
-    per user, error windows [ts, ts+2h) intersecting purchase windows
-    — one hash shuffle, double-searchsorted in-group match, max_width
-    prune makes in-group cost O(pairs)."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import interval_overlap_join
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-    two_h = pa.scalar(7_200_000_000, pa.duration("us"))
-
-    def windows(etype: str, out_id: str):
-        def f(batch: pa.Table) -> pa.Table:
-            b = batch.filter(
-                pc.equal(batch.column("event_type"), etype)
-            )
-            return pa.table({
-                "user_id": b.column("user_id"),
-                out_id: b.column("event_id"),
-                "ts": b.column("ts"),
-                "ts_end": pc.add(b.column("ts"), two_h),
-            })
-        return f
-
-    err = ev.map_batches(windows("error", "err_id"), batch_format="pyarrow")
-    pur = ev.map_batches(
-        windows("purchase", "pur_id"), batch_format="pyarrow"
-    )
-    return interval_overlap_join(
-        err, pur, key="user_id",
-        left_lo="ts", left_hi="ts_end",
-        right_lo="ts", right_hi="ts_end",
-        left_cols=["user_id", "err_id"], right_cols=["pur_id"],
-        max_width=7_200_000_000,
-    )
-
-
-def _q_mix_weighted(sf_dir: str):
-    """Target-mix resampling (Pile/Dolma-style data mixing): downsample
-    languages to the largest corpus satisfying explicit weights;
-    deterministic (md5(doc_id), doc_id) per-group order, per-group
-    quotas broadcast."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.mix import rebalance_weighted
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
-    return rebalance_weighted(
-        ds, "lang", "doc_id",
-        {"en": 0.4, "de": 0.2, "fr": 0.2, "es": 0.1, "zh": 0.1},
-    ).select_columns(["doc_id", "lang"])
-
-
-def _q_url_canonical_dedup(sf_dir: str):
-    """Crawl URL dedup on the CANONICAL form: messy variants (default
-    port, uppercased host, fragment) of the same page collapse after
-    ``normalize_urls``; keep min doc_id + copy count per canonical URL
-    — the frontier-dedup stage of a crawler."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.url import normalize_urls
-
-    def messy(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        urls = []
-        for i in ids:
-            host, path = i % 7, i % 50
-            v = i % 3
-            if v == 0:
-                urls.append(
-                    f"https://W{host}.EXAMPLE.COM:443/p/{path}"
-                )
-            elif v == 1:
-                urls.append(f"https://w{host}.example.com/p/{path}#frag")
-            else:
-                urls.append(f"https://w{host}.example.com/p/{path}")
-        return pa.table({
-            "doc_id": batch.column("doc_id"),
-            "url": pa.array(urls, pa.string()),
-        })
-
-    ds = (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id"]
-        )
-        .map_batches(messy, batch_format="pyarrow")
-        .map_batches(lambda b: normalize_urls(b), batch_format="pyarrow")
-    )
-    return lowcard_groupby_agg(
-        ds,
-        keys=["url_norm"],
-        specs=[
-            ("doc_id", "min", "representative"),
-            ("doc_id", "count", "n_copies"),
-        ],
     )
 
 
@@ -4786,423 +1789,6 @@ def _q_inverted_index(sf_dir: str):
     return idx.map_batches(project, batch_format="pyarrow")
 
 
-def _q_nation_region_grid(sf_dir: str):
-    """CROSS JOIN (grid expansion): every nation x every region —
-    broadcast right side, zero shuffle, loud dimension contract."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import broadcast_cross_join
-
-    nations = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
-    regions = pq.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    return broadcast_cross_join(nations, regions)
-
-
-def _q_chars_skew_by_lang(sf_dir: str):
-    """Per-language sample skewness + excess kurtosis of document
-    length — the higher-moment profile (heavy-tail detection) from
-    exact int64 power sums; order-independent by construction."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouped_skew_kurt
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    )
-    return grouped_skew_kurt(ds, "lang", "n_chars")
-
-
-def _q_host_group_split(sf_dir: str):
-    """GROUP-level train/test split: the split key is the URL HOST, so
-    every page of a site lands in ONE split — the leakage control a
-    per-document split cannot give (near-dup pages of one site would
-    straddle train/test). Same md5-band machinery, zero shuffle."""
-    from pdf_extractor_ray.functions.mix import split_assign
-    from pdf_extractor_ray.functions.url import parse_urls
-
-    parsed = _doc_urls(sf_dir).map_batches(
-        parse_urls, batch_format="pyarrow"
-    )
-
-    def slim(batch: pa.Table) -> pa.Table:
-        return batch.select(["doc_id", "host"])
-
-    return split_assign(
-        parsed.map_batches(slim, batch_format="pyarrow"),
-        "host", {"train": 0.8, "test": 0.2},
-    ).select_columns(["doc_id", "host", "split"])
-
-
-def _q_pmi_bigrams(sf_dir: str):
-    """Collocation extraction: top-25 bigrams scored with pointwise
-    mutual information (Church & Hanks 1990); two bounded passes —
-    distributed bigram top-k, then one streaming fold of the needed
-    unigram counts + totals (word set broadcast, ≤2k words)."""
-    from pdf_extractor_ray.functions.text import pmi_top_bigrams
-
-    return pmi_top_bigrams(_docs(sf_dir), k=25)
-
-
-def _q_zipf_fit(sf_dir: str):
-    """Zipf power-law fit of the token frequency distribution (corpus
-    health diagnostic — natural corpora fit slope ≈ −1; synthetic /
-    template corpora run flat): one distributed word-frequency pass
-    (bounded top-k), log-log least squares on the driver."""
-    from pdf_extractor_ray.functions.bpe import word_freqs
-
-    rows = word_freqs(_docs(sf_dir), top_words=100).take_all()
-    n = np.asarray([r["n"] for r in rows], dtype=np.float64)
-    r = np.arange(1, len(n) + 1, dtype=np.float64)
-    x, y = np.log(r), np.log(n)
-    mx, my = x.mean(), y.mean()
-    varx = (x * x).mean() - mx * mx
-    slope = ((x * y).mean() - mx * my) / varx
-    intercept = my - slope * mx
-    rnd = lambda v: float(np.floor(abs(v) * 1e6 + 0.5) / 1e6 * np.sign(v))
-    return pa.table({
-        "slope": pa.array([rnd(slope)], pa.float64()),
-        "intercept": pa.array([rnd(intercept)], pa.float64()),
-        "k": pa.array([len(n)], pa.int64()),
-    })
-
-
-def _q_next_purchase_after_error(sf_dir: str):
-    """FORWARD as-of join with tolerance (merge_asof parity): each
-    error event attributed to the user's NEXT purchase within 2 days
-    (NULL when none) — the attribution shape backward asof cannot
-    express. Ties break to the smallest (ts, event_id)."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import asof_join
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "ts", "event_type"],
-    )
-
-    def pick(etype, idname):
-        def f(batch):
-            b = batch.filter(pc.equal(batch.column("event_type"), etype))
-            return pa.table({
-                idname: b.column("event_id"),
-                "user_id": b.column("user_id"),
-                "ts": b.column("ts"),
-            })
-        return f
-
-    err = ev.map_batches(pick("error", "err_id"), batch_format="pyarrow")
-    pur = ev.map_batches(pick("purchase", "pur_id"), batch_format="pyarrow")
-    return asof_join(
-        err, pur, key="user_id", left_ts="ts", right_ts="ts",
-        right_tiebreak="pur_id",
-        left_cols=["err_id", "user_id"], right_cols=["pur_id"],
-        direction="forward", tolerance=datetime.timedelta(days=2),
-    )
-
-
-def _q_training_mix(sf_dir: str):
-    """END-TO-END training-mix pipeline, every stage SQL-expressible so
-    the ORACLE CHECKS THE WHOLE COMPOSITION: length gate (global exact
-    percentile, broadcast scalar) → exact dedup (hash groupby, min-id
-    representative) → weighted language mixing (Pile/Dolma-style) →
-    deterministic train/val split → per-(lang, split) profile. One
-    streaming plan; no stage materializes the corpus."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.dedup import add_exact_hash
-    from pdf_extractor_ray.functions.mix import (
-        percentile_keep,
-        rebalance_weighted,
-        split_assign,
-    )
-    from pdf_extractor_ray.pipelines.corpus_prep import exact_dedup_rows
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "lang", "text", "n_chars"],
-    )
-    gated, _thr = percentile_keep(docs, "n_chars", 0.1, keep="upper")
-    deduped = exact_dedup_rows(
-        gated.map_batches(add_exact_hash, batch_format="pyarrow")
-    )
-    mixed = rebalance_weighted(
-        deduped, "lang", "doc_id",
-        {"en": 0.4, "de": 0.2, "fr": 0.2, "es": 0.1, "zh": 0.1},
-    )
-    split = split_assign(mixed, "doc_id", {"train": 0.9, "val": 0.1})
-    return lowcard_groupby_agg(
-        split,
-        keys=["lang", "split"],
-        specs=[
-            ("doc_id", "count", "n_docs"),
-            ("n_chars", "sum", "sum_chars"),
-        ],
-    )
-
-
-def _q_events_funnel(sf_dir: str):
-    """Ordered funnel (view → click → purchase, strictly increasing
-    timestamps, 36-hour window): one key-space partition exchange,
-    chained per-user step mins read off masked run boundaries — no
-    per-user Python. Output is 3 rows."""
-    import datetime
-
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import funnel_counts
-
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type"],
-    )
-    cut = datetime.datetime(2024, 1, 2, 12)
-
-    def window(batch):
-        return batch.filter(pc.less(batch.column("ts"), pa.scalar(cut)))
-
-    return funnel_counts(
-        ev.map_batches(window, batch_format="pyarrow"),
-        steps=["view", "click", "purchase"],
-    )
-
-
-def _q_tfidf_similar_pairs(sf_dir: str):
-    """EXACT sparse TF-IDF cosine self-join over word-trigram shingles
-    (inverted-index all-pairs search, Bayardo et al. WWW'07 shape) —
-    the exact-sparse sibling of MinHash (probabilistic) and embedding
-    dedup (dense). Counts/weights shuffle, never text; df cap bounds
-    every pair bucket."""
-    from pdf_extractor_ray.functions.similarity import tfidf_cosine_pairs
-
-    return tfidf_cosine_pairs(
-        _docs(sf_dir), threshold=0.3, max_df=100, ngram=3
-    )
-
-
-def _q_orders_grouping_sets(sf_dir: str):
-    """GROUP BY GROUPING SETS((status, priority), (priority), ()) —
-    the arbitrary-subset generalization ROLLUP/CUBE are sugar for; one
-    distributed pass at the finest level, requested sets re-aggregate
-    the driver-resident table (note (priority) is NOT a rollup prefix
-    of (status, priority) — this plan cube/rollup cannot express)."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouping_sets_agg
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
-    )
-    t = grouping_sets_agg(
-        ds,
-        keys=["o_orderstatus", "o_orderpriority"],
-        sets=[
-            ("o_orderstatus", "o_orderpriority"),
-            ("o_orderpriority",),
-            (),
-        ],
-        specs=[
-            ("o_totalprice", "sum", "sum_price"),
-            ("o_totalprice", "count", "n_orders"),
-        ],
-    )
-    return t.set_column(
-        t.column_names.index("sum_price"),
-        "sum_price",
-        pc.round(t.column("sum_price"), ndigits=2),
-    )
-
-
-def _q_blocked_hosts_filter(sf_dir: str):
-    """Host deny-list gate (the UT1-style domain filter): blocklist
-    broadcast once via ray.put, vectorized is_in per batch, rows never
-    shuffle. Survivor profile per host keeps the oracle small."""
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.url import host_blocklist_filter
-
-    blocked = [f"src{i}.example.com" for i in (0, 3, 7, 11)] + [
-        f"src{i}.example.org" for i in (1, 5)
-    ]
-    kept = host_blocklist_filter(_doc_urls(sf_dir), blocked)
-    from pdf_extractor_ray.functions.url import parse_urls
-
-    parsed = kept.map_batches(parse_urls, batch_format="pyarrow")
-    return lowcard_groupby_agg(
-        parsed, ["host"], [("doc_id", "count", "n_docs")]
-    )
-
-
-def _q_bpe_merges(sf_dir: str):
-    """Learned BPE tokenizer merges (Sennrich et al. 2016): ONE
-    distributed word-frequency pass (per-block Counter partials →
-    hash-groupby → associative top-n cap), then the indexed merge loop
-    over the bounded word table. VALUE-ORACLED (round 5) by
-    ``_bpe_merges_sql``: one CTE level per merge, pair counts from
-    per-position unnests, the merge applied by a ``list_reduce`` fold
-    provably equivalent to the engine's left-to-right scan — all
-    integer/string, no float surface. Determinism + hand-computed
-    merges stay pinned in test_bpe.py."""
-    from pdf_extractor_ray.functions.bpe import bpe_pipeline
-
-    merges, _ = bpe_pipeline(_docs(sf_dir), top_words=5000, n_merges=200)
-    return pa.table({
-        "rank": pa.array(range(len(merges)), pa.int64()),
-        "left": pa.array([m[0] for m in merges], pa.string()),
-        "right": pa.array([m[1] for m in merges], pa.string()),
-    })
-
-
-def _q_bpe_encode_stats(sf_dir: str):
-    """Per-document token counts under the trained BPE vocabulary —
-    the token-budgeting pass before packing sequences. Actor-pool
-    encode with per-word memoization (Zipf ⇒ cache absorbs nearly all
-    lookups).  VALUE-ORACLED (round 5) by ``_bpe_encode_stats_sql``:
-    per-word token counts come off the training chain's final symbol
-    table (training-order application ≡ the greedy rank-first encoder
-    for in-table words; all corpus words are in-table at driver
-    SFs)."""
-    from pdf_extractor_ray.functions.bpe import bpe_pipeline
-
-    _, encoded = bpe_pipeline(_docs(sf_dir), top_words=5000, n_merges=200)
-    return encoded.select_columns(["doc_id", "n_words", "n_bpe_tokens"])
-
-
-def _q_cohort_retention(sf_dir: str):
-    """Cohort retention triangle over the events stream: users bucketed
-    by first-active week, distinct-counted at each later active week.
-    One user-space exchange; shuffle payload is distinct user-weeks."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import cohort_retention
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
-    return cohort_retention(ds, key="user_id", ts_col="ts")
-
-
-def _q_event_type_transitions(sf_dir: str):
-    """First-order Markov transition counts over each user's event
-    stream (LAG by (ts, event_id) inside user partitions) — the
-    behavioral transition-matrix shape. One user-space exchange,
-    in-partition vectorized shift, |vocab|² fold."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import transition_counts
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "ts", "event_type", "event_id"],
-    )
-    return transition_counts(
-        ds, key="user_id", ts_col="ts", val_col="event_type",
-        tiebreak="event_id",
-    )
-
-
-def _q_rolling_distinct_users(sf_dir: str):
-    """Trailing-3-day DISTINCT active users per observed day (rolling
-    DAU→WAU shape). COUNT(DISTINCT) over a sliding frame has no
-    partial, so the plan replicates each distinct (day, user) pair to
-    the ≤3 window slots it can serve (payload ∝ 3×distinct user-days)
-    and runs the exact-distinct fold per slot; a tiny observed-days
-    filter (days are low-card by contract) drops phantom slots past
-    gaps/corpus end."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import exact_distinct_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
-
-    def expand(batch: pa.Table) -> pa.Table:
-        day = pc.cast(
-            pc.floor_temporal(
-                batch.column("ts").cast(pa.timestamp("us")), unit="day"
-            ),
-            pa.date32(),
-        ).to_numpy(zero_copy_only=False).astype(np.int64)
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        pairs = np.unique(np.stack([day, u], axis=1), axis=0)
-        reps = [pairs[:, 0] + off for off in (0, 1, 2)]
-        return pa.table({
-            "window_day": pa.array(
-                np.concatenate(reps).astype(np.int32), pa.date32()
-            ),
-            "user_id": pa.array(np.tile(pairs[:, 1], 3), pa.int64()),
-        })
-
-    counts = exact_distinct_by(
-        ds.map_batches(expand, batch_format="pyarrow"),
-        "window_day", "user_id", out_col="n_users_3d",
-    )
-    # observed days: low-card by contract (calendar), tiny result
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-
-    def days_only(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "day": pc.cast(
-                pc.floor_temporal(
-                    batch.column("ts").cast(pa.timestamp("us")), unit="day"
-                ),
-                pa.date32(),
-            ),
-            "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-        })
-
-    obs = lowcard_groupby_agg(
-        ds.map_batches(days_only, batch_format="pyarrow"),
-        ["day"], [("one", "sum", "n")],
-    )  # pa.Table, small by low-card contract
-    observed = pa.array(sorted(obs.column("day").to_pylist()), pa.date32())
-
-    # counts is already the folded small table (one row per window day)
-    kept = counts.filter(
-        pc.is_in(counts.column("window_day"), value_set=observed)
-    )
-    return kept.rename_columns(["day", "n_users_3d"])
-
-
-def _q_trimmed_mean_value(sf_dir: str):
-    """Per-type TRIMMED mean of event value (p5–p95 band by the
-    group's own quantile_disc thresholds) — corpus-relative robust
-    aggregation; two linear passes, zero row shuffles."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import trimmed_mean_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-    return trimmed_mean_by(ds, "event_type", "value",
-                           lo_q=0.05, hi_q=0.95, scale=100)
-
-
-def _q_containment_dups(sf_dir: str):
-    """Directional Jaccard-containment near-dup (quote/template
-    inclusion): |grams(src) ∩ grams(dst)| / |grams(src)| ≥ 0.6 over
-    word trigram fingerprints — exact, fully distributed (gram-rows
-    shuffle + collision-first pair counts + keys-only size join)."""
-    from pdf_extractor_ray.functions.dedup import containment_pairs
-
-    return containment_pairs(_docs(sf_dir), threshold=0.6, k=3)
-
-
 def _q_table_items(sf_dir: str):
     """M8 table→items parser, FULL-VALUE oracled: the synthetic corpus
     plants construction tables by pure doc_id formula
@@ -5278,203 +1864,6 @@ def _table_items_sql() -> str:
     """
 
 
-def _q_hll_users_bound(sf_dir: str):
-    """HLL estimate vs the distributed EXACT distinct, reduced to a
-    DRIVER-ORACLED row: the oracle asserts the exact count (pure SQL)
-    and ``hll_within_bound = TRUE`` — the hash matches iff the Ray-side
-    exact agrees AND the sketch honors its error bound (p=12 → σ≈1.6%;
-    gated at 5%). The raw estimate stays available as
-    ``approx_distinct_users``."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import partition_fold
-    from pdf_extractor_ray.functions.sketch import approx_distinct
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    est = approx_distinct(ds, "user_id", p=12)
-    n_exact = partition_fold(
-        ds, ["user_id"], "user_id", fn="count", out_val="n"
-    ).count()
-    ok = n_exact > 0 and abs(est - n_exact) / n_exact <= 0.05
-    return pa.table(
-        {
-            "n_exact_users": pa.array([n_exact], pa.int64()),
-            "hll_within_bound": pa.array([bool(ok)], pa.bool_()),
-        }
-    )
-
-
-def _q_hll_by_type_bound(sf_dir: str):
-    """Grouped-HLL bound check, driver-oracled per event_type (same
-    contract as ``_q_hll_users_bound``); the raw grouped estimates
-    stay available as ``approx_users_by_type``."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import exact_distinct_by
-    from pdf_extractor_ray.functions.sketch import approx_distinct_by
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
-    est_t = approx_distinct_by(ds, "event_type", "user_id", p=12)
-    est = dict(zip(est_t.column("event_type").to_pylist(),
-                   est_t.column("approx_distinct").to_pylist()))
-    ex_t = exact_distinct_by(ds, "event_type", "user_id")
-    exact = sorted(zip(ex_t.column("event_type").to_pylist(),
-                       ex_t.column("n_distinct").to_pylist()))
-    return pa.table(
-        {
-            "event_type": pa.array([t for t, _ in exact], pa.string()),
-            "n_exact": pa.array([n for _, n in exact], pa.int64()),
-            "hll_ok": pa.array(
-                [n > 0 and abs(est.get(t, 0) - n) / n <= 0.05
-                 for t, n in exact],
-                pa.bool_(),
-            ),
-        }
-    )
-
-
-def _q_cms_counts_bound(sf_dir: str):
-    """Count-Min guarantee as a driver-oracled row: never underestimates
-    (hard), ε·N overcount bound as a RATE over keys (≤5% violators —
-    the per-key bound is probabilistic, P(viol) ≤ e^-depth). The oracle
-    asserts the exact key/event totals and ``cms_ok = TRUE``."""
-    import numpy as np
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import partition_fold
-    from pdf_extractor_ray.functions.sketch import cms_build, cms_estimate
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    cms = cms_build(ds, "user_id", width=1 << 17)
-    exact = partition_fold(
-        ds, ["user_id"], "user_id", fn="count", out_val="n_events"
-    ).to_pandas()
-    est = cms_estimate(cms, exact["user_id"].to_numpy())
-    n_total = int(exact["n_events"].sum())
-    eps_n = max(1, int(np.e / cms.shape[1] * n_total))
-    over = est - exact["n_events"].to_numpy()
-    ok = bool((over >= 0).all() and float((over > eps_n).mean()) <= 0.05)
-    return pa.table(
-        {
-            "n_keys": pa.array([len(exact)], pa.int64()),
-            "n_events": pa.array([n_total], pa.int64()),
-            "cms_ok": pa.array([ok], pa.bool_()),
-        }
-    )
-
-
-def _q_value_quantiles_bound(sf_dir: str):
-    """Histogram-quantile guarantee as driver-oracled rows: for each q,
-    the rank of the returned value must sit within the mass of the bin
-    that contains the true quantile — checked distributedly (one
-    vectorized counting pass; the ±2·width window covers the bin
-    wherever the interpolated value landed in it). The raw estimates
-    stay available as ``approx_value_quantiles``."""
-    import numpy as np
-    import ray.data
-
-    from pdf_extractor_ray.functions.sketch import approx_quantiles
-
-    n_bins = 4096
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
-    qt = approx_quantiles(ds, "value", qs=(0.25, 0.5, 0.75, 0.9),
-                          n_bins=n_bins)
-    qs = qt.column("q").to_pylist()
-    vs = np.asarray(qt.column("value").to_pylist(), dtype=np.float64)
-    from ray.data.aggregate import Max, Min
-
-    mm = ds.aggregate(Min("value"), Max("value"))
-    width = (float(mm["max(value)"]) - float(mm["min(value)"])) / n_bins
-
-    def counts(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch.column("value").to_pylist(), dtype=np.float64)
-        le = [int((v <= x).sum()) for x in vs]
-        win = [int(((v > x - 2 * width) & (v <= x + 2 * width)).sum())
-               for x in vs]
-        return pa.table(
-            {
-                "le": pa.array([le], pa.list_(pa.int64(), len(vs))),
-                "win": pa.array([win], pa.list_(pa.int64(), len(vs))),
-                "n": pa.array([batch.num_rows], pa.int64()),
-            }
-        )
-
-    def merge_counts(batch: pa.Table) -> pa.Table:
-        # one distributed merge level: driver fan-in is blocks/64 rows,
-        # not one row per block (the DSIR fit-pass treatment)
-        if batch.num_rows == 0:
-            return batch
-        le_m = np.asarray(batch.column("le").to_pylist(), np.int64).sum(axis=0)
-        win_m = np.asarray(batch.column("win").to_pylist(), np.int64).sum(axis=0)
-        return pa.table(
-            {
-                "le": pa.array([le_m.tolist()], pa.list_(pa.int64(), len(vs))),
-                "win": pa.array([win_m.tolist()],
-                                pa.list_(pa.int64(), len(vs))),
-                "n": pa.array([int(batch.column("n").to_pandas().sum())],
-                              pa.int64()),
-            }
-        )
-
-    le = np.zeros(len(vs), dtype=np.int64)
-    win = np.zeros(len(vs), dtype=np.int64)
-    n = 0
-    merged = (
-        ds.map_batches(counts, batch_format="pyarrow")
-        .map_batches(merge_counts, batch_size=64, batch_format="pyarrow")
-    )
-    for row in merged.iter_rows():
-        le += np.asarray(row["le"], dtype=np.int64)
-        win += np.asarray(row["win"], dtype=np.int64)
-        n += row["n"]
-    ok = [bool(abs(le[i] - qs[i] * n) <= win[i] + 2) for i in range(len(vs))]
-    return pa.table(
-        {
-            "q": pa.array([float(q) for q in qs], pa.float64()),
-            "within_bound": pa.array(ok, pa.bool_()),
-        }
-    )
-
-
-def _q_doc_compression_profile(sf_dir: str):
-    """zlib redundancy signal reduced to a driver-oracled row per doc:
-    ``n_bytes`` is exact SQL (octet_length of the UTF-8 text) and
-    ``zlib_ok`` asserts the codec invariants (compressed ≤ raw + 64,
-    published ratio consistent with the pair, empty → (0, 1.0)). The
-    raw (n_compressed, ratio) stay available as
-    ``doc_compression_ratio``."""
-    import numpy as np
-
-    from pdf_extractor_ray.functions.text import compression_ratio
-
-    def profile(batch: pa.Table) -> pa.Table:
-        t = compression_ratio(batch)
-        raw = t.column("n_bytes").to_numpy(zero_copy_only=False)
-        comp = t.column("n_compressed").to_numpy(zero_copy_only=False)
-        ratio = t.column("ratio").to_numpy(zero_copy_only=False)
-        expect = np.where(
-            raw > 0,
-            np.floor(comp / np.maximum(raw, 1) * 1e6 + 0.5) / 1e6,
-            1.0,
-        )
-        ok = (
-            (comp <= raw + 64)
-            & (ratio == expect)
-            & ((raw > 0) == (comp > 0))
-        )
-        return pa.table(
-            {
-                "doc_id": t.column("doc_id"),
-                "n_bytes": t.column("n_bytes"),
-                "zlib_ok": pa.array(ok, pa.bool_()),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(profile, batch_format="pyarrow")
-
-
 # MMR oracle: the greedy is UNROLLED into m chained MATERIALIZED CTEs
 # (selection step k = argmax over unselected candidates of
 # lam*rel - (1-lam)*max_sim_to_selected; ties by vec_id), generated
@@ -5539,953 +1928,6 @@ FROM selall{m}
 
 
 
-def _q_site_pagerank(sf_dir: str):
-    """PageRank over the SITE link graph, end-to-end AND fully
-    DuckDB-oracled: href extraction from raw payloads → site-id edges
-    (the link_depth derivation) → DISTINCT edges → 20 fixed power
-    iterations with uniform dangling redistribution → (node, rank)
-    rounded to 6.  The oracle unrolls the 20 iterations into chained
-    MATERIALIZED CTEs over the synthesizer's cross-link rule — the
-    iterative operator itself value-checked against SQL (rank drift
-    across engines ≤1e-12, far inside round-6)."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import partition_fold
-    from pdf_extractor_ray.functions.graph import pagerank
-
-    links = _outlinks(sf_dir)
-
-    def to_site_edges(batch: pa.Table) -> pa.Table:
-        dst_m = pc.extract_regex(
-            batch.column("dst_url"), r"^https://example\.org/p/(?P<n>[0-9]+)$"
-        )
-        src_m = pc.extract_regex(
-            batch.column("src_url"),
-            r"^https://example\.org/(?P<s>[0-9]{4})/",
-        )
-        keep = pc.and_(dst_m.is_valid(), src_m.is_valid())
-        t = pa.table(
-            {
-                "src": pc.cast(pc.struct_field(src_m, "s"), pa.int64()),
-                "dst": pc.cast(pc.struct_field(dst_m, "n"), pa.int64()),
-            }
-        )
-        return t.filter(keep)
-
-    edges = links.map_batches(to_site_edges, batch_format="pyarrow")
-    distinct = partition_fold(
-        edges, ["src", "dst"], "src", fn="count", out_val="__n"
-    ).select_columns(["src", "dst"])
-    ranks = pagerank(distinct)
-
-    def round6(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "rank": pc.round(batch.column("rank"), ndigits=6),
-            }
-        )
-
-    return ranks.map_batches(round6, batch_format="pyarrow")
-
-
-def _site_pagerank_sql(iters: int = 20, damping: str = "0.85") -> str:
-    """20 power iterations unrolled into chained MATERIALIZED CTEs over
-    the synthesizer's deterministic cross-link rule (same edge CTE as
-    the link_depth oracle, made DISTINCT).  Verified rank-identical to
-    the numpy path at %.6g on sf0.01 and sf0.1."""
-    parts = ["""
-WITH e AS MATERIALIZED (
-    SELECT DISTINCT (doc_id % 1000) AS src,
-           ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-    FROM documents, (VALUES (1), (2), (3)) AS k(k)
-    WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-), nodes AS MATERIALIZED (
-    SELECT DISTINCT n FROM (SELECT src AS n FROM e UNION ALL SELECT dst FROM e)
-), deg AS MATERIALIZED (
-    SELECT src, CAST(count(*) AS DOUBLE) AS d FROM e GROUP BY src
-), meta AS MATERIALIZED (
-    SELECT CAST(count(*) AS DOUBLE) AS n FROM nodes
-), r0 AS MATERIALIZED (
-    SELECT nodes.n AS node, 1.0 / meta.n AS rank FROM nodes, meta
-)"""]
-    for i in range(1, iters + 1):
-        p = f"r{i-1}"
-        parts.append(f""",
-c{i} AS MATERIALIZED (
-    SELECT e.dst AS node, sum(r.rank / deg.d) AS contrib
-    FROM e JOIN {p} r ON r.node = e.src JOIN deg ON deg.src = e.src
-    GROUP BY e.dst
-), g{i} AS MATERIALIZED (
-    SELECT coalesce(sum(r.rank), 0.0) AS dang
-    FROM {p} r LEFT JOIN deg ON deg.src = r.node
-    WHERE deg.src IS NULL
-), r{i} AS MATERIALIZED (
-    SELECT r.node,
-           (1.0 - {damping}) / meta.n
-           + {damping} * (coalesce(c.contrib, 0.0) + g.dang / meta.n) AS rank
-    FROM {p} r LEFT JOIN c{i} c ON c.node = r.node, meta, g{i} g
-)""")
-    parts.append(f"""
-SELECT node, round(rank, 6) AS rank FROM r{iters}
-""")
-    return "".join(parts)
-
-
-_PAGE_URL_SQL = (
-    "'https://example.org/' || lpad(CAST(doc_id % 1000 AS VARCHAR), 4, '0')"
-    " || '/' || lpad(CAST(doc_id AS VARCHAR), 9, '0')"
-)
-
-
-def _url_pagerank_sql(iters: int = 20, damping: str = "0.85") -> str:
-    """URL-level PageRank oracle: the site_pagerank unrolled-CTE
-    structure with VARCHAR url node keys and the synthesizer's full
-    URL link rules — full HTML pages emit 6 static + 3 related links,
-    BOTH channels emit the /p/N cross-links, nav-only (%101 == 61)
-    pages emit '/' and '/a'; per-page DISTINCT.  Output = the query's
-    top-20 contract: round-8 ranks, (rank DESC, url) order."""
-    parts = [f"""
-WITH e AS MATERIALIZED (
-    SELECT DISTINCT src, dst FROM (
-        SELECT {_PAGE_URL_SQL} AS src,
-               'https://example.org' || s.path AS dst
-        FROM documents
-        CROSS JOIN (VALUES ('/'), ('/about'), ('/contact'), ('/login'),
-                           ('/ad1'), ('/ad2')) s(path)
-        WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-          AND (doc_id % 10) <> 7
-        UNION ALL
-        SELECT {_PAGE_URL_SQL} AS src,
-               'https://example.org/p/'
-               || CAST((doc_id * 31 + 7 * ks.k) % 1000 AS VARCHAR) AS dst
-        FROM documents CROSS JOIN (VALUES (1), (2), (3)) ks(k)
-        WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-        UNION ALL
-        SELECT {_PAGE_URL_SQL} AS src,
-               'https://example.org' || s.path AS dst
-        FROM documents CROSS JOIN (VALUES ('/'), ('/a')) s(path)
-        WHERE (doc_id % 101) = 61
-    )
-), nodes AS MATERIALIZED (
-    SELECT DISTINCT n FROM (SELECT src AS n FROM e UNION ALL SELECT dst FROM e)
-), deg AS MATERIALIZED (
-    SELECT src, CAST(count(*) AS DOUBLE) AS d FROM e GROUP BY src
-), meta AS MATERIALIZED (
-    SELECT CAST(count(*) AS DOUBLE) AS n FROM nodes
-), r0 AS MATERIALIZED (
-    SELECT nodes.n AS node, 1.0 / meta.n AS rank FROM nodes, meta
-)"""]
-    for i in range(1, iters + 1):
-        p = f"r{i-1}"
-        parts.append(f""",
-c{i} AS MATERIALIZED (
-    SELECT e.dst AS node, sum(r.rank / deg.d) AS contrib
-    FROM e JOIN {p} r ON r.node = e.src JOIN deg ON deg.src = e.src
-    GROUP BY e.dst
-), g{i} AS MATERIALIZED (
-    SELECT coalesce(sum(r.rank), 0.0) AS dang
-    FROM {p} r LEFT JOIN deg ON deg.src = r.node
-    WHERE deg.src IS NULL
-), r{i} AS MATERIALIZED (
-    SELECT r.node,
-           (1.0 - {damping}) / meta.n
-           + {damping} * (coalesce(c.contrib, 0.0) + g.dang / meta.n) AS rank
-    FROM {p} r LEFT JOIN c{i} c ON c.node = r.node, meta, g{i} g
-)""")
-    parts.append(f"""
-SELECT node AS url, round(rank, 8) AS rank FROM r{iters}
-ORDER BY 2 DESC, 1 LIMIT 20
-""")
-    return "".join(parts)
-
-
-def _q_site_trustrank(sf_dir: str):
-    """TrustRank spam-demotion signal over the site graph
-    (:func:`graph.trustrank`): PageRank personalized to the trusted
-    seed set (sites 0–49, a deterministic stand-in for a curated seed
-    list) — teleport and dangling mass return only to seeds, so trust
-    flows outward and unreachable link neighborhoods score 0.  Fully
-    DuckDB-oracled: 20 personalized power iterations unrolled into
-    MATERIALIZED CTEs, like the site_pagerank twin."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import partition_fold
-    from pdf_extractor_ray.functions.graph import trustrank
-
-    links = _outlinks(sf_dir)
-
-    def to_site_edges(batch: pa.Table) -> pa.Table:
-        dst_m = pc.extract_regex(
-            batch.column("dst_url"), r"^https://example\.org/p/(?P<n>[0-9]+)$"
-        )
-        src_m = pc.extract_regex(
-            batch.column("src_url"),
-            r"^https://example\.org/(?P<s>[0-9]{4})/",
-        )
-        keep = pc.and_(dst_m.is_valid(), src_m.is_valid())
-        t = pa.table(
-            {
-                "src": pc.cast(pc.struct_field(src_m, "s"), pa.int64()),
-                "dst": pc.cast(pc.struct_field(dst_m, "n"), pa.int64()),
-            }
-        )
-        return t.filter(keep)
-
-    edges = links.map_batches(to_site_edges, batch_format="pyarrow")
-    distinct = partition_fold(
-        edges, ["src", "dst"], "src", fn="count", out_val="__n"
-    ).select_columns(["src", "dst"])
-    ranks = trustrank(distinct, seeds=range(50))
-
-    def round6(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "rank": pc.round(batch.column("rank"), ndigits=6),
-            }
-        )
-
-    return ranks.map_batches(round6, batch_format="pyarrow")
-
-
-def _site_trustrank_sql(iters: int = 20, damping: str = "0.85") -> str:
-    """TrustRank oracle: the site_pagerank unroll with seed-personalized
-    teleport (seeds = sites < 50 present in the graph)."""
-    parts = [f"""
-WITH e AS MATERIALIZED (
-    SELECT DISTINCT (doc_id % 1000) AS src,
-           ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-    FROM documents, (VALUES (1), (2), (3)) AS k(k)
-    WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-), nodes AS MATERIALIZED (
-    SELECT DISTINCT n FROM (SELECT src AS n FROM e UNION ALL SELECT dst FROM e)
-), deg AS MATERIALIZED (
-    SELECT src, CAST(count(*) AS DOUBLE) AS d FROM e GROUP BY src
-), sm AS MATERIALIZED (
-    SELECT CAST(count(*) AS DOUBLE) AS ns FROM nodes WHERE n < 50
-), t AS MATERIALIZED (
-    SELECT nodes.n AS node,
-           CASE WHEN nodes.n < 50 THEN 1.0 / sm.ns ELSE 0.0 END AS tele
-    FROM nodes, sm
-), r0 AS MATERIALIZED (SELECT node, tele AS rank FROM t)"""]
-    for i in range(1, iters + 1):
-        p = f"r{i-1}"
-        parts.append(f""",
-c{i} AS MATERIALIZED (
-    SELECT e.dst AS node, sum(r.rank / deg.d) AS contrib
-    FROM e JOIN {p} r ON r.node = e.src JOIN deg ON deg.src = e.src
-    GROUP BY e.dst
-), g{i} AS MATERIALIZED (
-    SELECT coalesce(sum(r.rank), 0.0) AS dang
-    FROM {p} r LEFT JOIN deg ON deg.src = r.node
-    WHERE deg.src IS NULL
-), r{i} AS MATERIALIZED (
-    SELECT t.node,
-           (1.0 - {damping}) * t.tele
-           + {damping} * (coalesce(c.contrib, 0.0) + g.dang * t.tele) AS rank
-    FROM t LEFT JOIN c{i} c ON c.node = t.node, g{i} g
-)""")
-    parts.append(f"""
-SELECT node, round(rank, 6) AS rank FROM r{iters}
-""")
-    return "".join(parts)
-
-
-def _q_site_katz(sf_dir: str):
-    """Katz centrality over the site graph (:func:`graph.katz_centrality`,
-    α = 0.01, 20 fixed iterations): walk-count prestige that — unlike
-    PageRank — does not normalize away high out-degree, the complementary
-    link signal.  Oracle: the recursion unrolled into MATERIALIZED CTEs
-    (x ← 1 + α·Aᵀx over the deterministic cross-link rule)."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import partition_fold
-    from pdf_extractor_ray.functions.graph import katz_centrality
-
-    edges = _site_edges_ds(sf_dir)
-    distinct = partition_fold(
-        edges, ["src", "dst"], "src", fn="count", out_val="__n"
-    ).select_columns(["src", "dst"])
-    scores = katz_centrality(distinct, alpha=0.01, iters=20)
-
-    def round6(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "score": pc.round(batch.column("score"), ndigits=6),
-            }
-        )
-
-    return scores.map_batches(round6, batch_format="pyarrow")
-
-
-def _site_katz_sql(iters: int = 20,
-                   alpha: str = "CAST(0.01 AS DOUBLE)") -> str:
-    """Katz oracle: x ← 1 + α·Aᵀx unrolled, same edge CTE as the
-    pagerank/HITS twins.  α must be a DOUBLE expression — a bare
-    decimal literal is DECIMAL in DuckDB and 20 chained multiplications
-    overflow its max scale."""
-    parts = ["""
-WITH e AS MATERIALIZED (
-    SELECT DISTINCT (doc_id % 1000) AS src,
-           ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-    FROM documents, (VALUES (1), (2), (3)) AS k(k)
-    WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-), nodes AS MATERIALIZED (
-    SELECT DISTINCT n AS node
-    FROM (SELECT src AS n FROM e UNION ALL SELECT dst FROM e)
-), x0 AS MATERIALIZED (SELECT node, 1.0 AS score FROM nodes)"""]
-    for i in range(1, iters + 1):
-        parts.append(f""",
-c{i} AS MATERIALIZED (
-    SELECT e.dst AS node, sum(x.score) AS contrib
-    FROM e JOIN x{i-1} x ON x.node = e.src GROUP BY e.dst
-), x{i} AS MATERIALIZED (
-    SELECT n.node, 1.0 + {alpha} * coalesce(c.contrib, 0.0) AS score
-    FROM nodes n LEFT JOIN c{i} c ON c.node = n.node
-)""")
-    parts.append(f"""
-SELECT node, round(score, 6) AS score FROM x{iters}
-""")
-    return "".join(parts)
-
-
-def _q_site_hits(sf_dir: str):
-    """HITS hubs/authorities over the SITE link graph, end-to-end and
-    fully DuckDB-oracled (the site_pagerank treatment applied to the
-    mutual-reinforcement iteration): extraction -> site-id edges ->
-    DISTINCT -> 20 L2-normalized half-round pairs -> (node, hub,
-    authority) rounded to 6; the oracle unrolls all 40 half-rounds
-    into chained MATERIALIZED CTEs."""
-    import pyarrow.compute as pc
-
-    from pdf_extractor_ray.functions.agg import partition_fold
-    from pdf_extractor_ray.functions.graph import hits
-
-    links = _outlinks(sf_dir)
-
-    def to_site_edges(batch: pa.Table) -> pa.Table:
-        dst_m = pc.extract_regex(
-            batch.column("dst_url"), r"^https://example\.org/p/(?P<n>[0-9]+)$"
-        )
-        src_m = pc.extract_regex(
-            batch.column("src_url"),
-            r"^https://example\.org/(?P<s>[0-9]{4})/",
-        )
-        keep = pc.and_(dst_m.is_valid(), src_m.is_valid())
-        t = pa.table(
-            {
-                "src": pc.cast(pc.struct_field(src_m, "s"), pa.int64()),
-                "dst": pc.cast(pc.struct_field(dst_m, "n"), pa.int64()),
-            }
-        )
-        return t.filter(keep)
-
-    edges = links.map_batches(to_site_edges, batch_format="pyarrow")
-    distinct = partition_fold(
-        edges, ["src", "dst"], "src", fn="count", out_val="__n"
-    ).select_columns(["src", "dst"])
-    scores = hits(distinct)
-
-    def round6(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": batch.column("node"),
-                "hub": pc.round(batch.column("hub"), ndigits=6),
-                "authority": pc.round(batch.column("authority"), ndigits=6),
-            }
-        )
-
-    return scores.map_batches(round6, batch_format="pyarrow")
-
-
-def _site_hits_sql(iters=20):
-    parts = ["""
-WITH e AS MATERIALIZED (
-    SELECT DISTINCT (doc_id % 1000) AS src,
-           ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-    FROM documents, (VALUES (1), (2), (3)) AS k(k)
-    WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-), nodes AS MATERIALIZED (
-    SELECT DISTINCT n AS node
-    FROM (SELECT src AS n FROM e UNION ALL SELECT dst FROM e)
-), h0 AS MATERIALIZED (SELECT node, 1.0 AS hub FROM nodes)"""]
-    for i in range(1, iters + 1):
-        parts.append(f""",
-ar{i} AS MATERIALIZED (
-    SELECT n.node, coalesce(s.v, 0.0) AS auth
-    FROM nodes n LEFT JOIN (
-        SELECT e.dst AS node, sum(h.hub) AS v
-        FROM e JOIN h{i-1} h ON h.node = e.src GROUP BY e.dst) s
-      ON s.node = n.node
-), an{i} AS MATERIALIZED (SELECT sqrt(sum(auth * auth)) AS s FROM ar{i}),
-a{i} AS MATERIALIZED (
-    SELECT node, CASE WHEN an.s > 0 THEN auth / an.s ELSE auth END AS auth
-    FROM ar{i}, an{i} an
-), hr{i} AS MATERIALIZED (
-    SELECT n.node, coalesce(s.v, 0.0) AS hub
-    FROM nodes n LEFT JOIN (
-        SELECT e.src AS node, sum(a.auth) AS v
-        FROM e JOIN a{i} a ON a.node = e.dst GROUP BY e.src) s
-      ON s.node = n.node
-), hn{i} AS MATERIALIZED (SELECT sqrt(sum(hub * hub)) AS s FROM hr{i}),
-h{i} AS MATERIALIZED (
-    SELECT node, CASE WHEN hn.s > 0 THEN hub / hn.s ELSE hub END AS hub
-    FROM hr{i}, hn{i} hn
-)""")
-    parts.append(f"""
-SELECT h.node, round(h.hub, 6) AS hub, round(a.auth, 6) AS authority
-FROM h{iters} h JOIN a{iters} a ON a.node = h.node
-""")
-    return "".join(parts)
-
-
-
-def _hits_scores_sql(iters=20):
-    """Weighted-multigraph HITS oracle for ``hits_scores``: unlike
-    ``site_hits`` (DISTINCT site edges), the hits_scores query feeds
-    the raw per-page edge list, so two pages of one site linking the
-    same target count twice — the SQL carries that multiplicity as an
-    edge weight m = pages per (site, target)."""
-    parts = ["""
-WITH pe AS MATERIALIZED (
-    SELECT DISTINCT doc_id, (doc_id % 1000) AS src,
-           ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-    FROM documents, (VALUES (1), (2), (3)) AS k(k)
-    WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-), e AS MATERIALIZED (
-    SELECT src, dst, CAST(count(*) AS DOUBLE) AS m FROM pe GROUP BY src, dst
-), nodes AS MATERIALIZED (
-    SELECT DISTINCT n AS node
-    FROM (SELECT src AS n FROM e UNION ALL SELECT dst FROM e)
-), h0 AS MATERIALIZED (SELECT node, 1.0 AS hub FROM nodes)"""]
-    for i in range(1, iters + 1):
-        parts.append(f""",
-ar{i} AS MATERIALIZED (
-    SELECT n.node, coalesce(s.v, 0.0) AS auth
-    FROM nodes n LEFT JOIN (
-        SELECT e.dst AS node, sum(h.hub * e.m) AS v
-        FROM e JOIN h{i-1} h ON h.node = e.src GROUP BY e.dst) s
-      ON s.node = n.node
-), an{i} AS MATERIALIZED (SELECT sqrt(sum(auth * auth)) AS s FROM ar{i}),
-a{i} AS MATERIALIZED (
-    SELECT node, CASE WHEN an.s > 0 THEN auth / an.s ELSE auth END AS auth
-    FROM ar{i}, an{i} an
-), hr{i} AS MATERIALIZED (
-    SELECT n.node, coalesce(s.v, 0.0) AS hub
-    FROM nodes n LEFT JOIN (
-        SELECT e.src AS node, sum(a.auth * e.m) AS v
-        FROM e JOIN a{i} a ON a.node = e.dst GROUP BY e.src) s
-      ON s.node = n.node
-), hn{i} AS MATERIALIZED (SELECT sqrt(sum(hub * hub)) AS s FROM hr{i}),
-h{i} AS MATERIALIZED (
-    SELECT node, CASE WHEN hn.s > 0 THEN hub / hn.s ELSE hub END AS hub
-    FROM hr{i}, hn{i} hn
-)""")
-    parts.append(f"""
-SELECT node, hub, authority FROM (
-    SELECT h.node, round(h.hub, 6) AS hub, round(a.auth, 6) AS authority
-    FROM h{iters} h JOIN a{iters} a ON a.node = h.node
-) ORDER BY authority DESC, node LIMIT 15
-""")
-    return "".join(parts)
-
-
-def _q_salted_revenue_join(sf_dir: str):
-    """Skew-defused m:n join: lineitem (hot-keyed fact side, salted
-    across 8 buckets) ⋈ orders on orderkey → revenue per order
-    priority.  Result is EXACTLY the plain join's (the oracle is the
-    unsalted SQL join); the salt only changes the partition layout, so
-    a hot orderkey fans over 8 tasks instead of pinning one."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import lowcard_groupby_agg
-    from pdf_extractor_ray.functions.joins import salted_join
-
-    lineitem = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    )
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
-    )
-    joined = salted_join(
-        lineitem, orders, "l_orderkey", "o_orderkey",
-        ["l_extendedprice", "l_discount"], ["o_orderpriority"],
-        n_salt=8,
-    )
-
-    def widen(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        p = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        d = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        # fixed-point cents·10^4 so the fold is exact int64 (the
-        # grouped-revenue float-parity recipe)
-        rev = np.round(p * (1.0 - d) * 10000.0).astype(np.int64)
-        return pa.table(
-            {
-                "o_orderpriority": batch.column("o_orderpriority"),
-                "__rev": pa.array(rev, pa.int64()),
-            }
-        )
-
-    folded = lowcard_groupby_agg(
-        joined.map_batches(widen, batch_format="pyarrow"),
-        ["o_orderpriority"], [("__rev", "sum", "rev_fp")],
-    )
-    import pyarrow.compute as pc
-
-    return pa.table(
-        {
-            "o_orderpriority": folded.column("o_orderpriority"),
-            "revenue": pc.round(
-                pc.divide(pc.cast(folded.column("rev_fp"), pa.float64()),
-                          10000.0),
-                ndigits=2,
-            ),
-        }
-    )
-
-
-def _q_temperature_mix(sf_dir: str):
-    """Temperature-smoothed multilingual mixture (n^0.5 smoothing,
-    mBERT/XLM): the largest language keeps 200 docs, the rest
-    floor(200·sqrt(n/n_max)) — deterministic md5 order, float-parity
-    targets (single division + sqrt, no cross-group float sum)."""
-    from pdf_extractor_ray.functions.mix import temperature_mix
-
-    ds = _docs(sf_dir).select_columns(["doc_id", "lang"])
-    return temperature_mix(ds, "lang", "doc_id", alpha=0.5, max_take=200)
-
-
-def _q_winsorize_chars(sf_dir: str):
-    """Per-language winsorization of document length: clip n_chars to
-    each language's own quantile_disc [p5, p95] band — float-exact
-    (thresholds are data values, clipping is min/max)."""
-    from pdf_extractor_ray.functions.agg import winsorize_by
-
-    ds = _docs(sf_dir).select_columns(["doc_id", "lang", "n_chars"])
-    return winsorize_by(ds, "lang", "n_chars", "doc_id")
-
-
-def _q_nfc_normalize_docs(sf_dir: str):
-    """Unicode NFC normalization: decompose every 'e' into
-    e + COMBINING ACUTE in-query (deterministic), then canonical-compose
-    back — the pre-hash normalization step for multilingual dedup. The
-    oracle composes the same pairs with a plain replace to the
-    precomposed character."""
-    from pdf_extractor_ray.functions.text import nfc_normalize
-
-    def decompose(batch: pa.Table) -> pa.Table:
-        texts = [
-            (t or "").replace("e", "e\u0301")  # decomposed: e + COMBINING ACUTE
-            for t in batch.column("text").to_pylist()
-        ]
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "text": pa.array(texts, pa.string()),
-            }
-        )
-
-    ds = _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        decompose, batch_format="pyarrow"
-    )
-    return nfc_normalize(ds).select_columns(["doc_id", "text_nfc", "changed"])
-
-
-def _kcore_sql(base_cte: str, k: int, rounds: int = 12) -> str:
-    """Fixed-round k-core peel unrolled into chained MATERIALIZED CTEs.
-    ``base_cte`` must select the canonical undirected distinct edge set
-    as columns (a, b); ``k`` is a literal (same constant as the Ray
-    side, so the two engines run the identical fixed-round peel)."""
-    parts = [f"""
-WITH e0 AS MATERIALIZED ({base_cte})"""]
-    for r in range(rounds):
-        parts.append(f""",
-d{r} AS (
-    SELECT node, count(*) AS d
-    FROM (SELECT a AS node FROM e{r} UNION ALL SELECT b FROM e{r})
-    GROUP BY node
-),
-keep{r} AS (SELECT node FROM d{r} WHERE d >= {k}),
-e{r + 1} AS MATERIALIZED (
-    SELECT e.a, e.b FROM e{r} e
-    JOIN keep{r} ka ON ka.node = e.a
-    JOIN keep{r} kb ON kb.node = e.b
-)""")
-    parts.append(f""",
-dfin AS (
-    SELECT node, count(*) AS d
-    FROM (SELECT a AS node FROM e{rounds} UNION ALL SELECT b FROM e{rounds})
-    GROUP BY node
-)
-SELECT CAST(node AS BIGINT) AS node, CAST(d AS BIGINT) AS core_deg
-FROM dfin WHERE d >= {k} ORDER BY node""")
-    return "".join(parts)
-
-
-_PART_SUPP_EDGE_CTE = """
-    SELECT DISTINCT CAST(l_partkey AS BIGINT) AS a,
-           CAST(10000000 + l_suppkey AS BIGINT) AS b
-    FROM lineitem
-"""
-
-
-def _site_edges_ds(sf_dir: str):
-    """Site-id edge list from BOTH link channels (HTML ``<a>`` hrefs and
-    PDF /Annots URI actions) — the link_depth derivation, shared by the
-    triangle / whole-graph-stats queries."""
-    import pyarrow.compute as pc
-
-
-    links = _outlinks(sf_dir)
-
-    def to_site_edges(batch: pa.Table) -> pa.Table:
-        dst_m = pc.extract_regex(
-            batch.column("dst_url"), r"^https://example\.org/p/(?P<n>[0-9]+)$"
-        )
-        src_m = pc.extract_regex(
-            batch.column("src_url"),
-            r"^https://example\.org/(?P<s>[0-9]{4})/",
-        )
-        keep = pc.and_(dst_m.is_valid(), src_m.is_valid())
-        t = pa.table(
-            {
-                "src": pc.cast(pc.struct_field(src_m, "s"), pa.int64()),
-                "dst": pc.cast(pc.struct_field(dst_m, "n"), pa.int64()),
-            }
-        )
-        return t.filter(keep)
-
-    return links.map_batches(to_site_edges, batch_format="pyarrow")
-
-
-def _q_site_triangles(sf_dir: str):
-    """Triangle counting over the SITE link graph: href extraction →
-    site-id edges → :func:`graph.triangle_count` (degree-oriented
-    node-iterator: canonical distinct edge set, orientation toward the
-    (deg, id)-larger endpoint, vectorized wedge enumeration, wedge-vs-
-    edge co-partitioned match — Suri & Vassilvitskii WWW'11).  Oracle:
-    3-way self-join over the canonical undirected edge set derived from
-    the synthesizer's deterministic cross-link rule, corners unpivoted
-    and group-counted."""
-    from pdf_extractor_ray.functions.graph import triangle_count
-
-    return triangle_count(_site_edges_ds(sf_dir)).sort("node")
-
-
-def _q_site_graph_stats(sf_dir: str):
-    """Whole-graph profile of the directed site link graph — node and
-    distinct-edge counts, self-loops, undirected pair count, edge
-    reciprocity, out-degree max/mean — via :func:`graph.graph_stats`
-    (partition-fold distincts; only final scalars reach the driver)."""
-    from pdf_extractor_ray.functions.graph import graph_stats
-
-    return graph_stats(_site_edges_ds(sf_dir))
-
-
-def _q_site_mirror_pairs(sf_dir: str):
-    """Mirror/template-farm detection WITHOUT content: pairs of sites
-    whose out-link sets overlap (co-citation Jaccard ≥ 0.25, ≥ 2 shared
-    targets) via :func:`graph.neighbor_jaccard_pairs` — per-destination
-    pair enumeration (fan-in capped like the LSH buckets), pair-count
-    fold, degree joins, single-division round-6 Jaccard."""
-    from pdf_extractor_ray.functions.graph import neighbor_jaccard_pairs
-
-    return neighbor_jaccard_pairs(
-        _site_edges_ds(sf_dir), min_shared=2, min_jaccard=0.25
-    ).sort(["site_a", "site_b"])
-
-
-def _q_part_supplier_communities(sf_dir: str):
-    """Label-propagation communities (Raghavan et al. 2007; fixed 4
-    synchronous rounds, ties → min label) on the bipartite
-    part–supplier graph from lineitem — :func:`graph.label_propagation`
-    (size-gated; distributed path = one label hash-join + one
-    node-space arg-max exchange per round, lineage severed).  Oracle:
-    the 4 rounds unrolled into chained CTEs, per-node arg-max via
-    row_number (count DESC, label ASC) — the kcore/pagerank unrolled
-    recipe.  Supplier ids offset by 10M to disjoin key spaces."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import label_propagation
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    )
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column("l_partkey").cast(pa.int64()),
-            "dst": pc.add(
-                batch.column("l_suppkey").cast(pa.int64()),
-                pa.scalar(10_000_000, pa.int64()),
-            ),
-        })
-
-    edges = ds.map_batches(to_edges, batch_format="pyarrow")
-    return label_propagation(edges, rounds=4)
-
-
-def _q_part_supplier_kcore(sf_dir: str):
-    """k-core (k=30, fixed 12 peel rounds) of the bipartite
-    part–supplier graph from lineitem: which parts keep ≥30 distinct
-    suppliers and which suppliers keep ≥30 such parts after the mutual
-    peel — :func:`graph.kcore` (size-gated; distributed path =
-    per-round degree fold + two keys-only semi-joins over the shrinking
-    edge set, lineage severed per round).  Oracle: the 12 peel rounds
-    unrolled into chained MATERIALIZED CTEs — like the pagerank/HITS
-    twins, the ITERATIVE operator itself is value-checked end-to-end
-    against SQL.  Supplier node ids offset by 10M to disjoin the key
-    spaces."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import kcore
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    )
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column("l_partkey").cast(pa.int64()),
-            "dst": pc.add(
-                batch.column("l_suppkey").cast(pa.int64()),
-                pa.scalar(10_000_000, pa.int64()),
-            ),
-        })
-
-    edges = ds.map_batches(to_edges, batch_format="pyarrow")
-    return kcore(edges, k=30).sort("node")
-
-
-def _q_label_centroids(sf_dir: str):
-    """Per-label embedding centroids (first 8 dims) —
-    :func:`similarity.label_centroids`: quantized int64 partial sums
-    in long form, one low-cardinality fold, float-parity means."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import label_centroids
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
-    )
-    t = label_centroids(ds, dims=8, scale=10_000)
-    return t.sort_by([("label", "ascending"), ("dim", "ascending")])
-
-
-def _label_centroids_sql(dims: int = 8, scale: int = 10_000) -> str:
-    qcols = ", ".join(
-        # CAST to DOUBLE first: DuckDB evaluates FLOAT * DOUBLE in
-        # float32, which can flip the rounded int on near-.5
-        # boundaries (the Ray side quantizes in float64)
-        f"CAST(round(CAST(embedding[{i}] AS DOUBLE) * {scale}.0)"
-        f" AS BIGINT) AS q{i}"
-        for i in range(1, dims + 1)
-    )
-    rows = " UNION ALL ".join(
-        f"SELECT label, CAST({i} AS BIGINT) AS dim, "
-        f"CAST(sum(q{i}) AS BIGINT) AS s, "
-        f"CAST(count(*) AS BIGINT) AS n FROM q GROUP BY label"
-        for i in range(1, dims + 1)
-    )
-    return f"""
-        WITH q AS (SELECT CAST(label AS BIGINT) AS label, {qcols}
-                   FROM embeddings)
-        SELECT label, dim, n,
-               round(CAST(s AS DOUBLE) / n / {scale}.0, 6) AS mean
-        FROM ({rows}) ORDER BY label, dim
-    """
-
-
-def _q_embedding_covariance(sf_dir: str):
-    """Distributed multivariate statistics: the exact covariance matrix
-    of the first 16 embedding components via
-    :func:`similarity.embedding_covariance` — int64 sufficient-
-    statistic partials (one per block) through a tree-merge level, cov
-    derived on the driver in float64 from identical integers
-    (the grouped_corr float-parity recipe extended to a matrix).
-    Oracle: the same quantized sums written out as generated SQL."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import embedding_covariance
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["embedding"]
-    )
-    return embedding_covariance(ds, dims=16, scale=10_000)
-
-
-def _q_jl_project(sf_dir: str):
-    """Johnson–Lindenstrauss ±1 random projection (Achlioptas 2003) of
-    the 64-dim embeddings to 8 dims — sign matrix DERIVED from
-    splitmix64 (never stored/broadcast), exact int64 matmul at scale
-    10⁴, pure per-batch map with no shuffle. Full-value oracle via the
-    generated splitmix64 sign grid + integer sums in SQL."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import jl_project
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    return jl_project(ds, out_dims=8, dims=64, scale=10_000)
-
-
-def _jl_project_sql(out_dims: int = 8, dims: int = 64,
-                    scale: int = 10_000) -> str:
-    """Generated oracle for ``jl_project``: quantize each component
-    with SQL round (half away — the covariance idiom), reconstruct the
-    ±1 sign grid through the splitmix64 CTE chain over i·1000+j, sum
-    exact integers per (vec, out dim), descale with the identical
-    float expression (IEEE sqrt is correctly rounded ⇒ bit-equal)."""
-    return f"""
-        WITH u AS (
-            SELECT vec_id, embedding AS emb,
-                   unnest(range(1, {dims} + 1)) AS i
-            FROM embeddings
-        ), q AS (
-            SELECT vec_id, i,
-                   CAST(round(CAST(emb[CAST(i AS INTEGER)] AS DOUBLE)
-                              * {scale}.0) AS BIGINT) AS q
-            FROM u
-        ), grid AS (
-            SELECT a.range AS i, b.range AS j,
-                   CAST(a.range * 1000 + b.range AS UBIGINT) AS key
-            FROM range(1, {dims} + 1) a CROSS JOIN
-                 range(1, {out_dims} + 1) b
-        ),{_splitmix64_ctes("grid", "key", "h", "jl")},
-        g AS (
-            SELECT i, j,
-                   CASE WHEN h % 2 = 1 THEN 1 ELSE -1 END AS sign
-            FROM jl5
-        ), y AS (
-            SELECT q.vec_id, g.j,
-                   CAST(sum(q.q * g.sign) AS BIGINT) AS y
-            FROM q JOIN g USING (i) GROUP BY q.vec_id, g.j
-        )
-        SELECT vec_id, CAST(j AS BIGINT) AS dim,
-               round(CAST(y AS DOUBLE) / {scale}.0
-                     / sqrt({out_dims}.0), 6) AS proj
-        FROM y
-    """
-
-
-def _embedding_cov_sql(dims: int = 16, scale: int = 10_000) -> str:
-    """Generated oracle for embedding_covariance: per-row quantization
-    (SQL round = half away from zero, same as the Ray side), exact
-    int sums, cov in float64 with the IDENTICAL operation order."""
-    qcols = ", ".join(
-        # CAST to DOUBLE first: DuckDB evaluates FLOAT * DOUBLE in
-        # float32, which can flip the rounded int on near-.5
-        # boundaries (the Ray side quantizes in float64)
-        f"CAST(round(CAST(embedding[{i}] AS DOUBLE) * {scale}.0)"
-        f" AS BIGINT) AS q{i}"
-        for i in range(1, dims + 1)
-    )
-    scols = ", ".join(
-        f"CAST(sum(q{i}) AS BIGINT) AS s{i}" for i in range(1, dims + 1)
-    )
-    pcols = ", ".join(
-        f"CAST(sum(q{i} * q{j}) AS BIGINT) AS p{i}_{j}"
-        for i in range(1, dims + 1) for j in range(i, dims + 1)
-    )
-    sq = scale * scale
-    rows = " UNION ALL ".join(
-        f"SELECT CAST({i} AS BIGINT) AS i, CAST({j} AS BIGINT) AS j, "
-        f"round((CAST(p{i}_{j} AS DOUBLE) - CAST(s{i} AS DOUBLE) * "
-        f"CAST(s{j} AS DOUBLE) / n) / n / {sq}.0, 6) AS cov FROM s"
-        for i in range(1, dims + 1) for j in range(i, dims + 1)
-    )
-    return f"""
-        WITH q AS (SELECT {qcols} FROM embeddings),
-        s AS (SELECT count(*) AS n, {scols}, {pcols} FROM q)
-        SELECT i, j, cov FROM ({rows}) ORDER BY i, j
-    """
-
-
-def _q_embedding_pca(sf_dir: str):
-    """PCA reduction of the embedding table to its top-2 principal
-    components (:func:`similarity.pca_project`): covariance fit is the
-    DuckDB-oracled sufficient-statistics pass (``embedding_covariance``),
-    the 16×16 eigendecomposition runs on the driver with deterministic
-    sign fixing, and the projection matrix broadcasts once.  Rows-only
-    (eigendecomposition has no SQL twin); numpy-PCA parity is
-    test-pinned."""
-    import pyarrow.compute as pc
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import pca_project
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    out = pca_project(ds, dims=16, n_components=2)
-
-    def flat(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "vec_id": batch.column("vec_id"),
-            "pc1": pc.list_element(batch.column("pc"), 0),
-            "pc2": pc.list_element(batch.column("pc"), 1),
-        })
-
-    return out.map_batches(flat, batch_format="pyarrow").sort("vec_id")
-
-
-def _q_mirror_site_clusters(sf_dir: str):
-    """Template-farm CLUSTERS: the co-citation mirror pairs
-    (:func:`graph.neighbor_jaccard_pairs`, same thresholds as
-    ``site_mirror_pairs``) fed into :func:`graph.connected_components`
-    — the mirror-detection → cluster-labeling composition a dedup
-    pipeline runs before picking one representative per farm.  Oracle:
-    the pair derivation in SQL + recursive-CTE transitive closure with
-    min-label components."""
-    from pdf_extractor_ray.functions.graph import (
-        connected_components,
-        neighbor_jaccard_pairs,
-    )
-
-    pairs = neighbor_jaccard_pairs(
-        _site_edges_ds(sf_dir), min_shared=2, min_jaccard=0.25
-    )
-    return connected_components(
-        pairs, col_a="site_a", col_b="site_b"
-    ).sort("node")
-
-
-def _q_readability(sf_dir: str):
-    """Flesch reading-ease curation gate over the documents table
-    (:func:`text.readability_scores`): deterministic word / sentence /
-    vowel-group-syllable counts, single fixed-order float formula,
-    round-6 — fully DuckDB-oracled."""
-    from pdf_extractor_ray.functions.text import readability_scores
-
-    return readability_scores(_docs(sf_dir)).sort("doc_id")
-
-
-def _q_event_type_lift(sf_dir: str):
-    """Association-rule mining over user event baskets: for every
-    unordered event-type pair, the number of users doing BOTH plus
-    support / confidence / lift (:func:`assoc.pair_lift` — distinct
-    fold → per-basket vectorized pair enumeration → pair-count fold;
-    scores are single divisions of exact int64 counts, round-6)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.assoc import pair_lift
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
-    return pair_lift(ds, "user_id", "event_type").sort(
-        ["event_type_a", "event_type_b"]
-    )
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     return {
         # extraction engine (reference-semantics pipelines)
@@ -6542,227 +1984,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # similarity search
         "ann_topk": _q_ann_topk,
         "ivf_topk": _q_ivf_topk,
-        "ivf_kmeans_topk": _q_ivf_kmeans_topk,
-        "ivf_index_topk": _q_ivf_index_topk,
-        "pq_topk": _q_pq_topk,
-        "ann_recall_bound": _q_ann_recall_bound,
-        "jl_recall_bound": _q_jl_recall_bound,
-        "embedding_near_dups": _q_embedding_near_dups,
+        # ---- end of the 50 keys CORRECTNESS_r05.json checks, in order ----
         # preview projection (M14)
         "page_previews": _q_page_previews,
-        # standard-mode parsing (M10/M11) + token counting
-        "bpe_token_count": _q_bpe_token_count,
+        # standard-mode parsing (M10/M11)
         "structured_parse": _q_structured_parse,
         "kv_pairs": _q_kv_pairs,
         # construction summary + enrich-merge (G2, J1-J3)
         "items_summary": _q_items_summary,
         "table_items": _q_table_items,
         "merge_items": _q_merge_items,
-        # multimodal (image/audio/video binary columns)
-        "media_meta_stats": _q_media_meta_stats,
-        "image_features": _q_image_features,
-        "audio_features": _q_audio_features,
-        "video_frames": _q_video_frames,
-        # relational operator coverage
-        "agg_lineitem_pricing": _q_agg_lineitem_pricing,
-        "join_revenue_by_nation": _q_join_revenue_by_nation,
-        "topk_parts": _q_topk_parts,
-        "filter_lineitems": _q_filter_lineitems,
-        "events_by_type": _q_events_by_type,
-        "events_daily": _q_events_daily,
-        "range_join_price_bands": _q_range_join_price_bands,
-        "events_sliding_3d": _q_events_sliding_3d,
-        "asof_latest_order": _q_asof_latest_order,
-        "repeat_orders_window": _q_repeat_orders_window,
-        "orders_price_bands": _q_orders_price_bands,
-        "approx_distinct_users": _q_approx_distinct_users,
-        # sketch guarantees reduced to driver-oracled rows (exact side
-        # computed distributedly in-query; oracle asserts exact + TRUE)
-        "hll_users_bound": _q_hll_users_bound,
-        # corpus-mixture / normalization additions (round 4)
-        "site_pagerank": _q_site_pagerank,
-        "site_trustrank": _q_site_trustrank,
-        "site_katz": _q_site_katz,
-        "site_hits": _q_site_hits,
-        "site_triangles": _q_site_triangles,
-        "site_graph_stats": _q_site_graph_stats,
-        "site_mirror_pairs": _q_site_mirror_pairs,
-        "mirror_site_clusters": _q_mirror_site_clusters,
-        "part_supplier_kcore": _q_part_supplier_kcore,
-        "part_supplier_communities": _q_part_supplier_communities,
-        "event_type_lift": _q_event_type_lift,
-        "readability_scores": _q_readability,
-        "embedding_covariance": _q_embedding_covariance,
-        "jl_project": _q_jl_project,
-        "embedding_pca": _q_embedding_pca,
-        "embedding_label_centroids": _q_label_centroids,
-        "salted_revenue_join": _q_salted_revenue_join,
-        "temperature_mix_docs": _q_temperature_mix,
-        "winsorize_chars": _q_winsorize_chars,
-        "nfc_normalize_docs": _q_nfc_normalize_docs,
-        "hll_by_type_bound": _q_hll_by_type_bound,
-        "cms_counts_bound": _q_cms_counts_bound,
-        "value_quantiles_bound": _q_value_quantiles_bound,
-        "doc_compression_profile": _q_doc_compression_profile,
-        # corpus statistics / windows / multimodal dedup (round 2)
-        "top_bigrams": _q_top_bigrams,
-        "quantiles_chars": _q_quantiles_chars,
-        "top_doc_per_lang": _q_top_doc_per_lang,
-        "events_sessions": _q_events_sessions,
-        "image_phash_dups": _q_image_phash_dups,
-        "token_df": _q_token_df,
-        "tfidf_top_terms": _q_tfidf_top_terms,
-        "events_props_stats": _q_events_props_stats,
-        "customers_no_orders": _q_customers_no_orders,
-        "urgent_customer_segments": _q_urgent_customer_segments,
-        "event_gap_stats": _q_event_gap_stats,
-        "top_suppliers_per_nation": _q_top_suppliers_per_nation,
-        "sample_docs": _q_sample_docs,
-        "winnow_fingerprint_dups": _q_winnow_fingerprint_dups,
-        "approx_users_by_type": _q_approx_users_by_type,
-        "quantiles_chars_by_lang": _q_quantiles_chars_by_lang,
-        "rarest_token_per_doc": _q_rarest_token_per_doc,
-        "stratified_sample_docs": _q_stratified_sample_docs,
-        "fixed_sample_docs": _q_fixed_sample_docs,
-        "exact_users_by_type": _q_exact_users_by_type,
-        "user_order_pairs": _q_user_order_pairs,
-        "events_pivot_daily": _q_events_pivot_daily,
-        "events_running_total": _q_events_running_total,
-        "events_value_histogram": _q_events_value_histogram,
-        "events_weekday_profile": _q_events_weekday_profile,
-        "bloom_semi_customers": _q_bloom_semi_customers,
-        "approx_value_quantiles": _q_approx_value_quantiles,
-        "top_tokens_approx": _q_top_tokens_approx,
-        "url_host_stats": _q_url_host_stats,
-        "url_normalize": _q_url_normalize,
-        "order_ntile": _q_order_ntile,
-        "events_dense_rank": _q_events_dense_rank,
-        "contamination_check": _q_contamination_check,
+        # corpus prep and the recrawl LSH index
         "corpus_prep": _q_corpus_prep,
-        # cleaning / decontamination (round 3)
-        "pii_redact": _q_pii_redact,
-        "normalize_docs": _q_normalize_docs,
-        "line_quality": _q_line_quality,
-        "contamination_ngram": _q_contamination_ngram,
-        "repetition_stats": _q_repetition_stats,
-        "interdoc_line_dedup": _q_interdoc_line_dedup,
-        "dedup_components": _q_dedup_components,
-        "source_quality_profile": _q_source_quality_profile,
-        "minhash_components": _q_minhash_components,
-        "near_dup_keep_best": _q_near_dup_keep_best,
-        "gopher_filter": _q_gopher_filter,
-        "doc_cross_entropy": _q_doc_cross_entropy,
-        "dup_span_pairs": _q_dup_span_pairs,
-        "remove_dup_spans": _q_remove_dup_spans,
-        "cdc_chunks": _q_cdc_chunks,
-        "cdc_dedup_stats": _q_cdc_dedup_stats,
-        "table_profile_orders": _q_table_profile_orders,
-        "events_key_skew": _q_events_key_skew,
         "incremental_ingest": _q_incremental_ingest,
-        "order_percentile": _q_order_percentile,
-        "top_bigram_char_frac": _q_top_bigram_char_frac,
-        "classifier_score": _q_classifier_score,
-        "events_value_stddev": _q_events_value_stddev,
-        "embedding_norm_stats": _q_embedding_norm_stats,
-        # map-side broadcast join / rollup / rank window (round 3)
-        "suppliers_by_region": _q_suppliers_by_region,
-        "lineitem_rollup": _q_lineitem_rollup,
-        "orders_cube": _q_orders_cube,
-        "order_rank_per_customer": _q_order_rank_per_customer,
-        "events_lag_value": _q_events_lag_value,
-        "events_moving_avg": _q_events_moving_avg,
-        "events_trailing_3d": _q_events_trailing_3d,
-        "lineitem_price_qty_regr": _q_lineitem_price_qty_regr,
-        "events_value_zscore": _q_events_value_zscore,
-        "events_locf_fill": _q_events_locf_fill,
-        "dsir_select_docs": _q_dsir_select_docs,
-        "train_shuffle_docs": _q_train_shuffle_docs,
-        "upsample_docs": _q_upsample_docs,
-        "customer_order_full": _q_customer_order_full,
-        # training-sequence prep (chunk + pack)
-        "chunk_docs": _q_chunk_docs,
-        "pack_chunks": _q_pack_chunks,
-        "pack_chunks_per_doc": _q_pack_chunks_per_doc,
-        # window / aggregate / reshape tail (round 3, late)
-        "events_lead_value": _q_events_lead_value,
-        "user_first_last_event": _q_user_first_last_event,
-        "orders_cume_dist": _q_orders_cume_dist,
-        "user_top_event_type": _q_user_top_event_type,
-        "events_hour_value_corr": _q_events_hour_value_corr,
-        "events_hour_value_spearman": _q_events_hour_value_spearman,
-        "events_unpivot_daily": _q_events_unpivot_daily,
-        "semantic_dedup": _q_semantic_dedup,
-        "prefix_typo_pairs": _q_prefix_typo_pairs,
-        "weighted_sample_docs": _q_weighted_sample_docs,
-        "user_event_paths": _q_user_event_paths,
-        "url_pagerank": _q_url_pagerank,
-        "link_depth": _q_link_depth,
-        "hits_scores": _q_hits_scores,
-        "quantiles_chars_cont": _q_quantiles_chars_cont,
-        "doc_compression_ratio": _q_doc_compression_ratio,
-        "doc_compression_bound": _q_doc_compression_bound,
-        # corpus-mixture stages (split / rebalance / percentile gate /
-        # snapshot diff) + entropy quality signal
-        "train_split": _q_train_split,
-        "lang_rebalance": _q_lang_rebalance,
-        "quality_len_filter": _q_quality_len_filter,
-        "crawl_diff_users": _q_crawl_diff_users,
-        "doc_char_entropy": _q_doc_char_entropy,
-        # tokenizer training (BPE merges + encode)
-        "bpe_merges": _q_bpe_merges,
-        "bpe_encode_stats": _q_bpe_encode_stats,
-        # grouping sets + host deny-list gate
-        "orders_grouping_sets": _q_orders_grouping_sets,
-        "blocked_hosts_filter": _q_blocked_hosts_filter,
-        # whole-row set ops + robust dispersion
-        "user_type_intersect": _q_user_type_intersect,
-        "user_type_except": _q_user_type_except,
-        "chars_mad_by_lang": _q_chars_mad_by_lang,
-        # exact sparse similarity self-join
-        "tfidf_similar_pairs": _q_tfidf_similar_pairs,
-        # ordered funnel analytics + interval overlap join
-        "events_funnel": _q_events_funnel,
-        "mix_weighted": _q_mix_weighted,
-        "training_mix": _q_training_mix,
-        "next_purchase_after_error": _q_next_purchase_after_error,
-        "zipf_fit": _q_zipf_fit,
-        "pmi_bigrams": _q_pmi_bigrams,
-        "host_group_split": _q_host_group_split,
-        "chars_skew_by_lang": _q_chars_skew_by_lang,
-        "nation_region_grid": _q_nation_region_grid,
-        "url_canonical_dedup": _q_url_canonical_dedup,
-        "error_purchase_overlap": _q_error_purchase_overlap,
-        # round-3 tranche: retention / transitions / rolling distinct /
-        # calendar densify / containment dedup
-        "cohort_retention": _q_cohort_retention,
-        "event_type_transitions": _q_event_type_transitions,
-        "rolling_distinct_users": _q_rolling_distinct_users,
-        "trimmed_mean_value": _q_trimmed_mean_value,
-        "containment_dups": _q_containment_dups,
     }
-
-
-def _split_sql() -> str:
-    """SQL twin of ``mix.split_assign`` with the SAME integer
-    thresholds inlined — computing 0.8·2^52 independently in two
-    engines risks one-ulp disagreement at a band boundary."""
-    from pdf_extractor_ray.functions.mix import split_thresholds
-
-    bands = split_thresholds({"train": 0.8, "val": 0.1, "test": 0.1})
-    (n1, t1), (n2, t2), (n3, _) = bands
-    return f"""
-        SELECT doc_id,
-               CASE WHEN u < {t1} THEN '{n1}'
-                    WHEN u < {t2} THEN '{n2}'
-                    ELSE '{n3}' END AS split
-        FROM (
-            SELECT doc_id,
-                   CAST(concat('0x',
-                        substr(md5(concat(':', CAST(doc_id AS VARCHAR))),
-                               1, 13)) AS UBIGINT) AS u
-            FROM documents
-        )
-    """
 
 
 _EXTRACT_TEXT_HTML_SQL = r"""
@@ -7316,56 +2551,6 @@ def _splitmix64_ctes(src: str, in_expr: str, out: str, pfx: str) -> str:
                    FROM {pfx}4)"""
 
 
-def _cdc_chunk_ctes(window: int = 16, modulus: int = 64) -> str:
-    """Content-defined chunking reconstructed in SQL: the
-    window-byte polynomial rolling hash in HUGEINT mod 2⁶⁴ (ASCII
-    corpus ⇒ ``ascii(substr)`` IS the byte — the DSIR recipe), the
-    splitmix64 finalizer chain, boundary-after-p when h % modulus = 0,
-    and chunk bounds via a per-doc lead window."""
-    big_m = 1 << 64
-    poly_b = 1000003
-    powers = [pow(poly_b, e, big_m) for e in range(window)]
-    terms = " + ".join(
-        f"(CAST(ascii(substr(p, CAST(i + {j} AS INTEGER), 1)) AS HUGEINT)"
-        f" * {powers[window - 1 - j]}) % {big_m}"
-        for j in range(window)
-    )
-    return f"""
-WITH pd AS (
-    SELECT doc_id, coalesce(text, '') AS p FROM documents
-), pos AS (
-    SELECT doc_id, p, unnest(range(1, length(p) - {window} + 2)) AS i
-    FROM pd WHERE length(p) >= {window}
-), hv AS (
-    SELECT doc_id, i, CAST(({terms}) % {big_m} AS UBIGINT) AS sv
-    FROM pos
-),{_splitmix64_ctes("hv", "sv", "h", "cm")},
-cuts AS (
-    SELECT s.doc_id, CAST(s.i + {window} - 1 AS BIGINT) AS cutp
-    FROM cm5 s JOIN pd USING (doc_id)
-    WHERE s.h % {modulus} = 0
-      AND s.i + {window} - 1 < length(pd.p)
-), bounds AS (
-    SELECT doc_id, CAST(0 AS BIGINT) AS s FROM pd WHERE length(p) > 0
-    UNION ALL
-    SELECT doc_id, cutp FROM cuts
-), ch AS (
-    SELECT doc_id, s,
-           lead(s) OVER (PARTITION BY doc_id ORDER BY s) AS e
-    FROM bounds
-), chunks AS (
-    SELECT c.doc_id,
-           row_number() OVER (PARTITION BY c.doc_id ORDER BY c.s) - 1
-               AS chunk_idx,
-           c.s + 1 AS start,
-           coalesce(c.e, length(pd.p)) - c.s AS chunk_len,
-           md5(substr(pd.p, CAST(c.s + 1 AS INTEGER),
-                      CAST(coalesce(c.e, length(pd.p)) - c.s
-                           AS INTEGER))) AS chunk_md5
-    FROM ch c JOIN pd USING (doc_id)
-)"""
-
-
 _NGRAM_JACCARD_SQL = """
             WITH toks AS (
                 SELECT doc_id, string_split_regex(trim(text), '\\s+') AS t
@@ -7497,342 +2682,6 @@ def _simhash_dups_sql(max_hamming: int = 10) -> str:
         """
 
 
-def _winnow_dups_sql(k: int = 25, w: int = 50, min_shared: int = 3,
-                     max_bucket: int = 64) -> str:
-    """Generated-SQL value oracle for ``winnow_fingerprint_dups``: the
-    engine's winnowing fingerprint (``fingerprint.winnow_fingerprints``,
-    Schleimer et al. 2003) reconstructed end to end in DuckDB.
-
-    - normalization = ``lower`` + whitespace collapse + trim (ASCII
-      corpus, so SQL ``lower``/``regexp_replace`` match Python);
-    - polynomial k-gram hash Σ byte·B^(k-1-j) mod 2⁶⁴ with the power
-      table built by a linear recursive CTE (handles the short-doc
-      whole-text fallback for any length);
-    - splitmix64 finalizer (same HUGEINT chain as ``_splitmix64_ctes``);
-    - window minima via ``min() OVER (... 49 FOLLOWING)`` — ragged tail
-      windows filtered out except the degenerate ≤w-gram doc, exactly
-      the numpy ``sliding_window_view`` semantics;
-    - DISTINCT masked fingerprints per doc, bucket size gate
-      2..``max_bucket``, pair fold with shared-count ≥ ``min_shared`` —
-      the ``bucket_collision_pairs`` contract verbatim.
-
-    O(k·chars) SQL (~15 s at sf0.01) — like the other heavy twins,
-    skip its SQL in big-SF sweeps (the driver gate runs at sf0.01)."""
-    m = 18446744073709551616
-    b = 4294967296
-    c1, c2 = 13787848793156543929, 10723151780598845931
-
-    def mul(z: str, c: int) -> str:
-        return (f"CAST(((CAST({z} AS HUGEINT) % {b}) * {c} + "
-                f"(((CAST({z} AS HUGEINT) // {b}) * {c}) % {b}) * {b}) "
-                f"% {m} AS UBIGINT)")
-
-    norm = "lower(regexp_replace(trim(text), '\\s+', ' ', 'g'))"
-    return f"""
-        WITH RECURSIVE maxlen AS (
-            SELECT max(length({norm})) AS ml FROM documents
-        ),
-        pw(e, p) AS (
-            SELECT 0, CAST(1 AS UBIGINT)
-            UNION ALL
-            SELECT e + 1,
-                   CAST((CAST(p AS HUGEINT) * 1000003) % {m} AS UBIGINT)
-            FROM pw WHERE e < (SELECT ml FROM maxlen)
-        ),
-        norm AS (
-            SELECT doc_id, {norm} AS s, length({norm}) AS n
-            FROM documents WHERE length(trim(coalesce(text, ''))) > 0
-        ),
-        gpos AS (
-            SELECT doc_id, s, n,
-                   CASE WHEN n >= {k} THEN {k} ELSE n END AS klen,
-                   unnest(generate_series(
-                       1, CASE WHEN n >= {k} THEN n - {k - 1} ELSE 1 END)) AS gi
-            FROM norm
-        ),
-        gh AS (
-            SELECT g.doc_id, g.gi,
-                   CAST(sum(CAST(ascii(substr(g.s, g.gi + j.j, 1)) AS HUGEINT)
-                            * pw.p) % {m} AS UBIGINT) AS gh
-            FROM gpos g
-            JOIN LATERAL unnest(generate_series(0, g.klen - 1)) AS j(j) ON TRUE
-            JOIN pw ON pw.e = g.klen - 1 - j.j
-            GROUP BY 1, 2
-        ),
-        w0 AS (SELECT *, CAST((CAST(gh AS HUGEINT)
-                   + 11400714819323198485) % {m} AS UBIGINT) AS z0 FROM gh),
-        w1 AS (SELECT *, xor(z0, z0 >> 30) AS z1 FROM w0),
-        w2 AS (SELECT *, {mul('z1', c1)} AS z2 FROM w1),
-        w3 AS (SELECT *, xor(z2, z2 >> 27) AS z3 FROM w2),
-        w4 AS (SELECT *, {mul('z3', c2)} AS z4 FROM w3),
-        w5 AS (SELECT *, xor(z4, z4 >> 31) AS h FROM w4),
-        wmins AS (
-            SELECT doc_id, gi,
-                   min(h) OVER (PARTITION BY doc_id ORDER BY gi
-                                ROWS BETWEEN CURRENT ROW
-                                AND {w - 1} FOLLOWING) AS wm,
-                   count(*) OVER (PARTITION BY doc_id) AS n_grams
-            FROM w5
-        ),
-        fps AS (
-            SELECT DISTINCT doc_id,
-                   CAST(wm & CAST(9223372036854775807 AS UBIGINT)
-                        AS BIGINT) AS fp
-            FROM wmins
-            WHERE gi <= greatest(n_grams - {w - 1}, 1)
-        ),
-        bsize AS (SELECT fp, count(*) AS nb FROM fps GROUP BY fp),
-        ok AS (SELECT fp FROM bsize WHERE nb BETWEEN 2 AND {max_bucket})
-        SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-               CAST(count(*) AS BIGINT) AS n_shared
-        FROM fps a JOIN fps b ON a.fp = b.fp AND a.doc_id < b.doc_id
-        JOIN ok ON ok.fp = a.fp
-        GROUP BY 1, 2
-        HAVING count(*) >= {min_shared}
-        ORDER BY doc_a, doc_b
-        """
-
-
-def _ivf_kmeans_sql(dim: int = 64, k: int = 16, iters: int = 5,
-                    nprobe: int = 4, topk: int = 10) -> str:
-    """Generated-SQL value oracle for ``ivf_kmeans_topk``: the whole
-    deterministic k-means fit (``similarity.kmeans_fit``) unrolled into
-    MATERIALIZED CTEs — the ``site_trustrank``/``part_supplier_kcore``
-    fixed-iteration recipe applied to Lloyd's algorithm.
-
-    Per iteration: assignment = first-max argmax (``row_number`` over
-    ``dot DESC, cluster``), update = normalized member mean, empty
-    clusters keep their previous centroid via LEFT JOIN + coalesce.
-    Float safety is MEASURED, not hoped: the smallest best-vs-second
-    argmax margin across all five iterations is 2.3e-4 at sf0.01 and
-    5.8e-6 at sf0.1 — many orders above numpy-vs-DuckDB summation-order
-    noise (~1e-15), so no assignment can flip (and the driver hash gate
-    would catch it).  Query probes take the ``nprobe`` nearest final
-    centroids (min 4th-vs-5th margin 1.1e-2); candidates are ranked by
-    exact cosine with the ``ann_topk`` rank/tiebreak recipe.
-    MATERIALIZED is load-bearing: the centroid chain is referenced
-    twice per level, so inlined CTEs re-evaluate 2^iters times
-    (measured 60 s → 0.2 s).
-
-    Twin precondition: ``kmeans_fit`` samples only above 4096 rows;
-    every driver SF is below that, so the SQL fits on all rows exactly
-    like the engine does."""
-    ctes = _kmeans_chain_ctes(dim, k, iters)
-    ctes.append(f"""df AS MATERIALIZED (
-            SELECT e.vec_id, c.cluster, sum(e.v * c.v) AS dot
-            FROM e JOIN c{iters} c USING (j) GROUP BY e.vec_id, c.cluster
-        ), af AS (
-            SELECT vec_id, cluster FROM df
-            QUALIFY row_number() OVER (PARTITION BY vec_id
-                                       ORDER BY dot DESC, cluster) = 1
-        ), probe AS (
-            SELECT vec_id AS query_id, cluster FROM df
-            WHERE vec_id IN (0, 1, 2)
-            QUALIFY row_number() OVER (PARTITION BY vec_id
-                                       ORDER BY dot DESC, cluster) <= {nprobe}
-        ), probeset AS (
-            SELECT DISTINCT cluster FROM probe
-        ), cand AS (
-            SELECT af.vec_id FROM af JOIN probeset USING (cluster)
-        ), q AS (
-            SELECT vec_id AS query_id, embedding AS qe
-            FROM embeddings WHERE vec_id IN (0, 1, 2)
-        ), s AS (
-            SELECT q.query_id, c.vec_id,
-                   list_cosine_similarity(em.embedding, q.qe) AS sim
-            FROM cand c JOIN embeddings em USING (vec_id) CROSS JOIN q
-        ), r AS (
-            SELECT query_id, vec_id,
-                   row_number() OVER (PARTITION BY query_id
-                                      ORDER BY sim DESC, vec_id) AS rank
-            FROM s
-        )""")
-    return ("WITH " + ",\n        ".join(ctes)
-            + f"\n        SELECT query_id, vec_id, rank FROM r"
-            + f" WHERE rank <= {topk}")
-
-
-def _bpe_chain_parts(top_words: int = 5000, n_merges: int = 200) -> list:
-    """The unrolled BPE training chain shared by ``_bpe_merges_sql``
-    and ``_bpe_encode_stats_sql``: word-frequency table (the same
-    GPT-style pre-tokenizer regex as ``bpe._words_of``), char-symbol
-    init with the ``</w>`` terminal, then one CTE level per merge —
-    pair counts from per-position unnests, best pair by ``(count DESC,
-    a, b)`` gated on count ≥ 2 (the engine's early stop: an empty best
-    leaves every later level empty too), and the merge applied via a
-    ``list_reduce`` fold whose accumulator-tail test is provably
-    equivalent to the engine's left-to-right scan (a joined token
-    ``A||B`` can never equal ``A``, so a fold can never re-merge
-    through a fresh join)."""
-    word_re = r"[a-z]+|[0-9]+|[^a-z0-9\s]"
-    fold = (
-        "list_reduce(list_transform(s.seq, x -> [x]), "
-        "(st, xs) -> CASE WHEN len(st) > 0 AND st[-1] = bb.a "
-        "AND xs[1] = bb.b "
-        "THEN list_concat(st[1:-2], [st[-1] || xs[1]]) "
-        "ELSE list_concat(st, xs) END)"
-    )
-    parts = [f"""wf AS (
-    SELECT w AS word, count(*)::BIGINT AS n
-    FROM (SELECT unnest(regexp_extract_all(lower(coalesce(text, '')),
-                        '{word_re}')) AS w FROM documents)
-    GROUP BY w
-    ORDER BY n DESC, word LIMIT {top_words}
-), s0 AS MATERIALIZED (
-    SELECT word, n,
-           list_append(regexp_extract_all(word, '.'), '</w>') AS seq
-    FROM wf
-)"""]
-    for t in range(1, n_merges + 1):
-        p = t - 1
-        parts.append(f"""p{t} AS (
-    SELECT seq[CAST(i AS INTEGER)] AS a, seq[CAST(i AS INTEGER) + 1] AS b,
-           sum(n) AS cnt
-    FROM (SELECT seq, n, unnest(range(1, len(seq))) AS i FROM s{p})
-    GROUP BY 1, 2
-), b{t} AS (
-    SELECT a, b FROM p{t} WHERE cnt >= 2
-    ORDER BY cnt DESC, a, b LIMIT 1
-), s{t} AS MATERIALIZED (
-    SELECT s.word, s.n,
-           CASE WHEN bb.a IS NULL THEN s.seq ELSE {fold} END AS seq
-    FROM s{p} s LEFT JOIN b{t} bb ON TRUE
-)""")
-    return parts
-
-
-def _bpe_merges_sql(top_words: int = 5000, n_merges: int = 200) -> str:
-    """Generated-SQL value oracle for ``bpe_merges``: the full BPE
-    training loop (Sennrich et al. 2016) unrolled into one CTE level
-    per merge — see ``_bpe_chain_parts`` for the fold-equivalence
-    argument.  Pure integer counts + binary string comparison, so
-    there is no float surface at all; the early stop falls out of the
-    count ≥ 2 gate (106 merges at sf0.01, 107 at sf0.1, both verified
-    MATCH against the engine's indexed delta loop)."""
-    n_m = n_merges
-    union = "\nUNION ALL\n".join(
-        f"SELECT {t - 1} AS rank, a AS \"left\", b AS \"right\" FROM b{t}"
-        for t in range(1, n_m + 1)
-    )
-    return ("WITH " + ",\n".join(_bpe_chain_parts(top_words, n_m))
-            + "\n" + union + "\nORDER BY rank")
-
-
-def _bpe_encode_stats_sql(top_words: int = 5000, n_merges: int = 200) -> str:
-    """Generated-SQL value oracle for ``bpe_encode_stats``: per-doc
-    word/token counts read straight off the training chain's FINAL
-    symbol table — valid because applying the merge list in training
-    order is exactly the greedy lowest-rank-first encoder for any
-    in-table word (a pair involving a fresh join always ranks later
-    than the join itself, so earlier-rank pairs can never reappear),
-    and every corpus word is in the top-5000 table at driver SFs
-    (31-word shared vocabulary; verified in the dev harness)."""
-    parts = _bpe_chain_parts(top_words, n_merges)
-    word_re = r"[a-z]+|[0-9]+|[^a-z0-9\s]"
-    return ("WITH " + ",\n".join(parts) + f"""
-, wt AS (SELECT word, len(seq)::BIGINT AS ntok FROM s{n_merges}),
-dw AS (
-    SELECT doc_id, unnest(regexp_extract_all(lower(coalesce(text, '')),
-                          '{word_re}')) AS w
-    FROM documents
-), agg AS (
-    SELECT doc_id, count(*)::BIGINT AS n_words,
-           CAST(sum(wt.ntok) AS BIGINT) AS n_bpe_tokens
-    FROM dw JOIN wt ON wt.word = dw.w GROUP BY doc_id
-)
-SELECT d.doc_id, coalesce(agg.n_words, 0) AS n_words,
-       coalesce(agg.n_bpe_tokens, 0) AS n_bpe_tokens
-FROM documents d LEFT JOIN agg USING (doc_id)""")
-
-
-def _dsir_select_sql(k: int = 4, n_buckets: int = 4096, alpha: float = 0.5,
-                     n: int = 50, gumbel_scale: float = 0.1) -> str:
-    """Generated-SQL value oracle for ``dsir_select_docs`` (DSIR
-    importance resampling, Xie et al. 2023).  Every stage is
-    reconstructed in SQL:
-
-    - byte-4-gram rolling hash: ``Σ byte·B^j mod 2⁶⁴`` in HUGEINT
-      (ASCII corpus, so ``ascii(substr(...))`` IS the byte), folded
-      through the generated splitmix64 chain (``_splitmix64_ctes`` —
-      bit-exact vs ``joins.mix64``), bucket = ``h % 4096``;
-    - the 6 probe-target texts are library constants, so their bucket
-      counts are inlined as VALUES (the ``_langid_oracles`` pattern);
-    - log importance ratio + add-α smoothing as the identical IEEE
-      expression; per-doc weight = mean over gram buckets;
-    - deterministic Gumbel key from the md5-hex idiom, top-50 by
-      ``(key, doc_id)``.
-
-    Float safety MEASURED: the rank-50/51 key gap is 3.7e-3 (sf0.01) /
-    7.7e-4 (sf0.1) and the winners' round-6 boundary distance ≥1.3e-2,
-    vs cross-side log/summation-order noise ≤1e-13 — ten orders of
-    margin.  Min grams/doc is 41, so the short-doc (<k bytes) branch
-    is never exercised on this corpus."""
-    import numpy as np
-
-    from pdf_extractor_ray.functions.dsir import _gram_bucket_idx
-
-    probe_words = ["sort", "merge", "join", "filter", "query", "scan"]
-    probe_texts = [" ".join(probe_words[i % 6] for i in range(j, j + 30))
-                   for j in range(6)]
-    tgt = np.zeros(n_buckets, np.float64)
-    for ptxt in probe_texts:
-        idx = _gram_bucket_idx(ptxt, k, n_buckets)
-        tgt += np.bincount(idx, minlength=n_buckets)
-    tgt_nz = ",".join(f"({b},{int(c)})" for b, c in enumerate(tgt) if c)
-    t_total = float((tgt + alpha).sum())
-    big_m = 1 << 64
-    poly_b = 1000003
-    powers = [pow(poly_b, e, big_m) for e in range(k)]
-    terms = " + ".join(
-        f"(CAST(ascii(substr(p, CAST(i + {j} AS INTEGER), 1)) AS HUGEINT)"
-        f" * {powers[k - 1 - j]}) % {big_m}"
-        for j in range(k)
-    )
-    denom = float((1 << 52) + 1)
-    return f"""
-WITH pd AS (
-    SELECT doc_id,
-           regexp_replace(regexp_replace(lower(coalesce(text, '')),
-               '^\\s+|\\s+$', '', 'g'), '\\s+', ' ', 'g') AS p
-    FROM documents
-), gb AS (
-    SELECT doc_id,
-           CAST(({terms}) % {big_m} AS UBIGINT) AS sv
-    FROM (SELECT doc_id, p, unnest(range(1, length(p) - {k} + 2)) AS i
-          FROM pd)
-),{_splitmix64_ctes("gb", "sv", "h", "sm")},
-g AS (
-    SELECT doc_id, CAST(h % {n_buckets} AS BIGINT) AS bucket FROM sm5
-), srcc AS (
-    SELECT bucket, count(*)::DOUBLE AS c FROM g GROUP BY bucket
-), tgtc AS (
-    SELECT * FROM (VALUES {tgt_nz}) v(bucket, c)
-), stot AS (
-    SELECT sum(c) + {n_buckets} * {alpha} AS s FROM srcc
-), lr AS (
-    SELECT g2.bucket,
-           ln((coalesce(tc.c, 0) + {alpha}) / {t_total!r})
-         - ln((coalesce(sc.c, 0) + {alpha}) / stot.s) AS v
-    FROM (SELECT DISTINCT bucket FROM g) g2
-    LEFT JOIN tgtc tc USING (bucket)
-    LEFT JOIN srcc sc USING (bucket)
-    CROSS JOIN stot
-), w AS (
-    SELECT g.doc_id, sum(lr.v) / count(*) AS logw
-    FROM g JOIN lr USING (bucket) GROUP BY g.doc_id
-), keyed AS (
-    SELECT doc_id, logw,
-           -(logw + {gumbel_scale} * (-ln(-ln(
-               (CAST(concat('0x', substr(md5(CAST(doc_id AS VARCHAR)), 1, 13))
-                     AS UBIGINT) + 1) / {denom!r})))) AS rk
-    FROM w
-)
-SELECT doc_id, round(logw, 6) AS dsir_logw
-FROM keyed
-QUALIFY row_number() OVER (ORDER BY rk, doc_id) <= {n}
-"""
-
-
 def _quality_logreg_sql(lr: float = 2.0, iters: int = 40,
                         scale: int = 1 << 20) -> str:
     """Generated-SQL value oracle for ``quality_logreg``: the whole
@@ -7898,207 +2747,6 @@ SELECT round(w.w1, 6) AS w_stopword, round(w.w2, 6) AS w_punct,
 FROM w{iters} w, pr""")
 
 
-def _pq_topk_sql(dim: int = 64, m: int = 8, ksub: int = 16,
-                 iters: int = 5, topk: int = 10) -> str:
-    """Generated-SQL value oracle for ``pq_topk``: the whole product-
-    quantization pipeline (Jégou et al. 2011) unrolled in SQL —
-    per-subspace L2 Lloyd fit, uint8 encode via the
-    ``x·c − ‖c‖²/2`` expansion, and the asymmetric-distance (ADC)
-    lookup-table scan — with the subspace as a data column so all
-    ``m`` fits run in the same five CTE levels.
-
-    Tiebreak parity: fit assignment = first-min (``ORDER BY dist,
-    cluster``), encode = first-max (``ORDER BY score DESC, cluster``),
-    final rank = the ``ann_topk`` recipe (score DESC, vec_id).  The
-    ADC score is a FIXED-ORDER expression ``l0 + … + l7`` over
-    materialized per-(query, sub, cluster) LUT rows, so two vectors
-    with identical codes score bit-identically on both sides (numpy's
-    axis-sum over 8 elements is the same sequential order) — exact
-    ties resolve to the same vec_id-asc order.  Cross-code float
-    safety is MEASURED: min fit-assignment margin 1.7e-6 / encode
-    argmax margin 1.0e-7 / rank gap 6.3e-7 across sf0.01 and sf0.1 —
-    all ≥8 orders above summation-order noise.  The query drops the
-    float sim column and compares ranks.
-
-    Twin precondition: ``pq_fit`` samples only above 4096 rows; every
-    driver SF is below that, so the SQL fits on all rows exactly like
-    the engine does."""
-    dsub = dim // m
-    code_cols = ", ".join(
-        f"max(CASE WHEN sub = {j} THEN code END) AS c{j}" for j in range(m)
-    )
-    vq_cols = ", ".join(f"max(CASE WHEN d = {d} THEN v END) AS v{d}"
-                        for d in range(dsub))
-    qd_cols = ", ".join(f"max(CASE WHEN d = {d} THEN x END) AS q{d}"
-                        for d in range(dsub))
-    lutv = " + ".join(f"v{d} * q{d}" for d in range(dsub))
-    lut_expr = " + ".join(f"l{j}.lv" for j in range(m))
-    lut_joins = "\n            ".join(
-        f"JOIN lut l{j} ON l{j}.q = q.q AND l{j}.sub = {j} "
-        f"AND l{j}.cluster = cd.c{j}" for j in range(m)
-    )
-    ctes = [f"""el AS (
-            SELECT vec_id, r.j,
-                   CAST(embedding[CAST(r.j AS INTEGER) + 1] AS DOUBLE) AS x
-            FROM embeddings, range({dim}) r(j)
-        ), nrm AS (
-            SELECT vec_id, sqrt(sum(x*x)) AS nn FROM el GROUP BY vec_id
-        ), e AS MATERIALIZED (
-            SELECT el.vec_id, el.j // {dsub} AS sub, el.j % {dsub} AS d,
-                   el.x / (CASE WHEN nn = 0 THEN 1 ELSE nn END) AS x
-            FROM el JOIN nrm USING (vec_id)
-        ), init_ids AS (
-            SELECT vec_id, row_number() OVER (ORDER BY vec_id) - 1 AS cluster
-            FROM embeddings ORDER BY vec_id LIMIT {ksub}
-        ), c0 AS MATERIALIZED (
-            SELECT i.cluster, e.sub, e.d, e.x AS v
-            FROM init_ids i JOIN e ON e.vec_id = i.vec_id
-        )"""]
-    for t in range(1, iters + 1):
-        p = t - 1
-        ctes.append(f"""d{t} AS (
-            SELECT e.vec_id, e.sub, c.cluster,
-                   sum((e.x - c.v) * (e.x - c.v)) AS dist
-            FROM e JOIN c{p} c ON c.sub = e.sub AND c.d = e.d
-            GROUP BY e.vec_id, e.sub, c.cluster
-        ), a{t} AS (
-            SELECT vec_id, sub, cluster FROM d{t}
-            QUALIFY row_number() OVER (PARTITION BY vec_id, sub
-                                       ORDER BY dist, cluster) = 1
-        ), m{t} AS (
-            SELECT a.cluster, a.sub, e.d, sum(e.x) / count(*) AS mn
-            FROM a{t} a JOIN e ON e.vec_id = a.vec_id AND e.sub = a.sub
-            GROUP BY a.cluster, a.sub, e.d
-        ), c{t} AS MATERIALIZED (
-            SELECT c.cluster, c.sub, c.d, coalesce(m.mn, c.v) AS v
-            FROM c{p} c LEFT JOIN m{t} m
-              ON m.cluster = c.cluster AND m.sub = c.sub AND m.d = c.d
-        )""")
-    ctes.append(f"""cn AS (
-            SELECT cluster, sub, sum(v*v) AS vv FROM c{iters}
-            GROUP BY cluster, sub
-        ), esc AS (
-            SELECT e.vec_id, e.sub, c.cluster, sum(e.x * c.v) AS xv
-            FROM e JOIN c{iters} c ON c.sub = e.sub AND c.d = e.d
-            GROUP BY e.vec_id, e.sub, c.cluster
-        ), code AS MATERIALIZED (
-            SELECT esc.vec_id, esc.sub, esc.cluster AS code
-            FROM esc JOIN cn ON cn.cluster = esc.cluster AND cn.sub = esc.sub
-            QUALIFY row_number() OVER (PARTITION BY esc.vec_id, esc.sub
-                                       ORDER BY esc.xv - 0.5 * cn.vv DESC,
-                                                esc.cluster) = 1
-        ), cd AS (
-            SELECT vec_id, {code_cols} FROM code GROUP BY vec_id
-        ), cw AS (
-            SELECT cluster, sub, {vq_cols} FROM c{iters} GROUP BY cluster, sub
-        ), qw AS (
-            SELECT vec_id AS q, sub, {qd_cols} FROM e
-            WHERE vec_id IN (0, 1, 2) GROUP BY vec_id, sub
-        ), lut AS MATERIALIZED (
-            SELECT qw.q, qw.sub, cw.cluster, {lutv} AS lv
-            FROM qw JOIN cw USING (sub)
-        ), qs AS (SELECT DISTINCT q FROM lut
-        ), adc AS (
-            SELECT q.q AS query_id, cd.vec_id, {lut_expr} AS score
-            FROM cd CROSS JOIN qs q
-            {lut_joins}
-        )""")
-    return ("WITH " + ",\n        ".join(ctes) + f"""
-        SELECT query_id, vec_id,
-               row_number() OVER (PARTITION BY query_id
-                                  ORDER BY score DESC, vec_id) AS rank
-        FROM adc
-        QUALIFY rank <= {topk}""")
-
-
-def _semantic_dedup_sql(dim: int = 64, k: int = 16, iters: int = 5,
-                        threshold: float = 0.97) -> str:
-    """Generated-SQL value oracle for ``semantic_dedup`` (SemDeDup,
-    Abbas et al. 2023): the same unrolled-Lloyd chain as
-    ``_ivf_kmeans_sql`` (shared via ``_kmeans_chain_ctes``) feeds the
-    final assignment, then a within-cluster lower-id pair pass drops
-    every vector with an in-cluster ε-ball neighbor of smaller vec_id.
-
-    Float safety is MEASURED like the IVF twin: the smallest
-    best-vs-second argmax margin across all iterations is 2.3e-4 at
-    sf0.01 / 5.8e-6 at sf0.1 (orders above summation noise), and the
-    nearest in-cluster pair similarity sits 0.37 BELOW the 0.97
-    threshold at both SFs — neither the cluster label nor the keep
-    flag can flip under accumulation-order differences.  O(n²/k) pair
-    SQL — cheap at driver SFs (0.3 s sf0.01, 3 s sf0.1)."""
-    ctes = _kmeans_chain_ctes(dim, k, iters)
-    ctes.append(f"""df AS (
-            SELECT e.vec_id, c.cluster, sum(e.v * c.v) AS dot
-            FROM e JOIN c{iters} c USING (j) GROUP BY e.vec_id, c.cluster
-        ), af AS MATERIALIZED (
-            SELECT vec_id, cluster FROM df
-            QUALIFY row_number() OVER (PARTITION BY vec_id
-                                       ORDER BY dot DESC, cluster) = 1
-        ), pairsim AS (
-            SELECT hi.vec_id AS i, sum(ea.v * eb.v) AS sim
-            FROM af hi JOIN af lo
-              ON hi.cluster = lo.cluster AND lo.vec_id < hi.vec_id
-            JOIN e ea ON ea.vec_id = hi.vec_id
-            JOIN e eb ON eb.vec_id = lo.vec_id AND eb.j = ea.j
-            GROUP BY hi.vec_id, lo.vec_id
-        ), dropped AS (
-            SELECT DISTINCT i AS vec_id FROM pairsim WHERE sim >= {threshold}
-        )""")
-    return ("WITH " + ",\n        ".join(ctes)
-            + "\n        SELECT af.vec_id, af.cluster,"
-            + " (dropped.vec_id IS NULL) AS keep"
-            + "\n        FROM af LEFT JOIN dropped USING (vec_id)")
-
-
-def _kmeans_chain_ctes(dim: int, k: int, iters: int) -> list:
-    """The unrolled deterministic-Lloyd CTE chain shared by
-    ``_ivf_kmeans_sql`` and ``_semantic_dedup_sql``: normalized
-    element table ``e``, init centroids ``c0`` = k lowest-vec_id rows,
-    then per-iteration assign (first-max argmax) → normalized member
-    mean → empty-cluster carry, ending at ``c{iters}``."""
-    ctes = [f"""el AS (
-            SELECT vec_id, r.j,
-                   CAST(embedding[CAST(r.j AS INTEGER) + 1] AS DOUBLE) AS x
-            FROM embeddings, range({dim}) r(j)
-        ), nrm AS (
-            SELECT vec_id, sqrt(sum(x*x)) AS nn FROM el GROUP BY vec_id
-        ), e AS MATERIALIZED (
-            SELECT el.vec_id, el.j,
-                   el.x / (CASE WHEN nn = 0 THEN 1 ELSE nn END) AS v
-            FROM el JOIN nrm USING (vec_id)
-        ), init_ids AS (
-            SELECT vec_id, row_number() OVER (ORDER BY vec_id) - 1 AS cluster
-            FROM embeddings ORDER BY vec_id LIMIT {k}
-        ), c0 AS MATERIALIZED (
-            SELECT i.cluster, e.j, e.v
-            FROM init_ids i JOIN e ON e.vec_id = i.vec_id
-        )"""]
-    for t in range(1, iters + 1):
-        p = t - 1
-        ctes.append(f"""d{t} AS (
-            SELECT e.vec_id, c.cluster, sum(e.v * c.v) AS dot
-            FROM e JOIN c{p} c USING (j) GROUP BY e.vec_id, c.cluster
-        ), a{t} AS (
-            SELECT vec_id, cluster FROM d{t}
-            QUALIFY row_number() OVER (PARTITION BY vec_id
-                                       ORDER BY dot DESC, cluster) = 1
-        ), m{t} AS (
-            SELECT a.cluster, e.j, sum(e.v) / count(*) AS mn
-            FROM a{t} a JOIN e USING (vec_id) GROUP BY a.cluster, e.j
-        ), mn{t} AS (
-            SELECT cluster, sqrt(sum(mn*mn)) AS nn FROM m{t} GROUP BY cluster
-        ), cu{t} AS (
-            SELECT m.cluster, m.j,
-                   m.mn / (CASE WHEN n.nn = 0 THEN 1 ELSE n.nn END) AS v
-            FROM m{t} m JOIN mn{t} n USING (cluster)
-        ), c{t} AS MATERIALIZED (
-            SELECT c.cluster, c.j, coalesce(u.v, c.v) AS v
-            FROM c{p} c LEFT JOIN cu{t} u
-              ON u.cluster = c.cluster AND u.j = c.j
-        )""")
-    return ctes
-
-
 def _ivf_topk_sql(dim: int = 64, n_planes: int = 8, seed: int = 42,
                   k: int = 10) -> str:
     """Generated-SQL value oracle for ``ivf_topk``: the hyperplane-LSH
@@ -8143,183 +2791,6 @@ def _ivf_topk_sql(dim: int = 64, n_planes: int = 8, seed: int = 42,
         """
 
 
-def _minhash_components_sql() -> str:
-    """Recursive-CTE transitive closure over the exact Jaccard pair set
-    (the ``mirror_site_clusters`` pattern): component = min reachable
-    doc id.  Oracles ``minhash_components`` because LSH candidate
-    recall is 1.0 at the fixed seed (pinned by tests) and verification
-    is exact — the LSH pair set equals the exact pair set."""
-    return r"""
-            WITH RECURSIVE toks AS (
-                SELECT doc_id, string_split_regex(trim(text), '\s+') AS t
-                FROM documents
-            ), sh AS (
-                SELECT doc_id,
-                       list_distinct([array_to_string(t[i:i+2], ' ')
-                                      for i in range(1, len(t) - 1)]) AS s
-                FROM toks WHERE len(t) >= 3
-            ), mp AS (
-                SELECT a.doc_id AS a, b.doc_id AS b
-                FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-                WHERE len(list_intersect(a.s, b.s))::DOUBLE
-                      / len(list_distinct(list_concat(a.s, b.s))) >= 0.5
-            ), sym AS (
-                SELECT a AS u, b AS v FROM mp
-                UNION SELECT b, a FROM mp
-                UNION SELECT a, a FROM mp
-                UNION SELECT b, b FROM mp
-            ), reach AS (
-                SELECT u, v FROM sym
-                UNION
-                SELECT r.u, s.v FROM reach r JOIN sym s ON s.u = r.v
-            )
-            SELECT CAST(u AS BIGINT) AS doc_id,
-                   CAST(min(v) AS BIGINT) AS component
-            FROM reach GROUP BY u ORDER BY doc_id
-        """
-
-
-def _lpa_sql(rounds: int = 4) -> str:
-    """Synchronous label propagation unrolled: one (count, arg-max)
-    CTE pair per round over the symmetric distinct edge list of the
-    part–supplier bipartite graph (supplier ids +10M). Ties break
-    count DESC then label ASC — exactly the Ray kernel's
-    ``lexsort((label, -count, node))`` pick."""
-    parts = ["""
-            WITH e AS (
-                SELECT DISTINCT CAST(l_partkey AS BIGINT) AS u,
-                                CAST(l_suppkey AS BIGINT) + 10000000 AS v
-                FROM lineitem
-            ), sym AS (
-                SELECT u, v FROM e UNION ALL SELECT v, u FROM e
-            ), l0 AS (
-                SELECT DISTINCT u AS node, u AS lab FROM sym
-            )"""]
-    for r in range(1, rounds + 1):
-        parts.append(f""",
-            c{r} AS MATERIALIZED (
-                SELECT s.u AS node, l.lab, count(*) AS c
-                FROM sym s JOIN l{r - 1} l ON l.node = s.v
-                GROUP BY s.u, l.lab
-            ), l{r} AS MATERIALIZED (
-                SELECT node, lab FROM (
-                    SELECT node, lab, row_number() OVER (
-                        PARTITION BY node
-                        ORDER BY c DESC, lab ASC) AS rn
-                    FROM c{r}) WHERE rn = 1
-            )""")
-    parts.append(f"""
-            SELECT node, CAST(lab AS BIGINT) AS label FROM l{rounds}""")
-    return "".join(parts)
-
-
-def _near_dup_keep_best_sql() -> str:
-    """The ``_minhash_components_sql`` closure extended with the
-    per-cluster arg-max: survivor = highest n_chars, ties → min
-    doc_id. Same exact-pair-set justification (LSH recall 1.0 at the
-    fixed seed, exact verification)."""
-    return r"""
-            WITH RECURSIVE toks AS (
-                SELECT doc_id, string_split_regex(trim(text), '\s+') AS t
-                FROM documents
-            ), sh AS (
-                SELECT doc_id,
-                       list_distinct([array_to_string(t[i:i+2], ' ')
-                                      for i in range(1, len(t) - 1)]) AS s
-                FROM toks WHERE len(t) >= 3
-            ), mp AS (
-                SELECT a.doc_id AS a, b.doc_id AS b
-                FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-                WHERE len(list_intersect(a.s, b.s))::DOUBLE
-                      / len(list_distinct(list_concat(a.s, b.s))) >= 0.5
-            ), sym AS (
-                SELECT a AS u, b AS v FROM mp
-                UNION SELECT b, a FROM mp
-                UNION SELECT a, a FROM mp
-                UNION SELECT b, b FROM mp
-            ), reach AS (
-                SELECT u, v FROM sym
-                UNION
-                SELECT r.u, s.v FROM reach r JOIN sym s ON s.u = r.v
-            ), comp AS (
-                SELECT u AS doc_id, min(v) AS component
-                FROM reach GROUP BY u
-            ), scored AS (
-                SELECT c.doc_id, c.component,
-                       CAST(d.n_chars AS BIGINT) AS n_chars
-                FROM comp c JOIN documents d USING (doc_id)
-            )
-            SELECT CAST(doc_id AS BIGINT) AS doc_id,
-                   CAST(component AS BIGINT) AS cluster_id,
-                   CAST(count(*) OVER (PARTITION BY component)
-                        AS BIGINT) AS cluster_size,
-                   n_chars,
-                   CAST(CASE WHEN row_number() OVER (
-                                 PARTITION BY component
-                                 ORDER BY n_chars DESC, doc_id ASC) = 1
-                             THEN 1 ELSE 0 END AS BIGINT) AS kept
-            FROM scored
-        """
-
-
-def _pack_chunks_sql() -> str:
-    """Global hash-bucketed greedy packing, value-oracled: chunk grid
-    reconstructed arithmetically (the ``pack_chunks_per_doc`` recipe),
-    doc→bucket via the generated splitmix64 chain, and the greedy walk
-    unrolled as a LOCKSTEP recursive CTE over the 16 buckets (one
-    recursion step advances every bucket one chunk)."""
-    return ("WITH RECURSIVE t AS (\n"
-            "    SELECT doc_id,"
-            " string_split_regex(trim(text), '\\s+') AS toks\n"
-            "    FROM documents WHERE trim(text) <> ''\n"
-            "), s AS (\n"
-            "    SELECT doc_id, len(toks) AS n,\n"
-            "           CASE WHEN len(toks) <= 32 THEN 1\n"
-            "                ELSE CAST(ceil((len(toks) - 32) / 24.0)"
-            " AS BIGINT) + 1\n"
-            "           END AS n_chunks\n"
-            "    FROM t\n"
-            "), ex AS (\n"
-            "    SELECT doc_id, n, unnest(range(0, n_chunks)) AS g FROM s\n"
-            "), ch AS (\n"
-            "    SELECT doc_id, CAST(g AS BIGINT) AS chunk_id,\n"
-            "           CAST(least(g*24 + 32, n) - g*24 AS BIGINT)"
-            " AS n_tokens\n"
-            "    FROM ex\n"
-            "),"
-            + _splitmix64_ctes("(SELECT DISTINCT doc_id FROM ch)",
-                               "doc_id", "h", "m")
-            + ",\n"
-            "bk AS (SELECT doc_id, CAST(h % 16 AS BIGINT) AS bucket"
-            " FROM m5),\n"
-            "ordered AS (\n"
-            "    SELECT ch.doc_id, ch.chunk_id, ch.n_tokens, bk.bucket,\n"
-            "           row_number() OVER (PARTITION BY bk.bucket\n"
-            "                              ORDER BY ch.doc_id, ch.chunk_id)"
-            " AS brn\n"
-            "    FROM ch JOIN bk USING (doc_id)\n"
-            "), r AS (\n"
-            "    SELECT bucket, brn, n_tokens,\n"
-            "           CAST(0 AS BIGINT) AS pack_seq,\n"
-            "           CAST(n_tokens AS BIGINT) AS cur_tot\n"
-            "    FROM ordered WHERE brn = 1\n"
-            "    UNION ALL\n"
-            "    SELECT o.bucket, o.brn, o.n_tokens,\n"
-            "           CASE WHEN r.cur_tot + o.n_tokens > 256\n"
-            "                THEN r.pack_seq + 1 ELSE r.pack_seq END,\n"
-            "           CASE WHEN r.cur_tot + o.n_tokens > 256\n"
-            "                THEN CAST(o.n_tokens AS BIGINT)\n"
-            "                ELSE r.cur_tot + o.n_tokens END\n"
-            "    FROM r JOIN ordered o\n"
-            "      ON o.bucket = r.bucket AND o.brn = r.brn + 1\n"
-            ")\n"
-            "SELECT CAST(bucket * 4294967296 + pack_seq AS BIGINT)"
-            " AS pack_id,\n"
-            "       CAST(count(*) AS BIGINT) AS n_items,\n"
-            "       CAST(sum(n_tokens) AS BIGINT) AS total_tokens\n"
-            "FROM r GROUP BY bucket, pack_seq ORDER BY pack_id")
-
-
 def _cms_user_counts_sql() -> str:
     """CMS point estimates computed EXACTLY in SQL: the sketch is
     hash-defined and deterministic — est(u) = min over the 4 salted
@@ -8346,105 +2817,6 @@ def _cms_user_counts_sql() -> str:
             "       CAST(min(bt.tot) AS BIGINT) AS cms_estimate\n"
             "FROM hh JOIN bucket_tot bt ON bt.i = hh.i AND bt.b = hh.b\n"
             "GROUP BY hh.user_id, hh.n_events ORDER BY hh.user_id")
-
-
-_APPROX_QUANTILES_SQL = """
-            WITH mm AS (
-                SELECT min(value) AS lo, max(value) AS hi,
-                       (max(value) - min(value)) / 4096.0 AS w
-                FROM events WHERE value IS NOT NULL AND NOT isnan(value)
-            ), b AS (
-                SELECT least(greatest(CAST(trunc((e.value - mm.lo) / mm.w)
-                                      AS BIGINT), 0), 4095) AS bin
-                FROM events e, mm
-                WHERE e.value IS NOT NULL AND NOT isnan(e.value)
-            ), hist AS (
-                SELECT bin, count(*) AS c FROM b GROUP BY bin
-            ), grid AS (
-                SELECT unnest(range(0, 4096)) AS bin
-            ), filled AS (
-                SELECT g.bin, COALESCE(h.c, 0) AS c,
-                       sum(COALESCE(h.c, 0)) OVER (ORDER BY g.bin) AS cum
-                FROM grid g LEFT JOIN hist h USING (bin)
-            ), n AS (SELECT sum(c) AS n FROM filled),
-            qs AS (SELECT unnest([0.25, 0.5, 0.75, 0.9]) AS q),
-            ranks AS (
-                SELECT q, greatest(1, CAST(ceil(q * n.n) AS BIGINT)) AS rank
-                FROM qs, n
-            ), sel AS (
-                SELECT r.q, r.rank, min(f.bin) AS b
-                FROM ranks r JOIN filled f ON f.cum >= r.rank
-                GROUP BY r.q, r.rank
-            )
-            SELECT s.q AS q,
-                   mm.lo + (s.b + (s.rank - COALESCE(fp.cum, 0))
-                            / CAST(greatest(f.c, 1) AS DOUBLE)) * mm.w
-                       AS value
-            FROM sel s
-            JOIN filled f ON f.bin = s.b
-            LEFT JOIN filled fp ON fp.bin = s.b - 1
-            CROSS JOIN mm
-            ORDER BY q
-        """
-
-
-def _hll_sql(grouped: bool) -> str:
-    """HLL distinct estimates reproduced EXACTLY in SQL: register index
-    and rank from the generated splitmix64 chain (rest computed as
-    (h mod 2^52)·2^12 — no shift overflow), per-register max, then the
-    same float expression as ``sketch._estimate`` in the same operation
-    order.  The Σ2^−rank register sum is EXACT in float64 for observed
-    ranks (powers of two spanning < 53 bits), so summation order can't
-    diverge; alpha/linear-counting branches are the identical IEEE
-    expressions on both sides."""
-    p, m = 12, 1 << 12
-    rest_mod = 1 << (64 - 12)
-    core = (
-        _splitmix64_ctes("u", "user_id", "h", "m") + f""",
-        hl AS (
-            SELECT grp, CAST(h >> {64 - p} AS BIGINT) AS idx,
-                   (h % {rest_mod}) * {1 << p} AS rest
-            FROM m5
-        ), rk AS (
-            SELECT grp, idx,
-                   CASE WHEN rest = 0 THEN {64 - p + 1}
-                        ELSE least(64 - (CAST(floor(log2(CAST(rest AS DOUBLE)))
-                                         AS BIGINT) + 1) + 1, {64 - p + 1})
-                   END AS rank
-            FROM hl
-        ), regs AS (
-            SELECT grp, idx, max(rank) AS r FROM rk GROUP BY grp, idx
-        ), grps AS (SELECT DISTINCT grp FROM regs),
-        grid AS (
-            SELECT g.grp, gr.idx
-            FROM grps g, (SELECT unnest(range(0, {m})) AS idx) gr
-        ), fullr AS (
-            SELECT g.grp, g.idx, COALESCE(regs.r, 0) AS r
-            FROM grid g LEFT JOIN regs
-              ON regs.grp = g.grp AND regs.idx = g.idx
-        ), st AS (
-            SELECT grp, sum(pow(2.0, -r)) AS denom,
-                   sum(CASE WHEN r = 0 THEN 1 ELSE 0 END) AS zeros
-            FROM fullr GROUP BY grp
-        ), est AS (
-            SELECT grp,
-                   CASE WHEN (0.7213 / (1 + 1.079 / {m})) * {m} * {m} / denom
-                             <= 2.5 * {m} AND zeros > 0
-                        THEN {m} * ln({m} / CAST(zeros AS DOUBLE))
-                        ELSE (0.7213 / (1 + 1.079 / {m})) * {m} * {m} / denom
-                   END AS e
-            FROM st
-        )""")
-    if grouped:
-        return ("WITH u AS (SELECT DISTINCT event_type AS grp, user_id"
-                " FROM events)," + core +
-                " SELECT grp AS event_type,"
-                " CAST(round(e) AS BIGINT) AS approx_distinct"
-                " FROM est ORDER BY grp")
-    return ("WITH u AS (SELECT DISTINCT 1 AS grp, user_id FROM events),"
-            + core +
-            " SELECT CAST(round(e) AS BIGINT) AS approx_distinct_users"
-            " FROM est")
 
 
 _BM25_SQL = """
@@ -8543,20 +2915,9 @@ def oracle_sql() -> dict[str, str]:
         "minhash_lsh_dups": _NGRAM_JACCARD_SQL,
         "incremental_near_dups": _INCREMENTAL_NEAR_DUPS_SQL,
         "incremental_ingest_near_dups": _INCREMENTAL_INGEST_SQL,
-        "minhash_components": _minhash_components_sql(),
-        "near_dup_keep_best": _near_dup_keep_best_sql(),
-        "part_supplier_communities": _lpa_sql(rounds=4),
         "simhash_dups": _simhash_dups_sql(),
-        "winnow_fingerprint_dups": _winnow_dups_sql(),
         "ivf_topk": _ivf_topk_sql(),
-        "ivf_kmeans_topk": _ivf_kmeans_sql(),
-        "ivf_index_topk": _ivf_kmeans_sql(),
-        "semantic_dedup": _semantic_dedup_sql(),
-        "pq_topk": _pq_topk_sql(),
         "quality_logreg": _quality_logreg_sql(),
-        "dsir_select_docs": _dsir_select_sql(),
-        "bpe_merges": _bpe_merges_sql(),
-        "bpe_encode_stats": _bpe_encode_stats_sql(),
         # composed end-to-end pipeline: quality/lang gate → exact dedup
         # (min doc_id per distinct text, QUALIFY) → exact-Jaccard
         # near-dup pair drop (doc_b of every a<b pair).  Valid as the
@@ -8609,408 +2970,10 @@ def oracle_sql() -> dict[str, str]:
             WHERE doc_id NOT IN (SELECT doc_b FROM drops)
             ORDER BY doc_id
         """,
-        "pack_chunks": _pack_chunks_sql(),
         "cms_user_counts": _cms_user_counts_sql(),
-        "approx_value_quantiles": _APPROX_QUANTILES_SQL,
-        "approx_distinct_users": _hll_sql(grouped=False),
-        "approx_users_by_type": _hll_sql(grouped=True),
-        # zlib isn't SQL-expressible; the bound envelope asserts the
-        # exact byte length + the deflate contract flags (the
-        # hll_users_bound pattern)
-        # ANN quality envelope: the oracle asserts every per-method
-        # contract flag is TRUE (self-recovery for all paths, recall
-        # floor for the k-means IVF)
-        "ann_recall_bound": """
-            SELECT t.method, CAST(t.query_id AS BIGINT) AS query_id,
-                   TRUE AS ok
-            FROM (VALUES ('ivf', 0), ('ivf', 1), ('ivf', 2),
-                         ('ivf_kmeans', 0), ('ivf_kmeans', 1),
-                         ('ivf_kmeans', 2),
-                         ('pq', 0), ('pq', 1), ('pq', 2))
-                 AS t(method, query_id)
-            ORDER BY t.method, t.query_id
-        """,
-        "jl_recall_bound": """
-            SELECT CAST(t.query_id AS BIGINT) AS query_id,
-                   TRUE AS ok, TRUE AS recall_reported
-            FROM (VALUES (0), (1), (2)) AS t(query_id)
-            ORDER BY t.query_id
-        """,
-        "doc_compression_bound": """
-            SELECT doc_id,
-                   CAST(octet_length(encode(COALESCE(text, '')))
-                        AS BIGINT) AS n_bytes,
-                   TRUE AS zlib_within_bound
-            FROM documents ORDER BY doc_id
-        """,
         "table_items": _table_items_sql(),
         "mmr_topk": _mmr_sql(),
-        "site_pagerank": _site_pagerank_sql(),
-        "site_hits": _site_hits_sql(),
-        "url_pagerank": _url_pagerank_sql(),
-        "hits_scores": _hits_scores_sql(),
-        "site_trustrank": _site_trustrank_sql(),
-        "site_katz": _site_katz_sql(),
-        # triangle counting: 3-way self-join over the canonical
-        # undirected edge set of the deterministic cross-link rule
-        "site_triangles": """
-            WITH de AS (
-                SELECT DISTINCT (doc_id % 1000) AS src,
-                       ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-                FROM documents, (VALUES (1), (2), (3)) AS k(k)
-                WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-            ), ue AS (
-                SELECT DISTINCT LEAST(src, dst) AS a, GREATEST(src, dst) AS b
-                FROM de WHERE src <> dst
-            ), tri AS (
-                SELECT e1.a AS x, e1.b AS y, e2.b AS z
-                FROM ue e1
-                JOIN ue e2 ON e2.a = e1.b
-                JOIN ue e3 ON e3.a = e1.a AND e3.b = e2.b
-            ), corners AS (
-                SELECT x AS node FROM tri
-                UNION ALL SELECT y FROM tri
-                UNION ALL SELECT z FROM tri
-            )
-            SELECT CAST(node AS BIGINT) AS node,
-                   CAST(count(*) AS BIGINT) AS n_tri
-            FROM corners GROUP BY node ORDER BY node
-        """,
-        "site_graph_stats": """
-            WITH de AS (
-                SELECT DISTINCT (doc_id % 1000) AS src,
-                       ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-                FROM documents, (VALUES (1), (2), (3)) AS k(k)
-                WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-            ), ns AS (SELECT src, dst FROM de WHERE src <> dst),
-            und AS (
-                SELECT DISTINCT LEAST(src, dst) AS a, GREATEST(src, dst) AS b
-                FROM ns
-            ),
-            deg AS (SELECT src, count(*) AS d FROM ns GROUP BY src),
-            c AS (
-                SELECT
-                    (SELECT count(*) FROM
-                        (SELECT src AS n FROM de UNION SELECT dst FROM de))
-                        AS n_nodes,
-                    (SELECT count(*) FROM de) AS n_edges,
-                    (SELECT count(*) FROM de WHERE src = dst) AS n_self_loops,
-                    (SELECT count(*) FROM und) AS n_undirected,
-                    (SELECT count(*) FROM ns) AS n_nonself,
-                    (SELECT max(d) FROM deg) AS max_out_deg,
-                    (SELECT count(*) FROM deg) AS n_src
-            )
-            SELECT CAST(n_nodes AS BIGINT) AS n_nodes,
-                   CAST(n_edges AS BIGINT) AS n_edges,
-                   CAST(n_self_loops AS BIGINT) AS n_self_loops,
-                   CAST(n_undirected AS BIGINT) AS n_undirected,
-                   CAST(2 * (n_nonself - n_undirected) AS BIGINT)
-                       AS n_reciprocal,
-                   round(CAST(2 * (n_nonself - n_undirected) AS DOUBLE)
-                         / n_nonself, 6) AS reciprocity,
-                   CAST(max_out_deg AS BIGINT) AS max_out_deg,
-                   round(CAST(n_nonself AS DOUBLE) / n_src, 6) AS avg_out_deg
-            FROM c
-        """,
-        "part_supplier_kcore": _kcore_sql(_PART_SUPP_EDGE_CTE, k=30),
-        "embedding_covariance": _embedding_cov_sql(),
-        "jl_project": _jl_project_sql(8, 64, 10_000),
-        "embedding_label_centroids": _label_centroids_sql(),
         "lang_detector_agreement": _kappa_sql(),
-        # co-citation mirror detection: self-join on shared out-link
-        # targets, Jaccard from exact degree/intersection counts
-        "site_mirror_pairs": """
-            WITH de AS (
-                SELECT DISTINCT (doc_id % 1000) AS src,
-                       ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-                FROM documents, (VALUES (1), (2), (3)) AS k(k)
-                WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-            ),
-            deg AS (SELECT src, count(*) AS d FROM de GROUP BY src),
-            p AS (
-                SELECT e1.src AS a, e2.src AS b, count(*) AS inter
-                FROM de e1
-                JOIN de e2 ON e1.dst = e2.dst AND e1.src < e2.src
-                GROUP BY 1, 2
-                HAVING count(*) >= 2
-            ),
-            s AS (
-                SELECT a AS site_a, b AS site_b,
-                       CAST(inter AS BIGINT) AS n_shared,
-                       round(CAST(inter AS DOUBLE)
-                             / (da.d + db.d - inter), 6) AS jaccard
-                FROM p
-                JOIN deg da ON da.src = p.a
-                JOIN deg db ON db.src = p.b
-            )
-            SELECT CAST(site_a AS BIGINT) AS site_a,
-                   CAST(site_b AS BIGINT) AS site_b, n_shared, jaccard
-            FROM s WHERE jaccard >= 0.25
-            ORDER BY site_a, site_b
-        """,
-        "readability_scores": r"""
-            -- ASCII-whitespace trim (regexp \s is RE2/ASCII), matching
-            -- the Ray side's explicit [ \t\n\r\f\v] contract exactly --
-            -- DuckDB's plain trim() strips only spaces (ADVICE r4)
-            WITH d AS (
-                SELECT doc_id,
-                       regexp_replace(text, '^\s+|\s+$', '', 'g') AS t
-                FROM documents
-                WHERE regexp_replace(text, '^\s+|\s+$', '', 'g') <> ''
-            ), w AS (
-                SELECT doc_id, t,
-                       string_split_regex(t, '\s+') AS words
-                FROM d
-            ), syl AS (
-                SELECT doc_id,
-                       CAST(sum(greatest(1, len(regexp_extract_all(
-                           lower(word), '[aeiouy]+')))) AS BIGINT) AS y
-                FROM (SELECT doc_id, unnest(words) AS word FROM w)
-                GROUP BY doc_id
-            ), base AS (
-                SELECT w.doc_id,
-                       CAST(len(w.words) AS BIGINT) AS n_words,
-                       CAST(greatest(1, len(regexp_extract_all(
-                           w.t, '[.!?]+'))) AS BIGINT) AS n_sentences,
-                       syl.y AS n_syllables
-                FROM w JOIN syl ON syl.doc_id = w.doc_id
-            )
-            SELECT doc_id, n_words, n_sentences, n_syllables,
-                   round(206.835
-                         - 1.015 * (CAST(n_words AS DOUBLE) / n_sentences)
-                         - 84.6 * (CAST(n_syllables AS DOUBLE) / n_words),
-                         6) AS flesch
-            FROM base ORDER BY doc_id
-        """,
-        # mirror pairs → connected components: recursive transitive
-        # closure, component label = min reachable node
-        "mirror_site_clusters": """
-            WITH RECURSIVE de AS (
-                SELECT DISTINCT (doc_id % 1000) AS src,
-                       ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-                FROM documents, (VALUES (1), (2), (3)) AS k(k)
-                WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-            ),
-            deg AS (SELECT src, count(*) AS d FROM de GROUP BY src),
-            p AS (
-                SELECT e1.src AS a, e2.src AS b, count(*) AS inter
-                FROM de e1
-                JOIN de e2 ON e1.dst = e2.dst AND e1.src < e2.src
-                GROUP BY 1, 2
-                HAVING count(*) >= 2
-            ),
-            mp AS (
-                SELECT a, b FROM p
-                JOIN deg da ON da.src = p.a
-                JOIN deg db ON db.src = p.b
-                WHERE round(CAST(inter AS DOUBLE)
-                            / (da.d + db.d - inter), 6) >= 0.25
-            ),
-            sym AS (
-                SELECT a AS u, b AS v FROM mp
-                UNION SELECT b, a FROM mp
-                UNION SELECT a, a FROM mp
-                UNION SELECT b, b FROM mp
-            ),
-            reach AS (
-                SELECT u, v FROM sym
-                UNION
-                SELECT r.u, s.v FROM reach r JOIN sym s ON s.u = r.v
-            )
-            SELECT CAST(u AS BIGINT) AS node,
-                   CAST(min(v) AS BIGINT) AS component
-            FROM reach GROUP BY u ORDER BY node
-        """,
-        "event_type_lift": """
-            WITH b AS (SELECT DISTINCT user_id, event_type FROM events),
-            n AS (SELECT count(DISTINCT user_id) AS nu FROM events),
-            c AS (SELECT event_type, count(*) AS cnt FROM b
-                  GROUP BY event_type),
-            p AS (
-                SELECT b1.event_type AS event_type_a,
-                       b2.event_type AS event_type_b,
-                       count(*) AS n_both
-                FROM b b1 JOIN b b2 ON b1.user_id = b2.user_id
-                                   AND b1.event_type < b2.event_type
-                GROUP BY 1, 2
-            )
-            SELECT event_type_a, event_type_b,
-                   CAST(n_both AS BIGINT) AS n_both,
-                   round(CAST(n_both AS DOUBLE) / nu, 6) AS support,
-                   round(CAST(n_both AS DOUBLE) / ca.cnt, 6) AS conf_a_b,
-                   round(CAST(n_both * nu AS DOUBLE) / (ca.cnt * cb.cnt), 6)
-                       AS lift
-            FROM p, n
-            JOIN c ca ON ca.event_type = p.event_type_a
-            JOIN c cb ON cb.event_type = p.event_type_b
-            ORDER BY event_type_a, event_type_b
-        """,
-        "salted_revenue_join": """
-            SELECT o.o_orderpriority,
-                   round(CAST(sum(CAST(round(
-                       l.l_extendedprice * (1.0 - l.l_discount) * 10000.0
-                   ) AS BIGINT)) AS DOUBLE) / 10000.0, 2) AS revenue
-            FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
-            GROUP BY o.o_orderpriority
-        """,
-        "temperature_mix_docs": """
-            WITH c AS (SELECT lang, count(*) AS n FROM documents GROUP BY lang),
-                 m AS (SELECT max(n) AS n_max FROM c),
-                 t AS (SELECT lang,
-                              CAST(floor(200 * round(
-                                  sqrt(CAST(n AS DOUBLE) / n_max), 9
-                              ) + 1e-9) AS BIGINT) AS tgt
-                       FROM c, m),
-                 r AS (SELECT doc_id, lang,
-                              row_number() OVER (
-                                  PARTITION BY lang
-                                  ORDER BY md5(CAST(doc_id AS VARCHAR)),
-                                           doc_id) AS rn
-                       FROM documents)
-            SELECT r.doc_id, r.lang FROM r JOIN t USING (lang)
-            WHERE r.rn <= t.tgt
-        """,
-        "winsorize_chars": """
-            WITH t AS (
-                SELECT lang,
-                       quantile_disc(n_chars, 0.05) AS lo,
-                       quantile_disc(n_chars, 0.95) AS hi
-                FROM documents GROUP BY lang
-            )
-            SELECT d.doc_id, d.lang,
-                   CAST(least(greatest(d.n_chars, t.lo), t.hi) AS BIGINT)
-                       AS n_chars_w
-            FROM documents d JOIN t USING (lang)
-        """,
-        "nfc_normalize_docs": """
-            SELECT doc_id,
-                   replace(text, 'e', chr(233)) AS text_nfc,
-                   contains(text, 'e') AS changed
-            FROM documents
-        """,
-        "hll_users_bound": """
-            SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS n_exact_users,
-                   TRUE AS hll_within_bound
-            FROM events
-        """,
-        "hll_by_type_bound": """
-            SELECT event_type,
-                   CAST(count(DISTINCT user_id) AS BIGINT) AS n_exact,
-                   TRUE AS hll_ok
-            FROM events GROUP BY event_type
-        """,
-        "cms_counts_bound": """
-            SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS n_keys,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   TRUE AS cms_ok
-            FROM events
-        """,
-        "value_quantiles_bound": """
-            SELECT * FROM (VALUES (0.25, TRUE), (0.5, TRUE),
-                                  (0.75, TRUE), (0.9, TRUE))
-            AS t(q, within_bound)
-        """,
-        "doc_compression_profile": """
-            SELECT doc_id,
-                   CAST(octet_length(encode(coalesce(text, ''))) AS BIGINT)
-                       AS n_bytes,
-                   TRUE AS zlib_ok
-            FROM documents
-        """,
-        "top_tokens_approx": """
-            SELECT token, CAST(count(*) AS BIGINT) AS n
-            FROM (SELECT unnest(string_split(text, ' ')) AS token
-                  FROM documents)
-            GROUP BY token ORDER BY n DESC, token ASC LIMIT 25
-        """,
-        "train_split": _split_sql(),
-        "lang_rebalance": """
-            WITH c AS (
-                SELECT min(cnt) AS n FROM (
-                    SELECT count(*) AS cnt FROM documents GROUP BY lang
-                )
-            ), r AS (
-                SELECT doc_id, lang,
-                       row_number() OVER (
-                           PARTITION BY lang
-                           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-                       ) AS rn
-                FROM documents
-            )
-            SELECT doc_id, lang FROM r, c WHERE rn <= c.n
-        """,
-        "quality_len_filter": """
-            WITH t AS (
-                SELECT round(quantile_cont(n_chars, 0.25), 6) AS thr
-                FROM documents
-            )
-            SELECT lang, count(*) AS n_docs, min(n_chars) AS min_chars
-            FROM documents, t WHERE n_chars >= thr GROUP BY lang
-        """,
-        "crawl_diff_users": """
-            WITH o AS (
-                SELECT k, value FROM (
-                    SELECT CAST(user_id AS VARCHAR) || ':' || event_type AS k,
-                           value,
-                           row_number() OVER (
-                               PARTITION BY user_id, event_type
-                               ORDER BY ts DESC, event_id DESC) AS rn
-                    FROM events WHERE ts < TIMESTAMP '2024-01-05'
-                ) WHERE rn = 1
-            ), n AS (
-                SELECT k, value FROM (
-                    SELECT CAST(user_id AS VARCHAR) || ':' || event_type AS k,
-                           value,
-                           row_number() OVER (
-                               PARTITION BY user_id, event_type
-                               ORDER BY ts DESC, event_id DESC) AS rn
-                    FROM events WHERE ts >= TIMESTAMP '2024-01-28'
-                ) WHERE rn = 1
-            )
-            SELECT coalesce(o.k, n.k) AS k,
-                   CASE WHEN o.k IS NULL THEN 'added'
-                        WHEN n.k IS NULL THEN 'removed'
-                        WHEN o.value <> n.value THEN 'changed'
-                        ELSE 'same' END AS status,
-                   o.value AS old_value, n.value AS new_value
-            FROM o FULL OUTER JOIN n ON o.k = n.k
-        """,
-        "doc_char_entropy": """
-            SELECT doc_id, round(entropy(c), 6) AS entropy
-            FROM (
-                SELECT doc_id, unnest(string_split(text, '')) AS c
-                FROM documents
-            )
-            GROUP BY doc_id
-        """,
-        "orders_grouping_sets": """
-            SELECT o_orderstatus, o_orderpriority,
-                   round(sum(o_totalprice), 2) AS sum_price,
-                   count(*) AS n_orders
-            FROM orders
-            GROUP BY GROUPING SETS ((o_orderstatus, o_orderpriority),
-                                    (o_orderpriority), ())
-        """,
-        "user_type_intersect": """
-            SELECT user_id, event_type FROM events
-            WHERE ts < TIMESTAMP '2024-01-28'
-            INTERSECT
-            SELECT user_id, event_type FROM events
-            WHERE ts >= TIMESTAMP '2024-01-28'
-        """,
-        "user_type_except": """
-            SELECT user_id, event_type FROM events
-            WHERE ts < TIMESTAMP '2024-01-28'
-            EXCEPT
-            SELECT user_id, event_type FROM events
-            WHERE ts >= TIMESTAMP '2024-01-28'
-        """,
-        "chars_mad_by_lang": """
-            SELECT lang,
-                   round(median(n_chars), 6) AS median_n_chars,
-                   round(mad(n_chars), 6) AS mad_n_chars
-            FROM documents GROUP BY lang
-        """,
         "page_structure": _PAGE_STRUCTURE_SQL,
         "anchor_text_agg": """
             WITH h AS (
@@ -9134,244 +3097,6 @@ def oracle_sql() -> dict[str, str]:
                 'pdfx-ray 1.0' AS producer
             FROM h
         """,
-        "url_canonical_dedup": """
-            WITH u AS (
-                SELECT doc_id,
-                       'https://w' || (doc_id % 7) || '.example.com/p/'
-                       || (doc_id % 50) AS url_norm
-                FROM documents
-            )
-            SELECT url_norm, min(doc_id) AS representative,
-                   count(*) AS n_copies
-            FROM u GROUP BY url_norm
-        """,
-        "nation_region_grid": """
-            SELECT n_nationkey, n_name, r_regionkey, r_name
-            FROM nation CROSS JOIN region
-        """,
-        "chars_skew_by_lang": """
-            SELECT lang, count(*) AS n,
-                   round(skewness(n_chars), 6) AS skewness,
-                   round(kurtosis(n_chars), 6) AS kurtosis
-            FROM documents GROUP BY lang
-        """,
-        "host_group_split": """
-            WITH u AS (
-                SELECT doc_id,
-                       source || '.example.' ||
-                       (CASE WHEN doc_id % 3 = 0
-                             THEN 'org' ELSE 'com' END) AS host
-                FROM documents
-            )
-            SELECT doc_id, host,
-                   CASE WHEN CAST(concat('0x',
-                            substr(md5(concat(':', host)), 1, 13))
-                        AS UBIGINT) < 3602879701896397
-                        THEN 'train' ELSE 'test' END AS split
-            FROM u
-        """,
-        "pmi_bigrams": """
-            WITH toks AS (
-                SELECT string_split_regex(trim(text), '\\s+') AS t
-                FROM documents
-            ), uni AS (SELECT unnest(t) AS w FROM toks),
-            n1 AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM uni),
-            bi AS (
-                SELECT unnest([array_to_string(t[i:i+1], ' ')
-                               for i in range(1, len(t))]) AS g
-                FROM toks WHERE len(t) >= 2
-            ), n2 AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM bi),
-            topb AS (
-                SELECT g, count(*) AS c FROM bi GROUP BY g
-                ORDER BY c DESC, g LIMIT 25
-            ), uc AS (SELECT w, CAST(count(*) AS DOUBLE) AS c
-                      FROM uni GROUP BY w)
-            SELECT topb.g AS ngram, CAST(topb.c AS BIGINT) AS n,
-                   round(ln( (topb.c / n2.n)
-                             / ((ua.c / n1.n) * (ub.c / n1.n)) ), 6) AS pmi
-            FROM topb, n1, n2
-            JOIN uc ua ON ua.w = string_split(topb.g, ' ')[1]
-            JOIN uc ub ON ub.w = string_split(topb.g, ' ')[2]
-        """,
-        "zipf_fit": """
-            WITH tok AS (
-                SELECT unnest(regexp_extract_all(lower(text),
-                           '[a-z]+|[0-9]+|[^a-z0-9\\s]')) AS w
-                FROM documents
-            ), cnt AS (SELECT w, count(*) AS n FROM tok GROUP BY w),
-            top AS (
-                SELECT w, n, row_number() OVER (ORDER BY n DESC, w) AS r
-                FROM cnt ORDER BY n DESC, w LIMIT 100
-            )
-            SELECT round(regr_slope(ln(CAST(n AS DOUBLE)),
-                                    ln(CAST(r AS DOUBLE))), 6) AS slope,
-                   round(regr_intercept(ln(CAST(n AS DOUBLE)),
-                                        ln(CAST(r AS DOUBLE))), 6) AS intercept,
-                   count(*) AS k
-            FROM top
-        """,
-        "next_purchase_after_error": """
-            SELECT err_id, user_id, pur_id FROM (
-                SELECT e.event_id AS err_id, e.user_id,
-                       p.event_id AS pur_id,
-                       row_number() OVER (
-                           PARTITION BY e.event_id
-                           ORDER BY p.ts, p.event_id) AS rn
-                FROM events e LEFT JOIN events p
-                  ON e.user_id = p.user_id AND p.event_type = 'purchase'
-                 AND p.ts >= e.ts AND p.ts <= e.ts + INTERVAL 2 DAY
-                WHERE e.event_type = 'error'
-            ) WHERE rn = 1
-        """,
-        "training_mix": """
-            WITH t AS (
-                SELECT round(quantile_cont(n_chars, 0.1), 6) AS thr
-                FROM documents
-            ), g AS (
-                SELECT doc_id, lang, text, n_chars
-                FROM documents, t WHERE n_chars >= thr
-            ), reps AS (
-                SELECT min(doc_id) AS doc_id FROM g GROUP BY md5(text)
-            ), dd AS (
-                SELECT g.* FROM g JOIN reps USING (doc_id)
-            ), c AS (
-                SELECT lang, CAST(count(*) AS DOUBLE) AS cnt
-                FROM dd GROUP BY lang
-            ), w(lang, w) AS (
-                VALUES ('en', 0.4), ('de', 0.2), ('fr', 0.2),
-                       ('es', 0.1), ('zh', 0.1)
-            ), s AS (
-                SELECT min(cnt / w) AS scale FROM c JOIN w USING (lang)
-            ), q AS (
-                SELECT w.lang, CAST(floor(w.w * s.scale) AS BIGINT) AS n_keep
-                FROM w, s
-            ), r AS (
-                SELECT doc_id, lang, n_chars,
-                       row_number() OVER (
-                           PARTITION BY lang
-                           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-                       ) AS rn
-                FROM dd
-            ), m AS (
-                SELECT r.doc_id, r.lang, r.n_chars
-                FROM r JOIN q ON r.lang = q.lang WHERE r.rn <= q.n_keep
-            ), sp AS (
-                SELECT lang, n_chars,
-                       CASE WHEN CAST(concat('0x',
-                                substr(md5(concat(':', CAST(doc_id AS VARCHAR))),
-                                       1, 13)) AS UBIGINT) < 4053239664633446
-                            THEN 'train' ELSE 'val' END AS split
-                FROM m
-            )
-            SELECT lang, split, count(*) AS n_docs,
-                   CAST(sum(n_chars) AS BIGINT) AS sum_chars
-            FROM sp GROUP BY lang, split
-        """,
-        "mix_weighted": """
-            WITH c AS (
-                SELECT lang, CAST(count(*) AS DOUBLE) AS cnt
-                FROM documents GROUP BY lang
-            ), w(lang, w) AS (
-                VALUES ('en', 0.4), ('de', 0.2), ('fr', 0.2),
-                       ('es', 0.1), ('zh', 0.1)
-            ), s AS (
-                SELECT min(cnt / w) AS scale FROM c JOIN w USING (lang)
-            ), q AS (
-                SELECT w.lang, CAST(floor(w.w * s.scale) AS BIGINT) AS n_keep
-                FROM w, s
-            ), r AS (
-                SELECT doc_id, lang,
-                       row_number() OVER (
-                           PARTITION BY lang
-                           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-                       ) AS rn
-                FROM documents
-            )
-            SELECT r.doc_id, r.lang
-            FROM r JOIN q ON r.lang = q.lang WHERE r.rn <= q.n_keep
-        """,
-        "error_purchase_overlap": """
-            SELECT e.user_id AS user_id, e.event_id AS err_id,
-                   p.event_id AS pur_id
-            FROM events e JOIN events p ON e.user_id = p.user_id
-             AND e.event_type = 'error' AND p.event_type = 'purchase'
-             AND e.ts < p.ts + INTERVAL 2 HOUR
-             AND p.ts < e.ts + INTERVAL 2 HOUR
-        """,
-        "events_funnel": """
-            WITH ev AS (
-                SELECT user_id, ts, event_type FROM events
-                WHERE ts < TIMESTAMP '2024-01-02 12:00:00'
-            ), s1 AS (
-                SELECT user_id, min(ts) AS t1 FROM ev
-                WHERE event_type = 'view' GROUP BY user_id
-            ), s2 AS (
-                SELECT e.user_id, min(e.ts) AS t2 FROM ev e
-                JOIN s1 ON e.user_id = s1.user_id
-                WHERE e.event_type = 'click' AND e.ts > s1.t1
-                GROUP BY e.user_id
-            ), s3 AS (
-                SELECT e.user_id, min(e.ts) AS t3 FROM ev e
-                JOIN s2 ON e.user_id = s2.user_id
-                WHERE e.event_type = 'purchase' AND e.ts > s2.t2
-                GROUP BY e.user_id
-            )
-            SELECT 1 AS step, 'view' AS event_type,
-                   (SELECT count(*) FROM s1) AS n_users
-            UNION ALL SELECT 2, 'click', (SELECT count(*) FROM s2)
-            UNION ALL SELECT 3, 'purchase', (SELECT count(*) FROM s3)
-        """,
-        "tfidf_similar_pairs": """
-            WITH toks AS (
-                SELECT doc_id,
-                       string_split_regex(lower(trim(text)), '\\s+') AS t
-                FROM documents
-            ), sh AS (
-                SELECT doc_id,
-                       unnest([array_to_string(t[i:i+2], ' ')
-                               for i in range(1, len(t) - 1)]) AS g
-                FROM toks WHERE len(t) >= 3
-            ), tok AS (
-                SELECT doc_id, g AS token, CAST(count(*) AS DOUBLE) AS tf
-                FROM sh GROUP BY doc_id, g
-            ), df AS (
-                SELECT token, CAST(count(*) AS DOUBLE) AS df
-                FROM tok GROUP BY token
-            ), nn AS (
-                SELECT CAST(count(*) AS DOUBLE) AS n FROM documents
-            ), w AS (
-                SELECT doc_id, tok.token, tf * ln(n / df) AS w
-                FROM tok JOIN df ON tok.token = df.token, nn
-                WHERE df <= 100
-            ), nrm AS (
-                SELECT doc_id, sqrt(sum(w*w)) AS nrm FROM w GROUP BY doc_id
-            ), wn AS (
-                SELECT w.doc_id, token, w / nrm AS wn
-                FROM w JOIN nrm USING (doc_id)
-            )
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                   round(sum(a.wn*b.wn), 6) AS cosine
-            FROM wn a JOIN wn b ON a.token = b.token AND a.doc_id < b.doc_id
-            GROUP BY a.doc_id, b.doc_id
-            HAVING sum(a.wn*b.wn) >= 0.3
-        """,
-        "blocked_hosts_filter": """
-            WITH u AS (
-                SELECT doc_id,
-                       lower(source || '.example.' ||
-                             (CASE WHEN doc_id % 3 = 0
-                                   THEN 'org' ELSE 'com' END)) AS host
-                FROM documents
-            )
-            SELECT host, count(*) AS n_docs
-            FROM u
-            WHERE host NOT IN (
-                'src0.example.com', 'src3.example.com',
-                'src7.example.com', 'src11.example.com',
-                'src1.example.org', 'src5.example.org'
-            )
-            GROUP BY host
-        """,
         "doc_stats": """
             SELECT lang,
                    count(*) AS n_docs,
@@ -9442,17 +3167,6 @@ def oracle_sql() -> dict[str, str]:
             )
             SELECT query_id, vec_id, rank FROM r WHERE rank <= 10
         """,
-        "embedding_near_dups": """
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-            FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-            WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.45
-        """,
-        "bpe_token_count": """
-            SELECT doc_id,
-                   len(regexp_extract_all(text, '[A-Za-z]+|[0-9]+|[^A-Za-z0-9\\s]'))
-                       AS n_bpe_tokens
-            FROM documents
-        """,
         "structured_parse": """
             SELECT doc_id,
                    len(string_split_regex(trim(text), '\\s+')) AS word_count,
@@ -9463,522 +3177,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, 'doc_id' AS key, CAST(doc_id AS VARCHAR) AS value FROM documents
             UNION ALL SELECT doc_id, 'lang', lang FROM documents
             UNION ALL SELECT doc_id, 'source', source FROM documents
-        """,
-        "media_meta_stats": """
-            WITH m AS (
-                SELECT doc_id,
-                       CASE doc_id % 3 WHEN 0 THEN 'image'
-                                       WHEN 1 THEN 'audio'
-                                       ELSE 'video' END AS kind,
-                       CASE doc_id % 3
-                           WHEN 0 THEN 9 + (16 + (doc_id % 8) * 4)
-                                         * (12 + (doc_id % 5) * 4) * 3
-                           WHEN 1 THEN 12 + 2 * (400 + (doc_id % 50) * 16)
-                           ELSE 11 + (4 + doc_id % 13) * 16 * 12 * 3
-                       END AS payload_bytes
-                FROM documents
-            )
-            SELECT kind, count(*) AS n_media,
-                   CAST(sum(payload_bytes) AS BIGINT) AS total_bytes
-            FROM m GROUP BY kind
-        """,
-        "agg_lineitem_pricing": """
-            SELECT l_returnflag, l_linestatus,
-                   sum(l_quantity) AS sum_qty,
-                   round(sum(l_extendedprice), 2) AS sum_price,
-                   count(*) AS count_order
-            FROM lineitem GROUP BY l_returnflag, l_linestatus
-        """,
-        "join_revenue_by_nation": """
-            SELECT n.n_name AS n_name,
-                   count(*) AS n_orders,
-                   round(sum(o.o_totalprice), 2) AS revenue
-            FROM orders o
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            JOIN nation n ON c.c_nationkey = n.n_nationkey
-            GROUP BY n.n_name
-        """,
-        "topk_parts": """
-            SELECT p_partkey, p_name, p_retailprice
-            FROM part ORDER BY p_retailprice DESC, p_partkey LIMIT 10
-        """,
-        "filter_lineitems": """
-            SELECT l_linestatus,
-                   count(*) AS n_rows,
-                   sum(l_quantity) AS sum_qty
-            FROM lineitem
-            WHERE l_quantity > 40 AND l_discount < 0.05
-            GROUP BY l_linestatus
-        """,
-        "events_by_type": """
-            SELECT event_type,
-                   count(*) AS n_events,
-                   round(sum(value), 3) AS total_value,
-                   min(user_id) AS min_user,
-                   max(user_id) AS max_user
-            FROM events GROUP BY event_type
-        """,
-        "events_daily": """
-            SELECT cast(date_trunc('day', ts) AS DATE) AS day,
-                   count(*) AS n_events
-            FROM events GROUP BY 1
-        """,
-        "range_join_price_bands": """
-            WITH mm AS (
-                SELECT min(o_totalprice) AS lo, max(o_totalprice) AS hi FROM orders
-            ),
-            e AS (
-                SELECT i,
-                       (SELECT lo FROM mm)
-                       + i * (((SELECT hi FROM mm) - (SELECT lo FROM mm)) / 8) AS edge
-                FROM generate_series(1, 7) AS t(i)
-            )
-            SELECT band, count(*) AS n_orders FROM (
-                SELECT (SELECT count(*) FROM e WHERE e.edge <= o.o_totalprice) AS band
-                FROM orders o
-            ) GROUP BY band
-        """,
-        "events_sliding_3d": """
-            WITH d AS (
-                SELECT cast(date_trunc('day', ts) AS DATE) AS day,
-                       count(*) AS n
-                FROM events GROUP BY 1
-            )
-            SELECT day,
-                   CAST(sum(n) OVER (
-                       ORDER BY day
-                       RANGE BETWEEN INTERVAL 2 DAY PRECEDING AND CURRENT ROW
-                   ) AS BIGINT) AS n_events_3d
-            FROM d
-        """,
-        "top_bigrams": """
-            WITH toks AS (
-                SELECT string_split_regex(trim(text), '\\s+') AS t FROM documents
-            ),
-            u AS (
-                SELECT unnest([array_to_string(t[i:i+1], ' ')
-                               for i in range(1, len(t))]) AS ngram
-                FROM toks WHERE len(t) >= 2
-            )
-            SELECT ngram, CAST(count(*) AS BIGINT) AS n
-            FROM u GROUP BY ngram
-            ORDER BY n DESC, ngram LIMIT 25
-        """,
-        "quantiles_chars": """
-            SELECT CAST(0.25 AS DOUBLE) AS q,
-                   CAST(quantile_disc(length(text), 0.25) AS BIGINT) AS value
-            FROM documents
-            UNION ALL SELECT CAST(0.5 AS DOUBLE),
-                   CAST(quantile_disc(length(text), 0.5) AS BIGINT) FROM documents
-            UNION ALL SELECT CAST(0.75 AS DOUBLE),
-                   CAST(quantile_disc(length(text), 0.75) AS BIGINT) FROM documents
-            UNION ALL SELECT CAST(0.9 AS DOUBLE),
-                   CAST(quantile_disc(length(text), 0.9) AS BIGINT) FROM documents
-        """,
-        "top_doc_per_lang": """
-            WITH f AS (
-                SELECT doc_id, lang,
-                       len(string_split_regex(trim(text), '\\s+')) AS n_tokens,
-                       round(length(regexp_replace(text, '[A-Za-z0-9\\s]', '', 'g'))
-                             / greatest(length(text), 1), 6) AS punct_ratio,
-                       round(len(list_filter(string_split_regex(trim(text), '\\s+'),
-                                             t -> t IN ('the','a','of','and','to','in','is','it')))
-                             / greatest(len(string_split_regex(trim(text), '\\s+')), 1), 6)
-                           AS stopword_ratio
-                FROM documents
-            ),
-            s AS (
-                SELECT doc_id, lang,
-                       round(least(n_tokens / 50.0, 1.0)
-                             * (1 - punct_ratio)
-                             * (0.5 + 0.5 * least(4 * stopword_ratio, 1.0)), 6)
-                           AS quality_score
-                FROM f
-            )
-            SELECT lang, doc_id, quality_score FROM (
-                SELECT lang, doc_id, quality_score,
-                       row_number() OVER (PARTITION BY lang
-                                          ORDER BY quality_score DESC, doc_id) AS rn
-                FROM s
-            ) WHERE rn = 1
-        """,
-        "events_sessions": """
-            WITH o AS (
-                SELECT user_id, event_id, ts,
-                       CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                                    ORDER BY ts, event_id)
-                                 > INTERVAL 1 DAY THEN 1 ELSE 0 END AS brk
-                FROM events
-            ),
-            s AS (
-                SELECT user_id, ts,
-                       CAST(sum(brk) OVER (PARTITION BY user_id
-                                           ORDER BY ts, event_id
-                                           ROWS UNBOUNDED PRECEDING) + 1
-                            AS BIGINT) AS session_id
-                FROM o
-            )
-            SELECT user_id, session_id,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   min(ts) AS session_start,
-                   max(ts) AS session_end
-            FROM s GROUP BY user_id, session_id
-        """,
-        "token_df": """
-            WITH toks AS (
-                SELECT list_distinct(string_split_regex(trim(text), '\\s+')) AS t
-                FROM documents
-            ),
-            u AS (SELECT unnest(t) AS token FROM toks)
-            SELECT token, CAST(count(*) AS BIGINT) AS df
-            FROM u GROUP BY token
-            ORDER BY df DESC, token LIMIT 25
-        """,
-        "events_props_stats": """
-            WITH p AS (
-                SELECT event_type,
-                       CAST(json_extract_string(props, '$.k') AS BIGINT) AS k
-                FROM events
-            )
-            SELECT event_type,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(sum(k) AS BIGINT) AS sum_k,
-                   min(k) AS min_k,
-                   max(k) AS max_k
-            FROM p GROUP BY event_type
-        """,
-        "asof_latest_order": """
-            SELECT event_id, user_id, o_orderkey FROM (
-                SELECT e.event_id, e.user_id, o.o_orderkey,
-                       row_number() OVER (
-                           PARTITION BY e.event_id
-                           ORDER BY o.o_orderdate DESC, o.o_orderkey DESC
-                       ) AS rn
-                FROM events e
-                LEFT JOIN orders o
-                  ON e.user_id = o.o_custkey AND o.o_orderdate <= e.ts
-            ) WHERE rn = 1
-        """,
-        "repeat_orders_window": """
-            SELECT a.o_orderpriority AS prio_a,
-                   CAST(count(*) AS BIGINT) AS n_pairs,
-                   MIN(b.o_orderkey) AS min_later,
-                   MAX(b.o_orderkey) AS max_later
-            FROM orders a JOIN orders b
-              ON a.o_custkey = b.o_custkey
-             AND b.o_orderdate >= a.o_orderdate
-             AND b.o_orderdate < a.o_orderdate + INTERVAL 30 DAY
-             AND b.o_orderkey <> a.o_orderkey
-            GROUP BY prio_a
-        """,
-        "orders_price_bands": """
-            WITH bands(band, lo, hi) AS (
-                VALUES ('P0', 0.0,      50000.0),
-                       ('P1', 50000.0,  100000.0),
-                       ('P2', 100000.0, 200000.0),
-                       ('P3', 200000.0, 400000.0)
-            )
-            SELECT band,
-                   CAST(count(*) AS BIGINT) AS n_orders,
-                   MIN(o_totalprice) AS min_price,
-                   MAX(o_totalprice) AS max_price
-            FROM orders JOIN bands
-              ON o_totalprice >= lo AND o_totalprice < hi
-            GROUP BY band
-        """,
-        "customers_no_orders": """
-            SELECT c_custkey, c_name, c_acctbal
-            FROM customer c
-            WHERE NOT EXISTS (
-                SELECT 1 FROM orders o
-                WHERE o.o_custkey = c.c_custkey AND o.o_totalprice > 400000
-            )
-        """,
-        "urgent_customer_segments": """
-            SELECT c_mktsegment, CAST(count(*) AS BIGINT) AS n_customers
-            FROM customer c
-            WHERE EXISTS (
-                SELECT 1 FROM orders o
-                WHERE o.o_custkey = c.c_custkey
-                  AND o.o_orderpriority = '1-URGENT'
-            )
-            GROUP BY c_mktsegment
-        """,
-        "event_gap_stats": """
-            WITH g AS (
-                SELECT user_id,
-                       epoch_us(ts) - lag(epoch_us(ts)) OVER (
-                           PARTITION BY user_id ORDER BY ts, event_id
-                       ) AS gap_us
-                FROM events
-            )
-            SELECT user_id,
-                   CAST(count(*) AS BIGINT) AS n_gaps,
-                   CAST(sum(gap_us) AS BIGINT) AS sum_gap_us,
-                   CAST(max(gap_us) AS BIGINT) AS max_gap_us
-            FROM g WHERE gap_us IS NOT NULL
-            GROUP BY user_id
-        """,
-        "top_suppliers_per_nation": """
-            SELECT n_name, s_suppkey, s_acctbal, rk FROM (
-                SELECT s_nationkey, s_suppkey, s_acctbal,
-                       CAST(row_number() OVER (
-                           PARTITION BY s_nationkey
-                           ORDER BY s_acctbal DESC, s_suppkey
-                       ) AS BIGINT) AS rk
-                FROM supplier
-            ) t JOIN nation ON t.s_nationkey = nation.n_nationkey
-            WHERE rk <= 3
-        """,
-        "sample_docs": """
-            SELECT doc_id, lang, n_chars
-            FROM documents
-            WHERE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1) < '2'
-        """,
-        "url_host_stats": """
-            WITH u AS (
-                SELECT (CASE WHEN doc_id % 7 = 0 THEN 'http' ELSE 'https' END)
-                       || '://' || source || '.example.' ||
-                       (CASE WHEN doc_id % 3 = 0 THEN 'org' ELSE 'com' END) ||
-                       (CASE WHEN doc_id % 2 = 0 THEN '/docs/a/' || doc_id
-                             ELSE '/p' || doc_id END) ||
-                       (CASE WHEN doc_id % 5 = 0 THEN '?ref=1' ELSE '' END)
-                       AS url
-                FROM documents
-            ), p AS (
-                SELECT regexp_extract(url, '^([a-z][a-z0-9+.-]*)://', 1) AS scheme,
-                       regexp_extract(url, '^[a-z][a-z0-9+.-]*://([^/?#:]+)', 1) AS host,
-                       regexp_extract(url, '^[a-z][a-z0-9+.-]*://[^/?#:]+(/[^?#]*)', 1) AS path,
-                       regexp_extract(url, '\\?([^#]*)', 1) AS q
-                FROM u
-            )
-            SELECT host,
-                   CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(sum(CASE WHEN scheme = 'http' THEN 1 ELSE 0 END) AS BIGINT) AS n_http,
-                   ROUND(AVG(CAST(length(path) - length(replace(path, '/', '')) AS DOUBLE)), 6) AS avg_depth,
-                   CAST(sum(CASE WHEN q <> '' THEN 1 ELSE 0 END) AS BIGINT) AS n_query
-            FROM p GROUP BY host
-        """,
-        "url_normalize": """
-            SELECT doc_id,
-                   CASE
-                       WHEN doc_id % 4 = 1
-                           THEN 'https://' || source || '.example.com/'
-                       WHEN doc_id % 4 = 2
-                           THEN 'https://' || source || '.example.com/d/'
-                                || doc_id || '?x=2'
-                       ELSE 'https://' || source || '.example.com/d/' || doc_id
-                   END AS url_norm
-            FROM documents
-        """,
-        "order_ntile": """
-            SELECT o_orderkey, o_orderpriority,
-                   CAST(ntile(4) OVER (
-                       PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice, o_orderkey
-                   ) AS BIGINT) AS tile
-            FROM orders
-        """,
-        "events_dense_rank": """
-            SELECT event_id, event_type,
-                   CAST(dense_rank() OVER (
-                       PARTITION BY event_type ORDER BY value
-                   ) AS BIGINT) AS drank
-            FROM events
-        """,
-        "events_weekday_profile": """
-            SELECT CAST(isodow(ts) AS BIGINT) AS isodow,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(sum(CAST(round(value * 100.0, 0) AS BIGINT)) AS BIGINT)
-                       AS sum_cents
-            FROM events GROUP BY isodow
-        """,
-        "contamination_check": """
-            SELECT doc_id,
-                   CAST(CASE WHEN text LIKE '%key agg row%' THEN 1 ELSE 0 END AS BIGINT) AS hit_0,
-                   CAST(CASE WHEN text LIKE '%window spark order%' THEN 1 ELSE 0 END AS BIGINT) AS hit_1,
-                   CAST(CASE WHEN text LIKE '%slow filter value%' THEN 1 ELSE 0 END AS BIGINT) AS hit_2
-            FROM documents
-            WHERE text LIKE '%key agg row%'
-               OR text LIKE '%window spark order%'
-               OR text LIKE '%slow filter value%'
-        """,
-        "bloom_semi_customers": """
-            SELECT c_custkey, c_name
-            FROM customer c
-            WHERE EXISTS (
-                SELECT 1 FROM orders o
-                WHERE o.o_custkey = c.c_custkey
-                  AND o.o_orderpriority = '1-URGENT'
-            )
-        """,
-        "events_value_histogram": """
-            SELECT CAST(floor(value / 50.0) AS BIGINT) AS bin,
-                   CAST(count(*) AS BIGINT) AS n_events
-            FROM events GROUP BY bin
-        """,
-        "events_running_total": """
-            SELECT user_id, event_id,
-                   round(sum(value) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS UNBOUNDED PRECEDING
-                   ), 6) AS running_value
-            FROM events
-        """,
-        "events_pivot_daily": """
-            SELECT CAST(date_trunc('day', ts) AS DATE) AS day,
-                   CAST(sum(CASE WHEN event_type = 'click'    THEN 1 ELSE 0 END) AS BIGINT) AS n_click,
-                   CAST(sum(CASE WHEN event_type = 'error'    THEN 1 ELSE 0 END) AS BIGINT) AS n_error,
-                   CAST(sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS BIGINT) AS n_purchase,
-                   CAST(sum(CASE WHEN event_type = 'signup'   THEN 1 ELSE 0 END) AS BIGINT) AS n_signup,
-                   CAST(sum(CASE WHEN event_type = 'view'     THEN 1 ELSE 0 END) AS BIGINT) AS n_view
-            FROM events GROUP BY day
-        """,
-        "user_order_pairs": """
-            SELECT o_orderpriority,
-                   CAST(count(*) AS BIGINT) AS n_pairs,
-                   CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-            FROM events e JOIN orders o ON e.user_id = o.o_custkey
-            WHERE e.event_type = 'purchase'
-            GROUP BY o_orderpriority
-        """,
-        "exact_users_by_type": """
-            SELECT event_type,
-                   CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-            FROM events GROUP BY event_type
-        """,
-        "fixed_sample_docs": """
-            SELECT doc_id, lang, n_chars FROM documents
-            ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-            LIMIT 100
-        """,
-        "stratified_sample_docs": """
-            SELECT doc_id, lang, n_chars FROM (
-                SELECT doc_id, lang, n_chars,
-                       row_number() OVER (
-                           PARTITION BY lang
-                           ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id
-                       ) AS rn
-                FROM documents
-            ) WHERE rn <= 10
-        """,
-        "rarest_token_per_doc": """
-            WITH tok AS (
-                SELECT doc_id,
-                       unnest(list_distinct(string_split_regex(trim(text), '\\s+')))
-                           AS token
-                FROM documents
-            ),
-            df AS (
-                SELECT token, CAST(count(*) AS BIGINT) AS df
-                FROM tok GROUP BY token
-            )
-            SELECT doc_id, token, df FROM (
-                SELECT t.doc_id, t.token, df.df,
-                       row_number() OVER (PARTITION BY t.doc_id
-                                          ORDER BY df.df, t.token) AS rn
-                FROM tok t JOIN df ON t.token = df.token
-            ) WHERE rn = 1
-        """,
-        "pii_redact": r"""
-            WITH s1 AS (
-                SELECT doc_id,
-                       CAST(len(regexp_extract_all(text,
-                           '\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b'))
-                           AS BIGINT) AS n_email,
-                       regexp_replace(text,
-                           '\b[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Z|a-z]{2,}\b',
-                           '[EMAIL]', 'g') AS t
-                FROM documents
-            ), s2 AS (
-                SELECT doc_id, n_email,
-                       CAST(len(regexp_extract_all(t, '\d{3}-\d{2}-\d{4}'))
-                           AS BIGINT) AS n_ssn,
-                       regexp_replace(t, '\d{3}-\d{2}-\d{4}', '[SSN]', 'g') AS t
-                FROM s1
-            )
-            SELECT doc_id, n_email, n_ssn,
-                   CAST(len(regexp_extract_all(t,
-                       '(\+?\d{1,3}[-.\s]?)?\(?\d{3}\)?[-.\s]?\d{3}[-.\s]?\d{4}'))
-                       AS BIGINT) AS n_phone,
-                   md5(regexp_replace(t,
-                       '(\+?\d{1,3}[-.\s]?)?\(?\d{3}\)?[-.\s]?\d{3}[-.\s]?\d{4}',
-                       '[PHONE]', 'g')) AS redacted_md5
-            FROM s2
-        """,
-        "normalize_docs": r"""
-            WITH n AS (
-                SELECT doc_id,
-                       lower(trim(regexp_replace(text, '\s+', ' ', 'g'), ' ')) AS t
-                FROM documents
-            )
-            SELECT doc_id, md5(t) AS norm_md5,
-                   CAST(length(t) AS BIGINT) AS n_chars_norm
-            FROM n
-        """,
-        "line_quality": r"""
-            WITH l AS (
-                SELECT doc_id, unnest(string_split(text, chr(10))) AS line
-                FROM documents
-            )
-            SELECT doc_id,
-                   CAST(count(*) AS BIGINT) AS n_lines,
-                   CAST(sum(CASE WHEN regexp_matches(line, '[.!?"]\s*$')
-                                  AND len(regexp_extract_all(line, '\S+')) >= 3
-                            THEN 1 ELSE 0 END) AS BIGINT) AS n_kept
-            FROM l GROUP BY doc_id
-        """,
-        "contamination_ngram": r"""
-            WITH toks AS (
-                SELECT doc_id, string_split_regex(trim(text), '\s+') AS t
-                FROM documents
-            ),
-            g AS (
-                SELECT doc_id,
-                       list_distinct([array_to_string(t[i:i+1], ' ')
-                                      for i in range(1, len(t))]) AS grams
-                FROM toks WHERE len(t) >= 2
-            )
-            SELECT doc_id,
-                   CAST(len(list_intersect(grams,
-                       ['key agg', 'agg row', 'window spark', 'spark order',
-                        'slow filter', 'filter value'])) AS BIGINT)
-                       AS n_shared_ngrams
-            FROM g
-            WHERE len(list_intersect(grams,
-                      ['key agg', 'agg row', 'window spark', 'spark order',
-                       'slow filter', 'filter value'])) >= 1
-        """,
-        "repetition_stats": r"""
-            WITH l AS (
-                SELECT doc_id, unnest(string_split(coalesce(text, ''), chr(10))) AS line
-                FROM documents
-            ),
-            a AS (
-                SELECT doc_id,
-                       CAST(count(*) AS BIGINT) AS n_lines,
-                       count(DISTINCT line) AS n_distinct,
-                       sum(length(line)) AS chars_total
-                FROM l GROUP BY doc_id
-            ),
-            d AS (
-                SELECT doc_id, sum(length(line)) AS chars_distinct
-                FROM (SELECT DISTINCT doc_id, line FROM l) GROUP BY doc_id
-            )
-            SELECT a.doc_id, a.n_lines,
-                   round(1 - CAST(n_distinct AS DOUBLE) / n_lines, 6)
-                       AS dup_line_frac,
-                   round(1 - CAST(chars_distinct AS DOUBLE)
-                             / greatest(chars_total, 1), 6)
-                       AS dup_line_char_frac
-            FROM a JOIN d ON a.doc_id = d.doc_id
-        """,
-        "order_percentile": r"""
-            SELECT o_orderkey, o_orderpriority,
-                   round(percent_rank() OVER (
-                       PARTITION BY o_orderpriority
-                       ORDER BY o_totalprice, o_orderkey), 6) AS pct_rank
-            FROM orders
         """,
         "incremental_ingest": r"""
             WITH tagged AS (
@@ -9993,831 +3191,6 @@ def oracle_sql() -> dict[str, str]:
                   SELECT 1 FROM tagged o
                   WHERE o.srcnum < 10 AND o.h = n.h
               )
-        """,
-        "events_key_skew": r"""
-            WITH c AS (
-                SELECT user_id, count(*) AS n FROM events GROUP BY user_id
-            ),
-            t AS (SELECT CAST(count(*) AS DOUBLE) AS total FROM events)
-            SELECT user_id, CAST(n AS BIGINT) AS n_rows,
-                   round(n / (SELECT total FROM t), 6) AS share
-            FROM c ORDER BY n DESC, user_id LIMIT 10
-        """,
-        "table_profile_orders": r"""
-            SELECT 'o_orderkey' AS col, CAST(count(*) AS BIGINT) AS n_rows,
-                   CAST(sum(CASE WHEN o_orderkey IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_nulls,
-                   CAST(count(DISTINCT o_orderkey) AS BIGINT) AS n_distinct,
-                   CAST(min(o_orderkey) AS DOUBLE) AS min_val,
-                   CAST(max(o_orderkey) AS DOUBLE) AS max_val
-            FROM orders
-            UNION ALL
-            SELECT 'o_custkey', CAST(count(*) AS BIGINT),
-                   CAST(sum(CASE WHEN o_custkey IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-                   CAST(count(DISTINCT o_custkey) AS BIGINT),
-                   CAST(min(o_custkey) AS DOUBLE), CAST(max(o_custkey) AS DOUBLE)
-            FROM orders
-            UNION ALL
-            SELECT 'o_orderstatus', CAST(count(*) AS BIGINT),
-                   CAST(sum(CASE WHEN o_orderstatus IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-                   CAST(count(DISTINCT o_orderstatus) AS BIGINT),
-                   CAST(NULL AS DOUBLE), CAST(NULL AS DOUBLE)
-            FROM orders
-            UNION ALL
-            SELECT 'o_totalprice', CAST(count(*) AS BIGINT),
-                   CAST(sum(CASE WHEN o_totalprice IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-                   CAST(count(DISTINCT o_totalprice) AS BIGINT),
-                   CAST(min(o_totalprice) AS DOUBLE), CAST(max(o_totalprice) AS DOUBLE)
-            FROM orders
-            UNION ALL
-            SELECT 'o_orderdate', CAST(count(*) AS BIGINT),
-                   CAST(sum(CASE WHEN o_orderdate IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-                   CAST(count(DISTINCT o_orderdate) AS BIGINT),
-                   CAST(NULL AS DOUBLE), CAST(NULL AS DOUBLE)
-            FROM orders
-            UNION ALL
-            SELECT 'o_orderpriority', CAST(count(*) AS BIGINT),
-                   CAST(sum(CASE WHEN o_orderpriority IS NULL THEN 1 ELSE 0 END) AS BIGINT),
-                   CAST(count(DISTINCT o_orderpriority) AS BIGINT),
-                   CAST(NULL AS DOUBLE), CAST(NULL AS DOUBLE)
-            FROM orders
-        """,
-        "tfidf_top_terms": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       unnest(string_split_regex(
-                           trim(coalesce(text, ''),
-                                ' ' || chr(9) || chr(10) || chr(13)),
-                           '\s+')) AS tok
-                FROM documents
-            ), t2 AS (SELECT doc_id, tok FROM toks WHERE tok <> ''),
-            tfv AS (
-                SELECT doc_id, tok, CAST(count(*) AS BIGINT) AS tf
-                FROM t2 GROUP BY doc_id, tok
-            ), dfv AS (
-                SELECT tok, CAST(count(*) AS BIGINT) AS df
-                FROM tfv GROUP BY tok
-            ), nn AS (
-                SELECT CAST(count(*) AS DOUBLE) AS n FROM documents
-            ), s AS (
-                SELECT tfv.doc_id, tfv.tok AS token, tfv.tf, dfv.df,
-                       floor(CAST(tfv.tf AS DOUBLE)
-                             * ln((SELECT n FROM nn)
-                                  / CAST(dfv.df AS DOUBLE))
-                             * 1e6 + 0.5) / 1e6 AS tfidf
-                FROM tfv JOIN dfv USING (tok)
-            ), r AS (
-                SELECT doc_id, token, tf, df, tfidf,
-                       row_number() OVER (PARTITION BY doc_id
-                                          ORDER BY tfidf DESC,
-                                                   token ASC) AS rank
-                FROM s
-            )
-            SELECT doc_id, CAST(rank AS BIGINT) AS rank,
-                   token, tf, df, tfidf
-            FROM r WHERE rank <= 3
-        """,
-        "cdc_chunks": _cdc_chunk_ctes(16, 64) + """
-            SELECT doc_id,
-                   CAST(chunk_idx AS BIGINT) AS chunk_idx,
-                   CAST(start AS BIGINT) AS start,
-                   CAST(chunk_len AS BIGINT) AS chunk_len,
-                   chunk_md5
-            FROM chunks
-        """,
-        "cdc_dedup_stats": _cdc_chunk_ctes(16, 64) + """
-            , uq AS (
-                SELECT DISTINCT chunk_md5, chunk_len AS l FROM chunks
-            )
-            SELECT CAST(count(*) AS BIGINT) AS n_chunks,
-                   CAST(count(DISTINCT chunk_md5) AS BIGINT) AS n_unique,
-                   CAST(sum(chunk_len) AS BIGINT) AS total_bytes,
-                   CAST((SELECT sum(l) FROM uq) AS BIGINT)
-                       AS unique_bytes,
-                   round(CAST((SELECT sum(l) FROM uq) AS DOUBLE)
-                         / sum(chunk_len), 6) AS dedup_ratio
-            FROM chunks
-        """,
-        "remove_dup_spans": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       list_filter(string_split_regex(
-                           trim(coalesce(text, ''),
-                                ' ' || chr(9) || chr(10) || chr(13)),
-                           '\s+'), x -> x <> '') AS t
-                FROM documents
-            ),
-            tk AS (
-                SELECT doc_id,
-                       unnest(t) AS tok,
-                       unnest(range(1, len(t) + 1)) AS i
-                FROM toks
-            ),
-            w AS (
-                SELECT doc_id, i,
-                       tok
-                       || ' ' || lead(tok, 1) OVER win
-                       || ' ' || lead(tok, 2) OVER win
-                       || ' ' || lead(tok, 3) OVER win
-                       || ' ' || lead(tok, 4) OVER win
-                       || ' ' || lead(tok, 5) OVER win
-                       || ' ' || lead(tok, 6) OVER win
-                       || ' ' || lead(tok, 7) OVER win AS gram
-                FROM tk
-                WINDOW win AS (PARTITION BY doc_id ORDER BY i)
-            ),
-            wv AS (SELECT doc_id, i, gram FROM w WHERE gram IS NOT NULL),
-            dupg AS (
-                SELECT gram FROM wv GROUP BY gram HAVING count(*) >= 2
-            ),
-            dst AS (SELECT doc_id, i FROM wv JOIN dupg USING (gram)),
-            cov AS (
-                SELECT tk.doc_id, tk.i, tk.tok,
-                       max(CASE WHEN dst.i IS NOT NULL THEN 1 ELSE 0
-                           END) OVER (
-                           PARTITION BY tk.doc_id ORDER BY tk.i
-                           ROWS BETWEEN 7 PRECEDING AND CURRENT ROW
-                       ) AS covered
-                FROM tk LEFT JOIN dst
-                  ON tk.doc_id = dst.doc_id AND tk.i = dst.i
-            ),
-            agg AS (
-                SELECT doc_id,
-                       CAST(count(*) AS BIGINT) AS n_tokens,
-                       CAST(sum(covered) AS BIGINT) AS n_removed,
-                       coalesce(string_agg(tok, ' ' ORDER BY i)
-                                FILTER (WHERE covered = 0), '')
-                           AS clean_text
-                FROM cov GROUP BY doc_id
-            )
-            SELECT d.doc_id,
-                   coalesce(a.n_tokens, 0) AS n_tokens,
-                   coalesce(a.n_removed, 0) AS n_removed,
-                   round(CASE WHEN coalesce(a.n_tokens, 0) > 0
-                              THEN CAST(a.n_removed AS DOUBLE)
-                                   / a.n_tokens
-                              ELSE 0.0 END, 6) AS dup_frac,
-                   coalesce(a.clean_text, '') AS clean_text
-            FROM documents d LEFT JOIN agg a USING (doc_id)
-        """,
-        "dup_span_pairs": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       string_split_regex(
-                           trim(coalesce(text, ''),
-                                ' ' || chr(9) || chr(10) || chr(13)),
-                           '\s+') AS t
-                FROM documents
-            ),
-            g AS (
-                SELECT DISTINCT doc_id,
-                       unnest([array_to_string(t[i:i+7], ' ')
-                               for i in range(1, len(t) - 6)]) AS gram
-                FROM toks WHERE len(t) >= 8
-            )
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                   CAST(count(*) AS BIGINT) AS n_shared
-            FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
-            GROUP BY 1, 2
-        """,
-        "doc_cross_entropy": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       unnest(string_split_regex(trim(text), '\s+')) AS tok
-                FROM documents
-            ),
-            t2 AS (SELECT * FROM toks WHERE tok <> ''),
-            cnt AS (
-                SELECT tok, CAST(count(*) AS BIGINT) AS C
-                FROM t2 GROUP BY tok
-            ),
-            tot AS (SELECT CAST(sum(C) AS DOUBLE) AS t FROM cnt),
-            doc AS (
-                SELECT doc_id, tok, count(*) AS m
-                FROM t2 GROUP BY doc_id, tok
-            )
-            SELECT doc_id,
-                   round(log2((SELECT t FROM tot))
-                         - sum(m * log2(CAST(C AS DOUBLE))) / sum(m), 6)
-                       AS cross_entropy
-            FROM doc JOIN cnt USING (tok) GROUP BY doc_id
-        """,
-        "gopher_filter": r"""
-            WITH l AS (
-                SELECT doc_id, unnest(string_split(coalesce(text, ''), chr(10))) AS line
-                FROM documents
-            ),
-            rep AS (
-                SELECT doc_id,
-                       round(1 - CAST(count(DISTINCT line) AS DOUBLE)
-                                 / count(*), 6) AS dup_line_frac
-                FROM l GROUP BY doc_id
-            ),
-            f AS (
-                SELECT doc_id,
-                       len(string_split_regex(trim(text), '\s+')) AS n_tokens,
-                       round(length(regexp_replace(text, '[A-Za-z0-9\s]', '', 'g'))
-                             / greatest(length(text), 1), 6) AS punct_ratio,
-                       round(len(list_filter(string_split_regex(trim(text), '\s+'),
-                                             t -> t IN ('the','a','of','and','to','in','is','it')))
-                             / greatest(len(string_split_regex(trim(text), '\s+')), 1), 6)
-                           AS stopword_ratio
-                FROM documents
-            ),
-            s AS (
-                SELECT doc_id, n_tokens,
-                       round(0.5 * (1 + z / (1 + abs(z))), 6) AS classifier_score
-                FROM (
-                    SELECT *, 4 * stopword_ratio - 3 * punct_ratio
-                              + least(n_tokens, 400) / 400.0 - 1 AS z
-                    FROM f
-                )
-            )
-            SELECT s.doc_id, CAST(s.n_tokens AS BIGINT) AS n_tokens,
-                   s.classifier_score
-            FROM s JOIN rep USING (doc_id)
-            WHERE rep.dup_line_frac <= 0.3
-              AND s.classifier_score >= 0.31
-              AND s.n_tokens >= 20
-        """,
-        "source_quality_profile": r"""
-            WITH f AS (
-                SELECT source, lang,
-                       len(string_split_regex(trim(text), '\s+')) AS n_tokens,
-                       round(length(regexp_replace(text, '[A-Za-z0-9\s]', '', 'g'))
-                             / greatest(length(text), 1), 6) AS punct_ratio,
-                       round(len(list_filter(string_split_regex(trim(text), '\s+'),
-                                             t -> t IN ('the','a','of','and','to','in','is','it')))
-                             / greatest(len(string_split_regex(trim(text), '\s+')), 1), 6)
-                           AS stopword_ratio
-                FROM documents
-            ),
-            s AS (
-                SELECT source, lang, n_tokens,
-                       round(0.5 * (1 + z / (1 + abs(z))), 6) AS cs
-                FROM (
-                    SELECT *, 4 * stopword_ratio - 3 * punct_ratio
-                              + least(n_tokens, 400) / 400.0 - 1 AS z
-                    FROM f
-                )
-            )
-            SELECT source,
-                   CAST(count(*) AS BIGINT) AS n_docs,
-                   round(avg(cs), 6) AS mean_classifier,
-                   round(avg(CAST(n_tokens AS DOUBLE)), 6) AS mean_tokens,
-                   CAST(count(DISTINCT lang) AS BIGINT) AS n_langs
-            FROM s GROUP BY source
-        """,
-        "dedup_components": r"""
-            WITH h AS (
-                SELECT doc_id,
-                       array_to_string(
-                           (string_split_regex(
-                               trim(coalesce(text, ''),
-                                    ' ' || chr(9) || chr(10) || chr(13)),
-                               '\s+'))[1:5], ' ') AS h
-                FROM documents
-            ),
-            g AS (SELECT h, min(doc_id) AS component, count(*) AS n
-                  FROM h GROUP BY h)
-            SELECT h.doc_id, g.component
-            FROM h JOIN g USING (h) WHERE g.n >= 2
-        """,
-        "interdoc_line_dedup": r"""
-            WITH s AS (
-                SELECT doc_id, string_split(coalesce(text, ''), chr(10)) AS ls
-                FROM documents
-            ),
-            l AS (
-                SELECT doc_id, unnest(ls) AS line,
-                       unnest([i for i in range(1, len(ls) + 1)]) AS idx
-                FROM s
-            ),
-            f AS (
-                SELECT line FROM l
-                GROUP BY line HAVING count(DISTINCT doc_id) > 1
-            ),
-            kept AS (
-                SELECT * FROM l WHERE line NOT IN (SELECT line FROM f)
-            ),
-            agg AS (
-                SELECT doc_id, CAST(count(*) AS BIGINT) AS n_kept,
-                       md5(string_agg(line, chr(10) ORDER BY idx)) AS clean_md5
-                FROM kept GROUP BY doc_id
-            )
-            SELECT s.doc_id, CAST(len(s.ls) AS BIGINT) AS n_lines,
-                   coalesce(agg.n_kept, 0) AS n_kept,
-                   coalesce(agg.clean_md5, md5('')) AS clean_md5
-            FROM s LEFT JOIN agg USING (doc_id)
-        """,
-        "top_bigram_char_frac": r"""
-            WITH toks AS (
-                SELECT doc_id, length(coalesce(text, '')) AS n_chars_t,
-                       string_split_regex(
-                           trim(coalesce(text, ''),
-                                ' ' || chr(9) || chr(10) || chr(13)),
-                           '\s+') AS t
-                FROM documents
-            ),
-            g AS (
-                SELECT doc_id, n_chars_t,
-                       unnest([array_to_string(t[i:i+1], ' ')
-                               for i in range(1, len(t))]) AS gram
-                FROM toks WHERE len(t) >= 2
-            ),
-            c AS (
-                SELECT doc_id, any_value(n_chars_t) AS n_chars_t, gram,
-                       count(*) AS cnt
-                FROM g GROUP BY doc_id, gram
-            ),
-            r AS (
-                SELECT *, row_number() OVER (
-                           PARTITION BY doc_id ORDER BY cnt DESC, gram) AS rn
-                FROM c
-            )
-            SELECT doc_id, gram AS top_gram, CAST(cnt AS BIGINT) AS n_occ,
-                   round(CAST(cnt * length(gram) AS DOUBLE)
-                         / greatest(n_chars_t, 1), 6) AS top_gram_char_frac
-            FROM r WHERE rn = 1
-        """,
-        "classifier_score": r"""
-            WITH f AS (
-                SELECT doc_id,
-                       len(string_split_regex(trim(text), '\s+')) AS n_tokens,
-                       round(length(regexp_replace(text, '[A-Za-z0-9\s]', '', 'g'))
-                             / greatest(length(text), 1), 6) AS punct_ratio,
-                       round(len(list_filter(string_split_regex(trim(text), '\s+'),
-                                             t -> t IN ('the','a','of','and','to','in','is','it')))
-                             / greatest(len(string_split_regex(trim(text), '\s+')), 1), 6)
-                           AS stopword_ratio
-                FROM documents
-            ),
-            z AS (
-                SELECT doc_id,
-                       4 * stopword_ratio - 3 * punct_ratio
-                           + least(n_tokens, 400) / 400.0 - 1 AS z
-                FROM f
-            )
-            SELECT doc_id,
-                   round(0.5 * (1 + z / (1 + abs(z))), 6) AS classifier_score
-            FROM z
-        """,
-        "events_value_stddev": r"""
-            WITH c AS (
-                SELECT event_type,
-                       CAST(round(value * 100.0, 0) AS BIGINT) AS cents
-                FROM events
-            )
-            SELECT event_type,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(sum(cents) AS BIGINT) AS sum_cents,
-                   CAST(sum(cents * cents) AS BIGINT) AS sumsq_cents,
-                   round(sqrt(CAST(sum(cents * cents) AS DOUBLE) / count(*)
-                              - (CAST(sum(cents) AS DOUBLE) / count(*))
-                                * (CAST(sum(cents) AS DOUBLE) / count(*)))
-                         / 100.0, 4) AS stddev_value
-            FROM c GROUP BY event_type
-        """,
-        "embedding_norm_stats": r"""
-            WITH n AS (
-                SELECT CAST(label AS BIGINT) AS label,
-                       CAST(round(sqrt(list_sum(list_transform(embedding,
-                           x -> CAST(x AS DOUBLE) * CAST(x AS DOUBLE)))) * 1000.0,
-                           0) AS BIGINT) AS milli_norm
-                FROM embeddings
-            )
-            SELECT label,
-                   CAST(count(*) AS BIGINT) AS n_vecs,
-                   CAST(sum(milli_norm) AS BIGINT) AS sum_milli_norm
-            FROM n GROUP BY label
-        """,
-        "quantiles_chars_by_lang": """
-            SELECT lang, q, CAST(value AS BIGINT) AS value FROM (
-                SELECT lang, CAST(0.25 AS DOUBLE) AS q,
-                       quantile_disc(length(text), 0.25) AS value
-                FROM documents GROUP BY lang
-                UNION ALL SELECT lang, CAST(0.5 AS DOUBLE),
-                       quantile_disc(length(text), 0.5) FROM documents GROUP BY lang
-                UNION ALL SELECT lang, CAST(0.75 AS DOUBLE),
-                       quantile_disc(length(text), 0.75) FROM documents GROUP BY lang
-                UNION ALL SELECT lang, CAST(0.9 AS DOUBLE),
-                       quantile_disc(length(text), 0.9) FROM documents GROUP BY lang
-            )
-        """,
-        "suppliers_by_region": """
-            SELECT r_name,
-                   CAST(count(*) AS BIGINT) AS n_suppliers,
-                   round(sum(s_acctbal), 2) AS total_acctbal
-            FROM supplier
-            JOIN nation ON s_nationkey = n_nationkey
-            JOIN region ON n_regionkey = r_regionkey
-            GROUP BY r_name
-        """,
-        "lineitem_rollup": """
-            SELECT l_returnflag, l_linestatus,
-                   round(sum(l_quantity), 2) AS sum_qty,
-                   CAST(count(*) AS BIGINT) AS n_rows
-            FROM lineitem
-            GROUP BY ROLLUP (l_returnflag, l_linestatus)
-        """,
-        "orders_cube": """
-            SELECT o_orderstatus, o_orderpriority,
-                   round(sum(o_totalprice), 2) AS sum_price,
-                   CAST(count(*) AS BIGINT) AS n_orders
-            FROM orders
-            GROUP BY CUBE (o_orderstatus, o_orderpriority)
-        """,
-        "order_rank_per_customer": """
-            SELECT o_custkey, o_orderkey,
-                   CAST(ROW_NUMBER() OVER (
-                       PARTITION BY o_custkey
-                       ORDER BY o_orderdate, o_orderkey
-                   ) AS BIGINT) AS rn
-            FROM orders
-        """,
-        "events_lag_value": """
-            SELECT user_id, event_id,
-                   LAG(value) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                   ) AS prev_value
-            FROM events
-        """,
-        "events_moving_avg": """
-            SELECT user_id, event_id,
-                   round(AVG(value) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS BETWEEN 2 PRECEDING AND CURRENT ROW
-                   ), 6) AS moving_avg
-            FROM events
-        """,
-        "events_trailing_3d": """
-            SELECT user_id, event_id,
-                   CAST(COUNT(*) OVER w AS BIGINT) AS trailing_n,
-                   round(SUM(value) OVER w, 6) AS trailing_sum
-            FROM events
-            WINDOW w AS (
-                PARTITION BY user_id ORDER BY ts
-                RANGE BETWEEN INTERVAL 3 DAY PRECEDING AND CURRENT ROW
-            )
-        """,
-        "customer_order_full": """
-            SELECT o_orderkey, o_custkey, c_custkey
-            FROM orders FULL OUTER JOIN customer
-            ON o_custkey = c_custkey
-        """,
-        "chunk_docs": r"""
-            WITH t AS (
-                SELECT doc_id, string_split_regex(trim(text), '\s+') AS toks
-                FROM documents WHERE trim(text) <> ''
-            ), s AS (
-                SELECT doc_id, toks, len(toks) AS n,
-                       CASE WHEN len(toks) <= 32 THEN 1
-                            ELSE CAST(ceil((len(toks) - 32) / 24.0) AS BIGINT) + 1
-                       END AS n_chunks
-                FROM t
-            ), e AS (
-                SELECT doc_id, toks, n, unnest(range(0, n_chunks)) AS g FROM s
-            )
-            SELECT doc_id, CAST(g AS BIGINT) AS chunk_id,
-                   array_to_string(
-                       list_slice(toks, g*24 + 1, least(g*24 + 32, n)), ' '
-                   ) AS text,
-                   CAST(least(g*24 + 32, n) - g*24 AS BIGINT) AS n_tokens
-            FROM e
-        """,
-        # document-local greedy packing: the sequential first-fit walk
-        # unrolled as a lockstep recursive CTE (step r advances every
-        # doc's r-th chunk; iterations = max chunks per doc)
-        "pack_chunks_per_doc": r"""
-            WITH RECURSIVE t AS (
-                SELECT doc_id, string_split_regex(trim(text), '\s+') AS toks
-                FROM documents WHERE trim(text) <> ''
-            ), s AS (
-                SELECT doc_id, len(toks) AS n,
-                       CASE WHEN len(toks) <= 32 THEN 1
-                            ELSE CAST(ceil((len(toks) - 32) / 24.0) AS BIGINT) + 1
-                       END AS n_chunks
-                FROM t
-            ), e AS (
-                SELECT doc_id, n, unnest(range(0, n_chunks)) AS g FROM s
-            ), ch AS (
-                SELECT doc_id,
-                       CAST(g + 1 AS BIGINT) AS rn,
-                       CAST(least(g*24 + 32, n) - g*24 AS BIGINT) AS n_tokens
-                FROM e
-            ), r AS (
-                SELECT doc_id, rn, n_tokens,
-                       CAST(0 AS BIGINT) AS pack_seq,
-                       CAST(n_tokens AS BIGINT) AS cur_tot
-                FROM ch WHERE rn = 1
-                UNION ALL
-                SELECT c.doc_id, c.rn, c.n_tokens,
-                       CASE WHEN r.cur_tot + c.n_tokens > 256
-                            THEN r.pack_seq + 1 ELSE r.pack_seq END,
-                       CASE WHEN r.cur_tot + c.n_tokens > 256
-                            THEN CAST(c.n_tokens AS BIGINT)
-                            ELSE r.cur_tot + c.n_tokens END
-                FROM r JOIN ch c
-                  ON c.doc_id = r.doc_id AND c.rn = r.rn + 1
-            )
-            SELECT doc_id, pack_seq,
-                   CAST(count(*) AS BIGINT) AS n_items,
-                   CAST(sum(n_tokens) AS BIGINT) AS total_tokens
-            FROM r GROUP BY doc_id, pack_seq
-            ORDER BY doc_id, pack_seq
-        """,
-        "events_lead_value": """
-            SELECT user_id, event_id,
-                   LEAD(value) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                   ) AS next_value
-            FROM events
-        """,
-        "user_first_last_event": """
-            SELECT DISTINCT user_id,
-                   first_value(value) OVER w AS first_value,
-                   last_value(value) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS BETWEEN UNBOUNDED PRECEDING
-                                AND UNBOUNDED FOLLOWING
-                   ) AS last_value
-            FROM events
-            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-        """,
-        "orders_cume_dist": """
-            SELECT o_orderkey, o_orderpriority, o_totalprice,
-                   round(cume_dist() OVER (
-                       PARTITION BY o_orderpriority ORDER BY o_totalprice
-                   ), 6) AS cdist
-            FROM orders
-        """,
-        "user_top_event_type": """
-            SELECT user_id, event_type AS top_type, n FROM (
-                SELECT user_id, event_type, count(*) AS n
-                FROM events GROUP BY user_id, event_type
-            ) QUALIFY row_number() OVER (
-                PARTITION BY user_id ORDER BY n DESC, event_type
-            ) = 1
-        """,
-        "lineitem_price_qty_regr": """
-            WITH t AS (
-                SELECT l_returnflag,
-                       CAST(round(l_quantity * 100.0, 0) AS BIGINT) AS xi,
-                       CAST(round(l_extendedprice * 100.0, 0) AS BIGINT) AS yi
-                FROM lineitem
-            )
-            SELECT l_returnflag,
-                   CAST(count(*) AS BIGINT) AS regr_count,
-                   round(regr_slope(yi, xi), 6) AS slope,
-                   round(regr_intercept(yi, xi) / 100.0, 6) AS intercept
-            FROM t GROUP BY l_returnflag
-        """,
-        "events_value_zscore": """
-            WITH c AS (
-                SELECT event_id, event_type,
-                       CAST(round(value * 100.0, 0) AS BIGINT) AS cents
-                FROM events
-            ), s AS (
-                SELECT event_type, count(*) AS n,
-                       sum(cents) AS s1, sum(cents * cents) AS s2
-                FROM c GROUP BY event_type
-            )
-            SELECT event_id, c.event_type,
-                   CASE WHEN n < 2 OR s2 - CAST(s1 AS DOUBLE) * s1 / n <= 0
-                        THEN NULL
-                        ELSE round(
-                            (cents - CAST(s1 AS DOUBLE) / n)
-                            / sqrt((s2 - CAST(s1 AS DOUBLE) * s1 / n)
-                                   / (n - 1)), 6)
-                   END AS zscore
-            FROM c JOIN s USING (event_type)
-        """,
-        "events_locf_fill": """
-            SELECT user_id, event_id,
-                   last_value(
-                       CASE WHEN event_type = 'error' THEN NULL
-                            ELSE value END IGNORE NULLS
-                   ) OVER (
-                       PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS UNBOUNDED PRECEDING
-                   ) AS filled
-            FROM events
-        """,
-        "events_hour_value_corr": """
-            SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-                   round(corr(CAST(round(value * 100.0, 0) AS BIGINT),
-                              CAST(extract(hour FROM ts) AS BIGINT)),
-                         6) AS corr
-            FROM events GROUP BY event_type
-        """,
-        "events_hour_value_spearman": """
-            WITH e AS (
-                SELECT event_type,
-                       CAST(round(value * 100.0, 0) AS BIGINT) AS v,
-                       CAST(extract(hour FROM ts) AS BIGINT) AS h
-                FROM events
-            ),
-            r AS (
-                SELECT event_type,
-                       2 * rank() OVER (PARTITION BY event_type
-                                        ORDER BY v)
-                         + count(*) OVER (PARTITION BY event_type, v)
-                         - 1 AS rx,
-                       2 * rank() OVER (PARTITION BY event_type
-                                        ORDER BY h)
-                         + count(*) OVER (PARTITION BY event_type, h)
-                         - 1 AS ry
-                FROM e
-            ),
-            s AS (
-                SELECT event_type,
-                       CAST(count(*) AS BIGINT) AS n,
-                       CAST(sum(rx) AS BIGINT) AS sx,
-                       CAST(sum(ry) AS BIGINT) AS sy,
-                       CAST(sum(rx * rx) AS BIGINT) AS sxx,
-                       CAST(sum(ry * ry) AS BIGINT) AS syy,
-                       CAST(sum(rx * ry) AS BIGINT) AS sxy
-                FROM r GROUP BY event_type
-            )
-            SELECT event_type, n,
-                   CASE WHEN n < 2
-                             OR (CAST(n AS DOUBLE) * sxx
-                                 - CAST(sx AS DOUBLE) * sx)
-                                * (CAST(n AS DOUBLE) * syy
-                                   - CAST(sy AS DOUBLE) * sy) <= 0
-                        THEN NULL
-                        ELSE floor((CAST(n AS DOUBLE) * sxy
-                                    - CAST(sx AS DOUBLE) * sy)
-                                   / sqrt((CAST(n AS DOUBLE) * sxx
-                                           - CAST(sx AS DOUBLE) * sx)
-                                          * (CAST(n AS DOUBLE) * syy
-                                             - CAST(sy AS DOUBLE) * sy))
-                                   * 1e6 + 0.5) / 1e6
-                   END AS spearman
-            FROM s
-        """,
-        "events_unpivot_daily": """
-            WITH days AS (
-                SELECT DISTINCT CAST(date_trunc('day', ts) AS DATE) AS day
-                FROM events
-            ), t(event_type) AS (
-                VALUES ('click'), ('error'), ('purchase'), ('signup'), ('view')
-            ), c AS (
-                SELECT CAST(date_trunc('day', ts) AS DATE) AS day,
-                       event_type, count(*) AS n
-                FROM events GROUP BY 1, 2
-            )
-            SELECT d.day, t.event_type, CAST(coalesce(c.n, 0) AS BIGINT) AS n
-            FROM days d CROSS JOIN t
-            LEFT JOIN c ON c.day = d.day AND c.event_type = t.event_type
-        """,
-        "prefix_typo_pairs": """
-            WITH vals AS (
-                SELECT DISTINCT substr(lower(trim(text)), 1, 12) AS v
-                FROM documents WHERE trim(text) <> ''
-            )
-            SELECT a.v AS val_a, b.v AS val_b,
-                   CAST(levenshtein(a.v, b.v) AS BIGINT) AS dist
-            FROM vals a JOIN vals b
-            ON a.v < b.v AND levenshtein(a.v, b.v) <= 1
-        """,
-        "upsample_docs": """
-            WITH w AS (
-                SELECT doc_id, n_chars,
-                       least(CAST(ceil(n_chars / 200.0) AS BIGINT), 3) AS k
-                FROM documents
-            )
-            SELECT doc_id, n_chars,
-                   CAST(unnest(range(k)) AS BIGINT) AS copy_idx
-            FROM w
-        """,
-        "train_shuffle_docs": """
-            SELECT doc_id,
-                   CAST(CAST(concat('0x', substr(
-                       md5(concat('42:', CAST(doc_id AS VARCHAR))), 1, 8))
-                     AS UBIGINT) % 8 AS BIGINT) AS shard,
-                   CAST(CAST(concat('0x', substr(
-                       md5(concat('42:', CAST(doc_id AS VARCHAR))), 9, 13))
-                     AS UBIGINT) AS BIGINT) AS pos
-            FROM documents
-        """,
-        "weighted_sample_docs": """
-            WITH r AS (
-                SELECT doc_id, n_chars,
-                       -ln((CAST(concat('0x',
-                                substr(md5(CAST(doc_id AS VARCHAR)), 1, 13))
-                            AS UBIGINT) + 1) / 4503599627370497.0)
-                       / greatest(CAST(n_chars AS DOUBLE), 1.0) AS rank
-                FROM documents
-            )
-            SELECT doc_id, n_chars FROM r ORDER BY rank, doc_id LIMIT 50
-        """,
-        "user_event_paths": """
-            SELECT user_id,
-                   string_agg(event_type, '>' ORDER BY ts, event_id) AS path,
-                   count(*) AS n
-            FROM events GROUP BY user_id
-        """,
-        "quantiles_chars_cont": """
-            SELECT lang, 0.25 AS q,
-                   round(quantile_cont(n_chars, 0.25), 6) AS value
-            FROM documents GROUP BY lang
-            UNION ALL
-            SELECT lang, 0.5, round(quantile_cont(n_chars, 0.5), 6)
-            FROM documents GROUP BY lang
-            UNION ALL
-            SELECT lang, 0.75, round(quantile_cont(n_chars, 0.75), 6)
-            FROM documents GROUP BY lang
-            UNION ALL
-            SELECT lang, 0.9, round(quantile_cont(n_chars, 0.9), 6)
-            FROM documents GROUP BY lang
-        """,
-        "cohort_retention": """
-            WITH uw AS (
-                SELECT DISTINCT user_id,
-                       CAST(date_trunc('week', ts) AS DATE) AS w
-                FROM events
-            ),
-            c AS (SELECT user_id, min(w) AS cw FROM uw GROUP BY user_id)
-            SELECT c.cw AS cohort_week,
-                   CAST((uw.w - c.cw) // 7 AS BIGINT) AS week_offset,
-                   CAST(count(*) AS BIGINT) AS n_users
-            FROM uw JOIN c ON uw.user_id = c.user_id
-            GROUP BY 1, 2
-        """,
-        "event_type_transitions": """
-            WITH s AS (
-                SELECT user_id, event_type,
-                       LAG(event_type) OVER (
-                           PARTITION BY user_id ORDER BY ts, event_id
-                       ) AS prev
-                FROM events
-            )
-            SELECT prev AS prev_type, event_type AS cur_type,
-                   CAST(count(*) AS BIGINT) AS n
-            FROM s WHERE prev IS NOT NULL GROUP BY 1, 2
-        """,
-        "rolling_distinct_users": """
-            WITH du AS (
-                SELECT DISTINCT CAST(ts AS DATE) AS day, user_id FROM events
-            ),
-            days AS (SELECT DISTINCT day FROM du)
-            SELECT d.day, CAST(count(DISTINCT u.user_id) AS BIGINT)
-                       AS n_users_3d
-            FROM days d JOIN du u ON u.day BETWEEN d.day - 2 AND d.day
-            GROUP BY d.day
-        """,
-        "trimmed_mean_value": """
-            WITH x AS (
-                SELECT event_type,
-                       CAST(round(value * 100.0, 0) AS BIGINT) AS c
-                FROM events
-            ),
-            t AS (
-                SELECT event_type,
-                       quantile_disc(c, 0.05) AS lo,
-                       quantile_disc(c, 0.95) AS hi
-                FROM x GROUP BY event_type
-            )
-            SELECT x.event_type,
-                   round(CAST(t.lo AS DOUBLE) / 100.0, 6) AS lo,
-                   round(CAST(t.hi AS DOUBLE) / 100.0, 6) AS hi,
-                   CAST(count(*) AS BIGINT) AS n_kept,
-                   round(CAST(sum(x.c) AS DOUBLE) / count(*) / 100.0, 6)
-                       AS trimmed_mean
-            FROM x JOIN t ON x.event_type = t.event_type
-            WHERE x.c BETWEEN t.lo AND t.hi
-            GROUP BY x.event_type, t.lo, t.hi
-        """,
-        "containment_dups": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       string_split_regex(trim(text), '\s+') AS t
-                FROM documents
-            ),
-            g AS (
-                SELECT doc_id, unnest(list_distinct(
-                    CASE WHEN len(t) >= 3
-                         THEN [array_to_string(t[i:i+2], ' ')
-                               for i in range(1, len(t) - 1)]
-                         ELSE [array_to_string(t, ' ')] END)) AS gram
-                FROM toks
-                WHERE len(t) >= 1 AND array_to_string(t, '') <> ''
-            ),
-            sz AS (
-                SELECT doc_id, CAST(count(*) AS BIGINT) AS n
-                FROM g GROUP BY doc_id
-            ),
-            shared AS (
-                SELECT a.doc_id AS src, b.doc_id AS dst,
-                       count(*) AS ns
-                FROM g a JOIN g b
-                  ON a.gram = b.gram AND a.doc_id <> b.doc_id
-                GROUP BY 1, 2
-            )
-            SELECT s.src AS src_doc, s.dst AS dst_doc,
-                   round(CAST(s.ns AS DOUBLE) / sz.n, 6) AS containment
-            FROM shared s JOIN sz ON sz.doc_id = s.src
-            WHERE CAST(s.ns AS DOUBLE) / sz.n >= 0.6
         """,
         # BYTE-IDENTITY oracle for the HTML extraction channel: the SQL
         # re-derives every expected byte of extracted_text from the
@@ -11005,7 +3378,7 @@ WITH all_txt AS (
 ),
 tw AS (
     SELECT url, length(extracted_text) AS n_chars,
-           len(string_split_regex(extracted_text, '\s+')) AS n_words
+           len(string_split_regex(extracted_text, '\\s+')) AS n_words
     FROM all_txt
 ),
 hmeta AS (
@@ -11293,25 +3666,6 @@ ORDER BY doc_id
             SELECT doc_kind, extract_status,
                    count(*) AS n_docs, count(*) AS n_match
             FROM c GROUP BY doc_kind, extract_status
-        """,
-        # transitive closure: recursive CTE over the deterministic
-        # cross-link rule (site graph; seed site 0)
-        "link_depth": """
-            WITH RECURSIVE e AS (
-                -- BOTH channels link: HTML <a> cross-links and PDF
-                -- /Annots URI actions follow the same rule
-                SELECT DISTINCT (doc_id % 1000) AS src,
-                       ((doc_id * 31 + 7 * k.k) % 1000) AS dst
-                FROM documents, (VALUES (1), (2), (3)) AS k(k)
-                WHERE (doc_id % 101) NOT IN (13, 29, 47, 61, 83)
-            ), r AS (
-                SELECT CAST(0 AS BIGINT) AS node, CAST(0 AS BIGINT) AS depth
-                UNION
-                SELECT CAST(e.dst AS BIGINT), r.depth + 1
-                FROM r JOIN e ON e.src = r.node
-                WHERE r.depth < 40
-            )
-            SELECT node, min(depth) AS depth FROM r GROUP BY node
         """,
         # GROUP BY over the page_structure reconstruction: pages
         # sharing an exact DOM shape form one template cluster

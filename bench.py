@@ -3,10 +3,13 @@
 Default: run the headline extraction pipeline + every ``queries()``
 entry over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) with
 ``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` (default 32)
-and print ONE JSON line::
+and print ONE short JSON line last::
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, ...}
+     "docs_per_sec": ..., "num_cpus": N, "sf": ..., "failed_queries": K}
+
+The full result, with every per-query timing, goes to
+``bench_result.json`` next to this script.
 
 ``--scaling``: run the headline pipeline twice in FRESH processes
 (num_cpus=8 then num_cpus=32) on the SAME materialized input and
@@ -28,6 +31,8 @@ import time
 import pyarrow as pa
 
 DEFAULT_SF_DIR = "/root/testdata/sf0.1"
+RESULT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "bench_result.json")
 PAGES_CACHE_ROOT = "/tmp/graft_pages"
 
 # glibc malloc tunables for WORKER processes (read at process start):
@@ -327,6 +332,20 @@ def run_scaling(sf_dir: str, low: int, high: int, replicate: int = 32,
     }
 
 
+def headline(result: dict) -> dict:
+    """The last stdout line: short enough that a captured output tail
+    still holds all of it."""
+    return {
+        "metric": result["metric"],
+        "value": result["value"],
+        "unit": result["unit"],
+        "docs_per_sec": result["docs_per_sec"],
+        "num_cpus": result["num_cpus"],
+        "sf": result["sf"],
+        "failed_queries": sum(v < 0 for v in result["queries"].values()),
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf-dir", default=os.environ.get("GRAFT_SF_DIR", DEFAULT_SF_DIR))
@@ -378,7 +397,9 @@ def main() -> int:
                                 args.replicate)
     finally:
         ray.shutdown()
-    print(json.dumps(result))
+    with open(RESULT_PATH, "w") as f:
+        json.dump(result, f, indent=1)
+    print(json.dumps(headline(result)))
     return 0
 
 

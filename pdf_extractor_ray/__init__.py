@@ -6,14 +6,15 @@ capabilities of the reference ``shubh-cmd/pdf-extractor``:
 - content-sniff routing (%PDF magic vs HTML) over Common-Crawl-style
   Parquet pages ``(url, warc_ts, html:binary, text, lang)``
 - from-scratch HTML boilerplate stripper (text-density / link-density
-  block scoring over a stdlib-parsed DOM)
+  block scoring over the events of its own linear-time regex
+  tokenizer)
 - from-scratch PDF layout parser (xref/object parse, Flate decode,
   content-stream tokenizer, column-aware y-x reading order, ruled-line
   table grid)
 - construction-item / entity parsers re-expressing the reference's
   rule semantics (see ``parsers/``)
-- corpus-scale stages: dedup (exact / MinHash-LSH / SimHash /
-  embedding-cosine), similarity search, text analysis
+- corpus prep: quality gate, exact and MinHash-LSH dedup, and a
+  persisted LSH index for recrawl near-dup checks
 - per-partition lineage + checkpoint manifest with resume
 
 Everything is expressed Ray-Data-first: ``ray.data.read_parquet`` →

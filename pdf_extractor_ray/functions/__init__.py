@@ -1,178 +1,9 @@
-from .text import (  # noqa: F401
-    add_classifier_score,
-    add_quality_score,
-    add_text_features,
-    count_bpe_tokens,
-    detect_language,
-    doc_unigram_cross_entropy,
-    rarest_token_per_doc,
-    tfidf_top_terms,
-    inverted_index,
-    repetition_stats,
-    token_df,
-    top_ngram_char_frac,
-    top_ngrams,
-    top_tokens_approx,
-)
-from .bucketed import bucketed_groupby, bucketed_join, write_bucketed  # noqa: F401
-from .assoc import pair_lift  # noqa: F401
-from .graph import (  # noqa: F401
-    bfs_depths,
-    connected_components,
-    graph_stats,
-    hits,
-    katz_centrality,
-    kcore,
-    keyed_chain_edges,
-    label_propagation,
-    neighbor_jaccard_pairs,
-    pagerank,
-    triangle_count,
-    trustrank,
-)
-from .ml import logreg_predict, logreg_train  # noqa: F401
-from .window import (  # noqa: F401
-    dense_rank_in_group,
-    lag_attach,
-    lag_gap_stats,
-    locf_fill,
-    moving_avg,
-    ntile_in_group,
-    percent_rank_in_group,
-    range_frame_agg,
-    rank_in_group,
-    running_total,
-    sessionize,
-    topk_per_group,
-)
-from .url import normalize_urls, parse_urls  # noqa: F401
-from .sample import (  # noqa: F401
-    fixed_sample,
-    hash_sample,
-    repeat_rows,
-    shard_assign,
-    stratified_sample,
-    train_shuffle,
-    weighted_sample,
-)
-from .fingerprint import (  # noqa: F401
-    cdc_chunks,
-    cdc_dedup_stats,
-    winnow_dup_pairs,
-    winnow_fingerprints,
-)
-from .dsir import (  # noqa: F401
-    dsir_select,
-    dsir_weights,
-    fit_feature_counts,
-    log_importance_ratio,
-)
-from .dedup import (  # noqa: F401
-    add_exact_hash,
-    bucket_collision_pairs,
-    candidate_shingles,
-    exact_dedup,
-    interdoc_line_dedup,
-    latest_by_key,
-    minhash_lsh_candidates,
-    minhash_lsh_verified,
-    near_dup_keep_best,
-    ngram_jaccard_pairs,
-    remove_dup_spans,
-    simhash_dedup,
-)
-from .joins import (  # noqa: F401
-    asof_join,
-    broadcast_join,
-    broadcast_range_join,
-    hash_join,
-    range_join,
-    semi_anti_join,
-    to_pandas_typed,
-)
-from .similarity import (  # noqa: F401
-    ann_topk,
-    embedding_near_dups,
-    embedding_near_dups_allpairs,
-    ivf_topk,
-    jl_project,
-    jl_project_vectors,
-    jl_query_vectors,
-)
-from .agg import (  # noqa: F401
-    argmax_per_group,
-    cube_agg,
-    exact_distinct_by,
-    exact_quantiles,
-    exact_quantiles_by,
-    grouped_linreg,
-    grouped_spearman,
-    lowcard_groupby_agg,
-    rollup_agg,
-    zscore_by,
-)
-from .sketch import (  # noqa: F401
-    approx_distinct,
-    approx_distinct_by,
-    approx_quantiles,
-    bloom_build,
-    bloom_contains,
-    bloom_prefilter,
-)
-from .merge import merge_sources, merge_tagged  # noqa: F401
-from .multimodal import (  # noqa: F401
-    audio_features,
-    image_features,
-    image_near_dups,
-    media_dataset,
-    media_meta_stats,
-    video_frames,
-)
-from .chunk import chunk_text, pack_sequences, pack_sequences_grouped  # noqa: F401
-from .mix import (  # noqa: F401
-    percentile_keep,
-    rebalance_equal,
-    snapshot_diff,
-    split_assign,
-)
-from .text import char_entropy, readability_scores  # noqa: F401
-from .bpe import (  # noqa: F401
-    BpeEncodeStage,
-    bpe_pipeline,
-    bpe_train,
-    word_freqs,
-)
-from .agg import grouping_sets_agg  # noqa: F401
-from .url import host_blocklist_filter, anchor_text_index  # noqa: F401
-from .similarity import (  # noqa: F401
-    embedding_covariance,
-    label_centroids,
-    pca_project,
-    pq_encode,
-    pq_fit,
-    pq_topk,
-    tfidf_cosine_pairs,
-)
-from .setops import except_distinct, intersect_distinct  # noqa: F401
-from .lsh_index import (  # noqa: F401
-    append_lsh_index,
-    build_lsh_index,
-    query_lsh_index,
-)
-from .ann_index import build_ivf_index, query_ivf_index  # noqa: F401
-from .bm25_index import build_bm25_index, query_bm25_index  # noqa: F401
-from .agg import mad_by  # noqa: F401
-from .window import funnel_counts  # noqa: F401
-from .agg import partition_fold  # noqa: F401
-from .joins import interval_overlap_join  # noqa: F401
-from .mix import rebalance_weighted  # noqa: F401
-from .text import pmi_top_bigrams, doc_bigram_cross_entropy  # noqa: F401
-from .agg import grouped_skew_kurt  # noqa: F401
-from .joins import broadcast_cross_join  # noqa: F401
-from .window import cohort_retention, transition_counts  # noqa: F401
-from .agg import trimmed_mean_by  # noqa: F401
-from .dedup import containment_pairs  # noqa: F401
-from .mix import temperature_mix  # noqa: F401
-from .agg import winsorize_by  # noqa: F401
-from .text import nfc_normalize  # noqa: F401
-from .joins import salted_join  # noqa: F401
+"""Corpus-scale Ray Data operators: text features and quality signals,
+exact / MinHash-LSH dedup, the persisted recrawl LSH index, and the
+join, aggregation and search operators the ``__ray_entry__`` queries
+use.
+
+Import the submodule you need (``from pdf_extractor_ray.functions.dedup
+import ...``); this package re-exports nothing, so loading one module
+does not load every family.
+"""

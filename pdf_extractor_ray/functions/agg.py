@@ -30,7 +30,6 @@ import pyarrow.compute as pc
 # (input_col, fn, output_alias); fn ∈ {sum, count, min, max, mean}
 AggSpec = Tuple[str, str, str]
 
-_PARTIAL_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 _FINAL_FN = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 

@@ -42,7 +42,7 @@ END = "</w>"
 
 def _words_of(text: str) -> list[str]:
     """Pre-tokenization: the same letter-run / digit-run / punct split
-    as ``text.count_bpe_tokens`` (GPT-style pre-tokenizer), lowercased."""
+    as the GPT-style pre-tokenizer, lowercased."""
     return _WORD_RE.findall((text or "").lower())
 
 

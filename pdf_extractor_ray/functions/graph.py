@@ -610,165 +610,11 @@ def bfs_depths(edges_ds, sources, col_src: str = "src",
     )
 
 
-# ---------------------------------------------------------------- HITS
-def _local_hits(edges_t: pa.Table, iters: int):
-    src = edges_t.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
-    dst = edges_t.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-    nodes = np.unique(np.concatenate([src, dst]))
-    idx = {int(n): i for i, n in enumerate(nodes)}
-    si = np.fromiter((idx[int(v)] for v in src), np.int64, len(src))
-    di = np.fromiter((idx[int(v)] for v in dst), np.int64, len(dst))
-    n = len(nodes)
-    hub = np.ones(n)
-    auth = np.ones(n)
-    for _ in range(iters):
-        auth = np.bincount(di, weights=hub[si], minlength=n)
-        s = np.sqrt((auth * auth).sum())
-        if s > 0:
-            auth = auth / s
-        hub = np.bincount(si, weights=auth[di], minlength=n)
-        s = np.sqrt((hub * hub).sum())
-        if s > 0:
-            hub = hub / s
-    return nodes, hub, auth
-
-
-def hits(edges_ds, col_src: str = "src", col_dst: str = "dst",
-         iters: int = 20, local_max_edges: int = 2_000_000,
-         local_max_bytes: int = 256 << 20):
-    """HITS hubs & authorities over an (src, dst) int64 edge list —
-    FIXED ``iters`` mutual-reinforcement rounds with L2 normalization
-    (Kleinberg 1999), the complement of PageRank for link analysis
-    (a page can be a great DIRECTORY without being a great TARGET).
-
-    Same size-gated plan as :func:`pagerank`: local numpy under the
-    exact edge-count gate; above it each half-round is ONE hash join
-    (edge table pinned once) + one sum-groupby over (node, score)
-    pairs, lineage severed per round; the L2 norm is a scalar
-    aggregate.  Distributed-vs-local agreement is pinned by tests.
-    Output: Dataset ``(node, hub, authority)`` (scores rounded to 9 —
-    normalization divisions make trailing bits platform-noise).
-    """
-    import math
-
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from .joins import hash_join
-
-    def canon(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": batch.column(col_src).cast(pa.int64()),
-            "dst": batch.column(col_dst).cast(pa.int64()),
-        })
-
-    edges = _pin(edges_ds.map_batches(canon, batch_format="pyarrow"))
-    n_edges = edges.count()
-    if n_edges == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.int64()),
-            "hub": pa.array([], pa.float64()),
-            "authority": pa.array([], pa.float64()),
-        }))
-    if n_edges <= local_max_edges and edges.size_bytes() <= local_max_bytes:
-        nodes, hub, auth = _local_hits(
-            pa.concat_tables(
-                [t for t in ( __import__("ray").get(r)
-                              for r in edges.to_arrow_refs()) if t.num_rows]
-            ), iters)
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array(nodes, pa.int64()),
-            "hub": pa.array(np.round(hub, 9), pa.float64()),
-            "authority": pa.array(np.round(auth, 9), pa.float64()),
-        }))
-
-    # node table (distinct endpoints)
-    nodes = _pin(
-        edges.map_batches(
-            lambda b: pa.table({"node": pa.concat_arrays(
-                [b.column("src").combine_chunks(),
-                 b.column("dst").combine_chunks()])}),
-            batch_format="pyarrow",
-        ).groupby("node").aggregate(Sum("node", alias_name="__x"))
-        .map_batches(lambda b: pa.table({"node": b.column("node")}),
-                     batch_format="pyarrow")
-    )
-
-    def ones(name):
-        return _pin(nodes.map_batches(
-            lambda b: b.append_column(
-                name, pa.array([1.0] * b.num_rows, pa.float64())),
-            batch_format="pyarrow",
-        ))
-
-    hub = ones("score")
-
-    def push(scores, key_join, key_out):
-        """scores keyed on ``key_join`` flow along edges to ``key_out``,
-        summed per target, L2-normalized."""
-        contrib = hash_join(
-            edges, scores, key_join, "node",
-            left_cols=[key_out], right_cols=["score"],
-            how="inner",
-        )
-        summed = contrib.groupby(key_out).aggregate(
-            Sum("score", alias_name="s"))
-        summed = _pin(summed.map_batches(
-            lambda b: pa.table({
-                "node": b.column(key_out).cast(pa.int64()),
-                "score": b.column("s").cast(pa.float64()),
-            }), batch_format="pyarrow",
-        ))
-        row = summed.map_batches(
-            lambda b: pa.table({"q": pa.array(
-                [float((b.column("score").to_numpy(zero_copy_only=False)
-                        ** 2).sum())])}),
-            batch_format="pyarrow",
-        ).aggregate(Sum("q", alias_name="qq"))
-        norm = math.sqrt(float(row["qq"] or 0.0)) or 1.0
-        return _pin(summed.map_batches(
-            lambda b, norm=norm: pa.table({
-                "node": b.column("node"),
-                "score": pa.array(
-                    b.column("score").to_numpy(zero_copy_only=False) / norm,
-                    pa.float64()),
-            }), batch_format="pyarrow",
-        ))
-
-    auth = None
-    for _ in range(iters):
-        auth = push(hub, "src", "dst")      # authorities gather from hubs
-        hub = push(auth, "dst", "src")      # hubs gather from authorities
-
-    # assemble over ALL nodes (missing scores = 0, like the local path)
-    from .joins import hash_join as _hj
-
-    out = _hj(nodes, hub, "node", "node", ["node"], ["score"], how="left")
-    out = out.map_batches(
-        lambda b: pa.table({
-            "node": b.column("node"),
-            "hub": pa.array(np.round(np.nan_to_num(
-                b.column("score").to_numpy(zero_copy_only=False)
-                .astype(np.float64)), 9), pa.float64()),
-        }), batch_format="pyarrow",
-    )
-    out = _hj(out, auth, "node", "node", ["node", "hub"], ["score"], how="left")
-    return out.map_batches(
-        lambda b: pa.table({
-            "node": b.column("node"),
-            "hub": b.column("hub"),
-            "authority": pa.array(np.round(np.nan_to_num(
-                b.column("score").to_numpy(zero_copy_only=False)
-                .astype(np.float64)), 9), pa.float64()),
-        }), batch_format="pyarrow",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Triangle counting, whole-graph stats, co-citation similarity, k-core.
 #
 # All four follow the family's size-gate pattern (connected_components,
-# pagerank, hits): at or below local_max_edges/local_max_bytes — exact
+# pagerank): at or below local_max_edges/local_max_bytes — exact
 # metadata of the pinned canonical edge table, not a guess — the edges
 # are collected and a vectorized numpy kernel answers directly (a
 # distributed exchange costs seconds of task overhead that a 10^6-edge
@@ -1707,130 +1553,6 @@ def trustrank(edges_ds, seeds, col_src: str = "src", col_dst: str = "dst",
 
         ranks = _pin(joined.map_batches(update, batch_format="pyarrow"))
     return ranks
-
-
-def _local_katz(edges_t: pa.Table, alpha: float, iters: int):
-    """Driver-local fixed-iteration Katz recursion x ← 1 + α·Aᵀx."""
-    src = edges_t.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
-    dst = edges_t.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-    nodes = np.unique(np.concatenate([src, dst]))
-    n = len(nodes)
-    si = np.searchsorted(nodes, src)
-    di = np.searchsorted(nodes, dst)
-    x = np.ones(n)
-    for _ in range(iters):
-        contrib = np.zeros(n)
-        np.add.at(contrib, di, x[si])
-        x = 1.0 + alpha * contrib
-    return nodes, x
-
-
-def katz_centrality(edges_ds, alpha: float = 0.01, iters: int = 20,
-                    col_src: str = "src", col_dst: str = "dst",
-                    local_max_edges: int = 2_000_000,
-                    local_max_bytes: int = 256 << 20):
-    """Katz centrality (Katz 1953): x ← 1 + α·Aᵀx for a FIXED ``iters``
-    — every node scores 1 plus the α-attenuated sum over all incoming
-    walks, so unlike PageRank a node with many low-quality in-links
-    can't launder rank through degree normalization.  Converges for
-    α < 1/λ_max; callers pick α ≪ 1/max-in-degree (a safe bound).
-
-    Same engineering contract as :func:`pagerank` / :func:`trustrank`:
-    fixed iteration count (value-checkable against unrolled SQL),
-    size-gated local numpy twin, distributed path = one hash join +
-    one groupby-sum per round over (node, score) pairs with the edge
-    table pinned once, lineage severed per round.  Output: Dataset
-    ``(node, score)``.
-    """
-    import ray
-    import ray.data
-    from ray.data.aggregate import Min, Sum
-
-    from .joins import hash_join
-
-    def canon(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": batch.column(col_src).cast(pa.int64()),
-                "dst": batch.column(col_dst).cast(pa.int64()),
-            }
-        )
-
-    edges = _pin(edges_ds.map_batches(canon, batch_format="pyarrow"))
-    if edges.num_blocks() > 32:
-        target = max(16, edges.size_bytes() // (32 << 20))
-        edges = _pin(edges.repartition(int(target)))
-    n_edges = edges.count()
-    if n_edges == 0:
-        return ray.data.from_arrow(
-            pa.table({"node": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
-        )
-    if n_edges <= local_max_edges and edges.size_bytes() <= local_max_bytes:
-        tabs = [t for t in (ray.get(r) for r in edges.to_arrow_refs())
-                if t.num_rows > 0]
-        nodes, x = _local_katz(pa.concat_tables(tabs), alpha, iters)
-        return ray.data.from_arrow(
-            pa.table({"node": pa.array(nodes, pa.int64()),
-                      "score": pa.array(x, pa.float64())})
-        )
-
-    parts = int(min(256, max(8, n_edges // 100_000)))
-
-    def explode_nodes(batch: pa.Table) -> pa.Table:
-        u = np.unique(np.concatenate([
-            batch.column("src").to_numpy(zero_copy_only=False),
-            batch.column("dst").to_numpy(zero_copy_only=False),
-        ]))
-        return pa.table({"node": pa.array(u, pa.int64())})
-
-    nodes_ds = _pin(
-        edges.map_batches(explode_nodes, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("node", alias_name="__m"))
-        .map_batches(
-            lambda b: pa.table({"node": b.column("node").cast(pa.int64())}),
-            batch_format="pyarrow",
-        )
-    )
-    scores = _pin(nodes_ds.map_batches(
-        lambda b: b.append_column(
-            "score", pa.array([1.0] * b.num_rows, pa.float64())
-        ),
-        batch_format="pyarrow",
-    ))
-    for _ in range(iters):
-        contribs = hash_join(
-            edges, scores, "src", "node",
-            left_cols=["dst"], right_cols=["score"],
-            how="inner", num_partitions=parts,
-        )
-        in_mass = (
-            contribs.map_batches(
-                lambda b: pa.table({"node": b.column("dst"),
-                                    "w": b.column("score")}),
-                batch_format="pyarrow",
-            )
-            .groupby("node")
-            .aggregate(Sum("w", alias_name="mass"))
-        )
-        joined = hash_join(
-            nodes_ds, in_mass, "node", "node",
-            left_cols=["node"], right_cols=["mass"],
-            how="left", num_partitions=parts,
-        )
-
-        def update(batch: pa.Table) -> pa.Table:
-            mass = np.nan_to_num(
-                batch.column("mass").to_numpy(zero_copy_only=False)
-                .astype(np.float64))
-            return pa.table({
-                "node": batch.column("node"),
-                "score": pa.array(1.0 + alpha * mass, pa.float64()),
-            })
-
-        scores = _pin(joined.map_batches(update, batch_format="pyarrow"))
-    return scores
 
 
 # ------------------------------------------------------- label propagation

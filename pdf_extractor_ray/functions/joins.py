@@ -237,9 +237,6 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-_POLY_P = np.uint64(1099511628211)  # FNV-1a prime, wraps mod 2^64
-
-
 def _hash_binlike(arr: pa.Array) -> np.ndarray:
     """uint64 BUCKETING hash per row of a large_binary array — three
     8-byte windows (head, middle, tail) gathered straight off the raw
@@ -1158,7 +1155,7 @@ def salted_join(
     side); the big side is unchanged.
 
     Result-equality with ``hash_join(validate='many')`` is pinned by
-    tests and the ``salted_revenue_join`` DuckDB oracle.  Keys must be
+    tests.  Keys must be
     integers (the composite key is ``key·n_salt + salt`` in int64).
     ``how`` ∈ {inner, left}: left-outer semantics follow the salted
     left side naturally (each left row carries exactly one salt).

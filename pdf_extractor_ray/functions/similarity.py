@@ -221,15 +221,13 @@ def embedding_near_dups(
     together so one partition's memberships fit a worker heap.
     ``max_bucket`` (optional) drops buckets larger than that size —
     non-discriminative at true near-dup thresholds and O(size²) to
-    verify; None keeps the exact legacy semantics.
+    verify; None keeps every bucket.
 
     Candidate recall is probabilistic per pair: with per-plane agree
     probability p = 1 - θ/π, recall = 1-(1-p^b)^L — at b=3, L=24 a
     pair at cosine 0.45 is found with P ≈ 0.9995 (verified exhaustive
     vs all-pairs on the test corpora: recall 1.0 at sf0.001/0.01/0.1).
-    The exact all-pairs oracle twin is ``embedding_near_dups_allpairs``;
-    pair parity vs the legacy broadcast plan is pinned in
-    ``tests/test_functions.py``.
+    The exact all-pairs oracle twin is ``embedding_near_dups_allpairs``.
     """
     if dim == 0:
         first = emb_ds.take(1)
@@ -328,120 +326,6 @@ def embedding_near_dups(
     )
     # global distinct (partition fold — the native composite-key
     # Aggregate measured ~5x slower; see agg.partition_fold)
-    return partition_fold(verified, ["vec_a", "vec_b"], "sim", fn="max")
-
-
-def _embedding_near_dups_broadcast(
-    emb_ds,
-    threshold: float = 0.95,
-    n_planes: int = 3,
-    n_tables: int = 24,
-    seed: int = 42,
-    dim: int = 0,
-):
-    """LEGACY round-≤4 plan — count pass → hot-bucket key list collected
-    on the DRIVER and broadcast → recompute-membership pass → in-bucket
-    verify.  Kept only as the parity reference for the single-exchange
-    plan above (the driver hot set scales with collision-bucket count,
-    which disqualifies it at 100-TB dup rates).  Do not use in
-    pipelines."""
-    import ray
-    from ray.data.aggregate import Count
-
-    if dim == 0:
-        first = emb_ds.take(1)
-        dim = len(first[0]["embedding"])
-    stage_kwargs = {
-        "dim": dim, "n_planes": n_planes, "n_tables": n_tables, "seed": seed,
-    }
-
-    from .dedup import compact_blocks
-
-    buckets = compact_blocks(emb_ds.map_batches(
-        MultiTableHyperplaneStage,
-        fn_constructor_kwargs=stage_kwargs,
-        batch_format="pyarrow",
-        concurrency=pool_size(),
-    ))
-
-    counts = buckets.groupby("bucket_key").aggregate(Count(alias_name="n"))
-    hot = counts.filter(expr="n > 1").select_columns(["bucket_key"]).take_all()
-    hot_keys = np.sort(np.asarray([r["bucket_key"] for r in hot], dtype=np.int64))
-    hot_ref = ray.put(hot_keys)
-
-    class HotMembershipStage:
-        """Second pass: recompute the L bucket keys per vector (one
-        matmul) and emit (bucket_key, vec_id, embedding) rows only for
-        hot buckets — replaces a join shuffle with cheap recompute."""
-
-        def __init__(self) -> None:
-            self.stage = MultiTableHyperplaneStage(**stage_kwargs)
-            self.hot = ray.get(hot_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _matrix(batch.column("embedding"))
-            empty = pa.table(
-                {"bucket_key": pa.array([], pa.int64()),
-                 "vec_id": pa.array([], pa.int64()),
-                 "embedding": pa.array([], batch.column("embedding").type)}
-            )
-            if m.size == 0:
-                return empty
-            keys = self.stage.keys_for(m)  # (n, L)
-            is_hot = np.isin(keys, self.hot)
-            rows, tbls = np.nonzero(is_hot)
-            if len(rows) == 0:
-                return empty
-            taken = batch.take(pa.array(rows, pa.int64()))
-            return pa.table(
-                {
-                    "bucket_key": pa.array(keys[rows, tbls], pa.int64()),
-                    "vec_id": taken.column("vec_id"),
-                    "embedding": taken.column("embedding"),
-                }
-            )
-
-    with_emb = compact_blocks(emb_ds.select_columns(
-        ["vec_id", "embedding"]
-    ).map_batches(
-        HotMembershipStage,
-        batch_format="pyarrow",
-        concurrency=pool_size(),
-    ))
-
-    def verify_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"vec_a": pa.array([], pa.int64()),
-             "vec_b": pa.array([], pa.int64()),
-             "sim": pa.array([], pa.float64())}
-        )
-        if group.num_rows < 2:
-            return empty
-        ids = np.asarray(group.column("vec_id").to_pylist(), dtype=np.int64)
-        order = np.argsort(ids)
-        ids = ids[order]
-        m = _normalize(_matrix(group.column("embedding"))[order])
-        sims = m @ m.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        keep = sims[ia, ib] >= threshold
-        if not keep.any():
-            return empty
-        return pa.table(
-            {
-                "vec_a": pa.array(ids[ia[keep]], pa.int64()),
-                "vec_b": pa.array(ids[ib[keep]], pa.int64()),
-                "sim": pa.array(np.round(sims[ia[keep], ib[keep]], 6), pa.float64()),
-            }
-        )
-
-    verified = with_emb.groupby("bucket_key").map_groups(
-        verify_bucket, batch_format="pyarrow"
-    )
-    # distinct: a pair verifies in every table it collides in
-    # (partition fold — the native composite-key Aggregate measured
-    # ~5x slower; see agg.partition_fold)
-    from .agg import partition_fold
-
     return partition_fold(verified, ["vec_a", "vec_b"], "sim", fn="max")
 
 
@@ -1276,8 +1160,7 @@ def pca_project(ds, col: str = "embedding", dims: int = 16,
     Output: the input Dataset with ``out_col`` (fixed-size list<double>
     of length n_components, round-6 for reproducible comparison).
     Iterative/eigendecomposition step keeps this rows-only (no SQL
-    twin); correctness is pinned against numpy PCA in tests and the
-    covariance fit itself is the DuckDB-oracled ``embedding_covariance``.
+    twin); correctness is pinned against numpy PCA in tests.
     """
     import ray
 

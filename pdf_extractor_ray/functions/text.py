@@ -105,23 +105,6 @@ def add_quality_score(batch: pa.Table) -> pa.Table:
     return batch.append_column("quality_score", score)
 
 
-
-
-def count_bpe_tokens(batch: pa.Table) -> pa.Table:
-    """BPE-ish subword-boundary token count (letter runs / digit runs /
-    single punctuation) — the pre-tokenization split GPT-style BPE
-    vocabularies apply before merges; SQL-mirrorable via
-    ``regexp_extract_all``."""
-    counts = pc.cast(
-        pc.count_substring_regex(
-            pc.fill_null(batch.column("text"), ""),
-            r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]",
-        ),
-        pa.int64(),
-    )
-    return batch.append_column("n_bpe_tokens", counts)
-
-
 # character-trigram profiles (top distinctive trigrams incl. spaces, per
 # language) — the classic n-gram language-ID heuristic (Cavnar & Trenkle
 # 1994 shape, tiny profile)

@@ -106,45 +106,6 @@ def lag_gap_stats(
     return events_ds.groupby(key).map_groups(gaps, batch_format="pyarrow")
 
 
-def running_total(
-    events_ds,
-    key: str,
-    ts_col: str,
-    val_col: str,
-    tiebreak: str,
-    out_col: str = "running_value",
-):
-    """Per-key cumulative sum in (ts, tiebreak) order — ``sum(val)
-    OVER (PARTITION BY key ORDER BY ts, tiebreak ROWS UNBOUNDED
-    PRECEDING)``. One hash shuffle; in-group lexsort + ``np.cumsum``
-    accumulates in exactly the SQL frame order, so float results are
-    bit-identical to a sequential window engine. Emits one row per
-    input row: (key, tiebreak, out_col)."""
-
-    def cum(group: pa.Table) -> pa.Table:
-        ts = (
-            group.column(ts_col)
-            .cast(pa.timestamp("us"))
-            .cast(pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        tb = np.asarray(group.column(tiebreak).to_pylist())
-        vals = np.asarray(group.column(val_col).to_pylist(), dtype=np.float64)
-        order = np.lexsort((tb, ts))
-        run = np.cumsum(vals[order])
-        return pa.table(
-            {
-                key: group.column(key),
-                tiebreak: group.column(tiebreak).take(
-                    pa.array(order, pa.int64())
-                ),
-                out_col: pa.array(np.round(run, 6), pa.float64()),
-            }
-        )
-
-    return events_ds.groupby(key).map_groups(cum, batch_format="pyarrow")
-
-
 def lag_attach(
     ds,
     key: str,
@@ -518,39 +479,6 @@ def ntile_in_group(
         )
 
     return ds.groupby(key).map_groups(tile, batch_format="pyarrow")
-
-
-def percent_rank_in_group(
-    ds,
-    key: str,
-    order_cols: list,
-    out_col: str = "pct_rank",
-):
-    """``percent_rank() OVER (PARTITION BY key ORDER BY order_cols)``
-    — (rank−1)/(n−1) per group, 0.0 for singleton groups.
-
-    Include a UNIQUE tiebreak column in ``order_cols``: with unique
-    ordering SQL's RANK equals row_number, so the results are
-    oracle-matchable (ties under RANK share values; this operator
-    intentionally requires the unambiguous form). Same one-shuffle
-    plan as :func:`rank_in_group`; rounding is SQL half-away."""
-
-    def rank(group: pa.Table) -> pa.Table:
-        arrs = []
-        for c in order_cols:
-            col = group.column(c)
-            if pa.types.is_temporal(col.type):
-                col = col.cast(pa.timestamp("us")).cast(pa.int64())
-            arrs.append(np.asarray(col.to_pylist()))
-        order = np.lexsort(tuple(reversed(arrs)))
-        n = len(order)
-        rn = np.empty(n, dtype=np.float64)
-        rn[order] = np.arange(n, dtype=np.float64)
-        pct = rn / (n - 1) if n > 1 else np.zeros(n)
-        pct = np.floor(pct * 1e6 + 0.5) / 1e6
-        return group.append_column(out_col, pa.array(pct, pa.float64()))
-
-    return ds.groupby(key).map_groups(rank, batch_format="pyarrow")
 
 
 def range_frame_agg(

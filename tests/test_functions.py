@@ -187,8 +187,8 @@ def test_candidate_shingles_only_touch_candidate_docs(ray_session, docs):
 
 
 def test_embedding_near_dups_lsh_matches_allpairs(ray_session, sf_dir):
-    """The bucketed scale path reproduces the exact all-pairs result
-    (recall 1.0 at the fixed seed) with no driver-side matrix."""
+    """The bucketed scale path reproduces the exact all-pairs pairs and
+    sims (recall 1.0 at the fixed seed) with no corpus-wide matrix."""
     import ray.data
 
     from pdf_extractor_ray.functions.similarity import (
@@ -204,32 +204,10 @@ def test_embedding_near_dups_lsh_matches_allpairs(ray_session, sf_dir):
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     exact = embedding_near_dups_allpairs(emb2, threshold=0.45).to_pandas()
-    key = lambda df: sorted(zip(df["vec_a"], df["vec_b"]))  # noqa: E731
-    assert key(lsh) == key(exact)
-    assert len(exact) > 0
-
-
-def test_embedding_near_dups_parity_vs_broadcast_plan(ray_session, sf_dir):
-    """The round-5 single-exchange plan (no driver hot-bucket collect)
-    emits exactly the pairs AND sims of the legacy broadcast plan."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import (
-        _embedding_near_dups_broadcast,
-        embedding_near_dups,
-    )
-
-    def load():
-        return ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
-
-    new = embedding_near_dups(load(), threshold=0.45).to_pandas()
-    old = _embedding_near_dups_broadcast(load(), threshold=0.45).to_pandas()
     key = lambda df: sorted(  # noqa: E731
         zip(df["vec_a"], df["vec_b"], df["sim"]))
-    assert key(new) == key(old)
-    assert len(new) > 0
+    assert key(lsh) == key(exact)
+    assert len(exact) > 0
 
 
 def test_top_ngrams_matches_counter(ray_session, docs):

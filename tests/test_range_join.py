@@ -1,9 +1,7 @@
 """Range (interval) joins: keyed m:n and keyless broadcast banding.
 
 Semantics pinned against a brute-force nested-loop reference and, for
-the band variant, against explicit expected bins. The same operators
-are DuckDB-oracled end-to-end via ``repeat_orders_window`` and
-``orders_price_bands`` in ``__ray_entry__``.
+the band variant, against explicit expected bins.
 """
 from __future__ import annotations
 

@@ -340,30 +340,6 @@ def test_bfs_depths_random_graphs_vs_reference(ray_session):
     run()
 
 
-def test_hits_local_vs_distributed_and_semantics(ray_session):
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import hits
-
-    # 1,2,3 are hubs pointing at 5 (strong authority) and 6
-    edges = pa.table({
-        "src": pa.array([1, 1, 2, 3, 3, 4], pa.int64()),
-        "dst": pa.array([5, 6, 5, 5, 6, 7], pa.int64()),
-    })
-    ds = ray.data.from_arrow(edges)
-    loc = hits(ds, iters=15).to_pandas().sort_values("node") \
-        .reset_index(drop=True)
-    dist = hits(ds, iters=15, local_max_edges=0).to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    pd.testing.assert_frame_equal(loc.round(6), dist.round(6))
-    by = dict(zip(loc.node, zip(loc.hub, loc.authority)))
-    assert by[5][1] > by[6][1] > 0      # 5 the stronger authority
-    assert by[1][0] > by[2][0] > 0      # 1 links to both → stronger hub
-    assert by[5][0] == 0.0              # pure sinks have no hub score
-
-
 def test_band_layout_partitions_exactly():
     from pdf_extractor_ray.functions.dedup import band_layout
 

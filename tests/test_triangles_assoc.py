@@ -420,6 +420,43 @@ def test_trustrank_no_seeds_in_graph(ray_session):
     assert out == {1: 0.0, 2: 0.0}
 
 
+# DuckDB twin of ``text.readability_scores``.
+_READABILITY_SQL = r"""
+            -- ASCII-whitespace trim (regexp \s is RE2/ASCII), matching
+            -- the Ray side's explicit [ \t\n\r\f\v] contract exactly --
+            -- DuckDB's plain trim() strips only spaces (ADVICE r4)
+            WITH d AS (
+                SELECT doc_id,
+                       regexp_replace(text, '^\s+|\s+$', '', 'g') AS t
+                FROM documents
+                WHERE regexp_replace(text, '^\s+|\s+$', '', 'g') <> ''
+            ), w AS (
+                SELECT doc_id, t,
+                       string_split_regex(t, '\s+') AS words
+                FROM d
+            ), syl AS (
+                SELECT doc_id,
+                       CAST(sum(greatest(1, len(regexp_extract_all(
+                           lower(word), '[aeiouy]+')))) AS BIGINT) AS y
+                FROM (SELECT doc_id, unnest(words) AS word FROM w)
+                GROUP BY doc_id
+            ), base AS (
+                SELECT w.doc_id,
+                       CAST(len(w.words) AS BIGINT) AS n_words,
+                       CAST(greatest(1, len(regexp_extract_all(
+                           w.t, '[.!?]+'))) AS BIGINT) AS n_sentences,
+                       syl.y AS n_syllables
+                FROM w JOIN syl ON syl.doc_id = w.doc_id
+            )
+            SELECT doc_id, n_words, n_sentences, n_syllables,
+                   round(206.835
+                         - 1.015 * (CAST(n_words AS DOUBLE) / n_sentences)
+                         - 84.6 * (CAST(n_syllables AS DOUBLE) / n_words),
+                         6) AS flesch
+            FROM base ORDER BY doc_id
+        """
+
+
 def test_readability_hand_checked(ray_session):
     from pdf_extractor_ray.functions.text import readability_scores
 
@@ -464,42 +501,14 @@ def test_readability_ascii_whitespace_contract(ray_session):
     assert rows[3]["n_words"] == 1  # the NBSP itself is one "word"
 
     # the oracle SQL agrees on the same tricky corpus
-    import __ray_entry__ as entry
-
-    sql = entry.oracle_sql()["readability_scores"]
     con = duckdb.connect()
     con.register("documents", pa.table({
         "doc_id": [1, 2, 3, 4], "text": texts,
     }))
-    got = con.execute(sql).fetch_arrow_table().to_pylist()
+    got = con.execute(_READABILITY_SQL).fetch_arrow_table().to_pylist()
     want = sorted(rows.values(), key=lambda r: r["doc_id"])
     assert [tuple(sorted(r.items())) for r in got] == \
         [tuple(sorted(r.items())) for r in want]
-
-
-def test_katz_parity_and_semantics(ray_session):
-    from pdf_extractor_ray.functions.graph import katz_centrality
-
-    # star: 1..4 -> 5. Closed form after >=2 iters: x(5) = 1 + 4a(1+a),
-    # x(1..4) = 1 + a (5 has no out-edge beyond... 5 -> 1 adds walks)
-    ds = ray.data.from_arrow(pa.table({
-        "src": [1, 2, 3, 4], "dst": [5, 5, 5, 5],
-    }))
-    a = 0.1
-    local = {
-        r["node"]: r["score"]
-        for r in katz_centrality(ds, alpha=a, iters=10).take_all()
-    }
-    assert local[5] == pytest.approx(1 + 4 * a)   # leaves stay at 1
-    for n in (1, 2, 3, 4):
-        assert local[n] == pytest.approx(1.0)
-    dist = {
-        r["node"]: r["score"]
-        for r in katz_centrality(ds, alpha=a, iters=10,
-                                 local_max_edges=0).take_all()
-    }
-    for n in local:
-        assert dist[n] == pytest.approx(local[n], abs=1e-12)
 
 
 def test_label_centroids_matches_numpy(ray_session):

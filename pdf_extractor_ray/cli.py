@@ -10,9 +10,12 @@ Modes (reference --standard/--construction flags → --mode):
 - ``construction`` extract → construction items table
 - ``standard``     extract → entities table
 
-The job is checkpointed: each partition of input files commits
-atomically with lineage + metrics (state/manifest.py); rerunning the
-same command resumes from the last committed partition.
+Two jobs are checkpointed: ``--mode extract`` on parquet input with
+parquet output, and ``--mode web-prep``. Each partition of input files
+commits atomically with lineage + metrics (state/manifest.py), and
+rerunning the same command resumes from the last committed partition.
+Every other mode and format is one Ray Data execution that writes its
+output directly; rerun it from scratch.
 
 This module OWNS its Ray session (guarded init) — the library never
 calls ray.init().
@@ -76,6 +79,38 @@ def _envelope_pipeline(mode: str):
         "standard": standard_result_pipeline,
         "extract": extraction_pipeline,
     }[mode]
+
+
+def _rows_written(out_dir: str) -> int:
+    """Rows in the parquet files under ``out_dir``, from their footers —
+    never re-executes the plan that wrote them."""
+    import pyarrow.parquet as pq
+
+    return sum(pq.read_metadata(f).num_rows
+               for f in sorted(glob.glob(f"{out_dir}/*.parquet")))
+
+
+def _write_output(args, ds) -> dict:
+    """Run the mode's pipeline over pages ``ds`` and write it in
+    ``args.format``; returns the job's output counts."""
+    from pdf_extractor_ray.pipelines.registry import get_pipeline
+
+    if args.format == "json" and args.per_doc:
+        from pdf_extractor_ray.pipelines.extraction import write_per_doc_json
+
+        return {"files": write_per_doc_json(_envelope_pipeline(args.mode)(ds),
+                                            args.output)}
+    out = get_pipeline(args.mode)(ds)
+    if args.format == "json":
+        out.write_json(args.output)
+        return {"files": len(glob.glob(f"{args.output}/*.json"))}
+    if args.format == "wet":
+        from pdf_extractor_ray.sources.warc import write_wet
+
+        man = write_wet(out, args.output).to_pandas()
+        return {"files": len(man), "records": int(man["n_records"].sum())}
+    out.write_parquet(args.output)
+    return {"rows": _rows_written(args.output)}
 
 
 def _inspect(args) -> int:
@@ -204,12 +239,9 @@ def main(argv: List[str] | None = None) -> int:
                 ap.error("--mode index-query requires --index")
             pairs = query_lsh_index(docs, args.index)
             pairs.write_parquet(args.output)
-            import pyarrow.parquet as pq
-
-            n = sum(pq.read_metadata(f).num_rows
-                    for f in sorted(glob.glob(f"{args.output}/*.parquet")))
             print(json.dumps({"mode": args.mode, "index": args.index,
-                              "output": args.output, "pairs": n}))
+                              "output": args.output,
+                              "pairs": _rows_written(args.output)}))
         if started_ray:
             ray.shutdown()
         return 0
@@ -234,117 +266,22 @@ def main(argv: List[str] | None = None) -> int:
             docs = ray.data.read_parquet(_expand(args.input))
         out = corpus_prep_pipeline(docs)
         out.write_parquet(args.output)
-        import pyarrow.parquet as pq
-
-        metrics = {
-            "rows": sum(
-                pq.read_metadata(f).num_rows
-                for f in sorted(glob.glob(f"{args.output}/*.parquet"))
-            )
-        }
-        print(json.dumps({"mode": args.mode, "output": args.output, **metrics}))
+        print(json.dumps({"mode": args.mode, "output": args.output,
+                          "rows": _rows_written(args.output)}))
         if started_ray:
             ray.shutdown()
         return 0
 
-    if args.input_format in ("files", "warc"):
-        # raw .pdf/.html files (the reference's input shape) or WARC
-        # crawl archives: run the selected pipeline directly; the
-        # checkpointed partition runner applies to parquet shards only
-        from pdf_extractor_ray.pipelines.registry import get_pipeline
-
-        if args.input_format == "files":
-            from pdf_extractor_ray.sources.files import pages_from_files
-
-            ds = pages_from_files(args.input)
-        else:
-            from pdf_extractor_ray.sources.warc import pages_from_warc
-
-            ds = pages_from_warc(args.input)
-        if args.format == "json" and args.per_doc:
-            from pdf_extractor_ray.pipelines.extraction import write_per_doc_json
-
-            n = write_per_doc_json(_envelope_pipeline(args.mode)(ds), args.output)
-            metrics = {"files": n}
-        elif args.format == "json":
-            out = get_pipeline(args.mode)(ds)
-            # honor the reference-compat JSON view here too (was
-            # silently ignored for files/warc inputs)
-            out.write_json(args.output)
-            metrics = {"files": len(glob.glob(f"{args.output}/*.json"))}
-        elif args.format == "wet":
-            from pdf_extractor_ray.sources.warc import write_wet
-
-            man = write_wet(get_pipeline(args.mode)(ds), args.output).to_pandas()
-            metrics = {"files": len(man), "records": int(man["n_records"].sum())}
-        else:
-            out = get_pipeline(args.mode)(ds)
-            out.write_parquet(args.output)
-            import pyarrow.parquet as pq
-
-            metrics = {
-                "rows": sum(
-                    pq.read_metadata(f).num_rows
-                    for f in sorted(glob.glob(f"{args.output}/*.parquet"))
-                )
-            }
-        print(json.dumps({"mode": args.mode, "output": args.output, **metrics}))
-        if started_ray:
-            ray.shutdown()
-        return 0
-
-    files = _expand(args.input)
-
-    if args.mode == "extract" and args.format == "wet":
-        # WET shards carry their own idempotent content-hash names
-        # (atomic publish per block), so the checkpoint runner is not
-        # needed: a re-run rewrites identical files in place
-        import ray.data
-
-        from pdf_extractor_ray.pipelines.extraction import extraction_pipeline
-        from pdf_extractor_ray.sources.warc import write_wet
-
-        ds = ray.data.read_parquet(files, columns=["url", "warc_ts", "html", "lang"])
-        man = write_wet(extraction_pipeline(ds), args.output).to_pandas()
-        metrics = {"files": len(man), "records": int(man["n_records"].sum())}
-    elif args.mode == "extract":
+    if (args.mode == "extract" and args.input_format == "parquet"
+            and args.format == "parquet"):
         from pdf_extractor_ray.pipelines.extraction import run_extraction_job
 
         metrics = run_extraction_job(
-            files, args.output, files_per_partition=args.files_per_partition
+            _expand(args.input), args.output,
+            files_per_partition=args.files_per_partition,
         )
     else:
-        import ray.data
-
-        from pdf_extractor_ray.pipelines.registry import get_pipeline
-
-        ds = ray.data.read_parquet(files, columns=["url", "warc_ts", "html", "lang"])
-        if args.format == "json" and args.per_doc:
-            from pdf_extractor_ray.pipelines.extraction import write_per_doc_json
-
-            n = write_per_doc_json(_envelope_pipeline(args.mode)(ds), args.output)
-            metrics = {"files": n}
-        elif args.format == "json":
-            out = get_pipeline(args.mode)(ds)
-            out.write_json(args.output)
-            metrics = {"files": len(glob.glob(f"{args.output}/*.json"))}
-        elif args.format == "wet":
-            from pdf_extractor_ray.sources.warc import write_wet
-
-            man = write_wet(get_pipeline(args.mode)(ds), args.output).to_pandas()
-            metrics = {"files": len(man), "records": int(man["n_records"].sum())}
-        else:
-            out = get_pipeline(args.mode)(ds)
-            out.write_parquet(args.output)
-            # row count from the written footers — never re-executes
-            import pyarrow.parquet as pq
-
-            metrics = {
-                "rows": sum(
-                    pq.read_metadata(f).num_rows
-                    for f in sorted(glob.glob(f"{args.output}/*.parquet"))
-                )
-            }
+        metrics = _write_output(args, _load_pages(args))
 
     print(json.dumps({"mode": args.mode, "output": args.output, **metrics}))
     if started_ray:

@@ -1,9 +1,11 @@
 """Corpus-scale Ray Data operators: text features and quality signals,
-exact / MinHash-LSH dedup, the persisted recrawl LSH index, and the
-join, aggregation and search operators the ``__ray_entry__`` queries
-use.
+exact / MinHash-LSH / SimHash dedup, the persisted LSH and BM25
+indexes, and the join, aggregation, sketch and search operators that
+corpus prep, the CLI and the ``__ray_entry__`` queries use.
 
-Import the submodule you need (``from pdf_extractor_ray.functions.dedup
-import ...``); this package re-exports nothing, so loading one module
-does not load every family.
+Every top-level def here has a caller outside the tests;
+``tests/test_no_orphan_modules.py`` checks that. Import the submodule
+you need (``from pdf_extractor_ray.functions.dedup import ...``); this
+package re-exports nothing, so loading one module does not load every
+family.
 """

@@ -205,7 +205,7 @@ def bucket_collision_pairs(
     pre-pass, NO hot-key broadcast and NO composite-key
     sort-aggregate — the previous plan used all three, and the native
     composite-key Aggregate alone measured ~5× the wall of a
-    partition-fold at sf0.1 (see ``tfidf_cosine_pairs``).
+    partition-fold at sf0.1.
 
     ``min_count`` keeps only pairs colliding in ≥ that many buckets
     (fingerprint-overlap semantics); ``count_col`` additionally emits
@@ -290,29 +290,6 @@ def bucket_collision_pairs(
         return pa.table(cols)
 
     return pairs.groupby("__ppart").map_groups(fold, batch_format="pyarrow")
-
-
-def minhash_lsh_candidates(docs_ds, n_perm: int = 64, bands: int = 16, seed: int = 42,
-                           max_bucket: int = 4096):
-    """documents → candidate near-dup pairs (doc_a < doc_b), distinct.
-
-    Band stage → (bucket_key, doc_id) — the ONLY shuffle payload
-    (~16 B/doc/band; corpus text never shuffles) — then the shared
-    ``bucket_collision_pairs`` plan. Measured 13.1s → ~4s at sf0.1.
-    ``max_bucket`` drops band buckets larger than that size — a band
-    signature shared by thousands of docs is boilerplate-driven and
-    non-discriminative, and would cost O(size²) pairs in one task.
-    """
-    bands_ds = compact_blocks(docs_ds.map_batches(
-        MinHashBandStage,
-        fn_constructor_kwargs={"n_perm": n_perm, "bands": bands, "seed": seed},
-        batch_format="pyarrow",
-        concurrency=pool_size(),
-    ))
-    # ^ the band table is consumed twice (count pass + pair pass), so
-    # materializing it — not the documents — avoids recomputing minhash
-    # signatures. The object store spills it at scale.
-    return bucket_collision_pairs(bands_ds, max_bucket=max_bucket)
 
 
 def candidate_shingles(docs_ds, cand_pairs_ds, k: int = 3):
@@ -511,56 +488,13 @@ def minhash_lsh_verified(
     )
 
 
-class JaccardVerifyStage:
-    """Candidate pairs + broadcast text lookup → verified pairs.
-
-    SMALL-SCALE variant: the text lookup is ``ray.put`` once and read
-    per actor — only valid when candidate docs ≪ corpus AND the corpus
-    text fits the driver. The scale path is ``minhash_lsh_verified``,
-    which joins candidates back to shingles distributed.
-    """
-
-    def __init__(self, texts_ref, threshold: float = 0.5, k: int = 3) -> None:
-        import ray
-
-        self.texts = ray.get(texts_ref)
-        self.threshold = threshold
-        self.k = k
-        self._cache: dict = {}
-
-    def _sh(self, doc_id: int) -> Set[int]:
-        s = self._cache.get(doc_id)
-        if s is None:
-            s = _word_shingles(self.texts.get(doc_id, ""), self.k)
-            self._cache[doc_id] = s
-        return s
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        a_ids = batch.column("doc_a").to_pylist()
-        b_ids = batch.column("doc_b").to_pylist()
-        keep_a, keep_b, sims = [], [], []
-        for a, b in zip(a_ids, b_ids):
-            sim = jaccard(self._sh(a), self._sh(b))
-            if sim >= self.threshold:
-                keep_a.append(a)
-                keep_b.append(b)
-                sims.append(round(sim, 6))
-        return pa.table(
-            {
-                "doc_a": pa.array(keep_a, pa.int64()),
-                "doc_b": pa.array(keep_b, pa.int64()),
-                "jaccard": pa.array(sims, pa.float64()),
-            }
-        )
-
-
 # -------------------------------------------------- exact all-pairs (oracle)
 def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5, k: int = 3):
     """EXACT all-pairs word-k-gram Jaccard ≥ threshold (doc_a < doc_b).
 
     Small-scale ground truth for the LSH variants; oracle-checkable in
     SQL.  O(n²) — driver correctness scale only; the scale path is
-    ``minhash_lsh_candidates`` + ``JaccardVerifyStage``.
+    :func:`minhash_lsh_verified`.
     """
     import ray
 
@@ -878,635 +812,3 @@ def simhash_dedup(docs_ds, max_hamming: int = 3):
     return hamming_bucket_pairs(
         hamming_bands(sigs, max_hamming), max_hamming=max_hamming
     )
-
-
-# ------------------------------------------------- cross-document line dedup
-def explode_lines(batch: pa.Table, text_col: str = "text",
-                  id_col: str = "doc_id") -> pa.Table:
-    """Explode documents into (doc_id, idx, line, line_md5) rows.
-    Vectorized split + offsets math; md5 stays per-line (C-speed
-    digest, no Arrow kernel)."""
-    import pyarrow.compute as pc
-
-    col = pc.fill_null(batch.column(text_col).combine_chunks(), "")
-    lines = pc.split_pattern(col, "\n")
-    offs = np.asarray(lines.offsets, dtype=np.int64)
-    flat = lines.flatten()
-    per_doc = np.diff(offs)
-    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-    doc_rep = np.repeat(ids, per_doc)
-    base = np.repeat(offs[:-1] - offs[0], per_doc)
-    idx = np.arange(len(flat), dtype=np.int64) - base + 1
-    md5s = [hashlib.md5(s.encode("utf-8")).hexdigest()
-            for s in flat.to_pylist()]
-    return pa.table(
-        {
-            id_col: pa.array(doc_rep, pa.int64()),
-            "idx": pa.array(idx, pa.int64()),
-            "line": flat,
-            "line_md5": pa.array(md5s, pa.string()),
-        }
-    )
-
-
-def interdoc_line_dedup(docs_ds, max_docs: int = 1, text_col: str = "text",
-                        id_col: str = "doc_id"):
-    """Cross-document LINE deduplication (the CCNet / RefinedWeb stage:
-    boilerplate lines repeated across pages are dropped corpus-wide).
-
-    A line is removed from every document iff it occurs in more than
-    ``max_docs`` distinct documents. Returns one row per input document:
-    ``(doc_id, n_lines, n_kept, clean_md5)`` with ``clean_md5`` the md5
-    of the surviving lines joined by newline (md5('') when nothing
-    survives).
-
-    Scale plan (three shuffles, each minimal):
-    1. frequent-line census — per-block combiner emits at most one
-       (line_md5, n_partial) row per distinct in-block line (a doc
-       lives in one row/block, so in-block distinct == global distinct
-       per doc), then a hash ``groupby(line_md5).sum`` counts distinct
-       DOCUMENTS per line; only 16-byte keys + counts shuffle, and a
-       boilerplate line occurring 10^9 times still contributes one row
-       per block, so hot lines cannot skew the shuffle.
-    2. anti-join — ``semi_anti_join`` ships the frequent set as bare
-       keys; surviving (doc_id, idx, line) rows keep their text.
-    3. reassembly — one ``groupby(doc_id)`` (unique key, no skew),
-       in-group idx sort + join.
-    The line explosion is recomputed for pass 1 and 2 rather than
-    materialized — at corpus scale recomputing a cheap vectorized
-    split beats pinning an exploded corpus-sized dataset.
-    """
-    from ray.data.aggregate import Sum
-
-    from .joins import hash_join, semi_anti_join
-
-    lines_ds = docs_ds.map_batches(explode_lines, batch_format="pyarrow")
-
-    def census(batch: pa.Table) -> pa.Table:
-        md5s = np.asarray(batch.column("line_md5").to_pylist(), dtype=object)
-        uniq, counts = np.unique(md5s, return_counts=True)
-        return pa.table(
-            {
-                "line_md5": pa.array(uniq, pa.string()),
-                "n_partial": pa.array(counts, pa.int64()),
-            }
-        )
-
-    freq = (
-        lines_ds.map_batches(census, batch_format="pyarrow")
-        .groupby("line_md5")
-        .aggregate(Sum("n_partial", alias_name="n_docs"))
-        .filter(expr=f"n_docs > {int(max_docs)}")
-    )
-    kept = semi_anti_join(
-        lines_ds,
-        freq,
-        "line_md5",
-        "line_md5",
-        left_cols=[id_col, "idx", "line"],
-        how="anti",
-    )
-
-    def add_rpart(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        part = (ids.view(np.uint64) % 64).astype(np.int32)
-        return batch.append_column("__rpart", pa.array(part, pa.int32()))
-
-    def reassemble(group: pa.Table) -> pa.Table:
-        # partition fold: all surviving lines of a doc land here; one
-        # (doc, idx) lexsort + run walk reassembles every doc in the
-        # partition (per-doc map_groups measured ~5x slower)
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        idx = group.column("idx").to_numpy(zero_copy_only=False)
-        lines = group.column("line").to_pylist()
-        order = np.lexsort((idx, ids))
-        si = ids[order]
-        starts = np.nonzero(np.concatenate([[True], si[1:] != si[:-1]]))[0]
-        ends = np.concatenate([starts[1:], [len(si)]])
-        out_id, out_n, out_md5 = [], [], []
-        for s, e in zip(starts, ends):
-            clean = "\n".join(lines[order[j]] for j in range(s, e))
-            out_id.append(int(si[s]))
-            out_n.append(int(e - s))
-            out_md5.append(hashlib.md5(clean.encode("utf-8")).hexdigest())
-        return pa.table(
-            {
-                id_col: pa.array(out_id, pa.int64()),
-                "n_kept": pa.array(out_n, pa.int64()),
-                "clean_md5": pa.array(out_md5, pa.string()),
-            }
-        )
-
-    from .joins import _coerce_blocks
-
-    # typed blocks even when NOTHING survives: map_groups over an empty
-    # input yields zero/schemaless blocks and ds.schema() returns None,
-    # crashing the final join. Coerce every block to the output schema
-    # and UNION a typed empty seed block so the schema exists even with
-    # zero real blocks.
-    import ray.data
-
-    agg_schema = pa.schema(
-        [
-            pa.field(id_col, pa.int64()),
-            pa.field("n_kept", pa.int64()),
-            pa.field("clean_md5", pa.string()),
-        ]
-    )
-    agg = ray.data.from_arrow(agg_schema.empty_table()).union(
-        _coerce_blocks(
-            kept.map_batches(add_rpart, batch_format="pyarrow")
-            .groupby("__rpart")
-            .map_groups(reassemble, batch_format="pyarrow"),
-            agg_schema,
-        )
-    )
-
-    def doc_base(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        col = pc.fill_null(batch.column(text_col), "")
-        n_lines = pc.add(
-            pc.cast(pc.count_substring(col, "\n"), pa.int64()), 1
-        )
-        return pa.table(
-            {id_col: batch.column(id_col), "n_lines": n_lines}
-        )
-
-    base = docs_ds.map_batches(doc_base, batch_format="pyarrow")
-    joined = hash_join(
-        base,
-        agg,
-        id_col,
-        id_col,
-        left_cols=[id_col, "n_lines"],
-        right_cols=["n_kept", "clean_md5"],
-        how="left",
-    )
-    _EMPTY_MD5 = hashlib.md5(b"").hexdigest()
-
-    def fill(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                "n_lines": batch.column("n_lines"),
-                "n_kept": pc.fill_null(batch.column("n_kept"), 0),
-                "clean_md5": pc.fill_null(
-                    batch.column("clean_md5"), _EMPTY_MD5
-                ),
-            }
-        )
-
-    return joined.map_batches(fill, batch_format="pyarrow")
-
-
-# --------------------------------------------------- exact duplicated spans
-def span_gram_hashes(batch: pa.Table, k: int = 8, text_col: str = "text",
-                     id_col: str = "doc_id") -> pa.Table:
-    """Per document: 64-bit hashes of its DISTINCT k-token windows —
-    the fingerprint stream for exact duplicated-span detection.
-    Vectorized: k shifted slices of the flat token array joined in one
-    ``binary_join_element_wise``, boundary windows masked, per-doc
-    distinct via ``dictionary_encode`` + one ``np.unique``; md5 runs
-    once per DISTINCT gram string (not per occurrence)."""
-    import pyarrow.compute as pc
-
-    col = pc.fill_null(batch.column(text_col).combine_chunks(), "")
-    toks = pc.split_pattern_regex(pc.utf8_trim(col, " \t\n\r"), r"\s+")
-    offs = np.asarray(toks.offsets, dtype=np.int64)
-    flat = toks.flatten()
-    per_doc = np.diff(offs)
-    doc_idx = np.repeat(np.arange(len(col), dtype=np.int64), per_doc)
-    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-    total = len(flat)
-    empty = pa.table(
-        {
-            "bucket_key": pa.array([], pa.int64()),
-            id_col: pa.array([], pa.int64()),
-        }
-    )
-    if total < k:
-        return empty
-    n_win = total - k + 1
-    parts = [flat.slice(j, n_win) for j in range(k)]
-    grams = pc.binary_join_element_wise(*parts, " ")
-    valid = doc_idx[:n_win] == doc_idx[k - 1:]
-    if not valid.any():
-        return empty
-    grams = grams.filter(pa.array(valid))
-    gdoc = doc_idx[:n_win][valid]
-    enc = pc.dictionary_encode(grams)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    dvals = enc.dictionary.to_pylist()
-    n_codes = len(dvals)
-    pair_key = gdoc * n_codes + codes
-    uniq = np.unique(pair_key)
-    u_doc = uniq // n_codes
-    u_code = uniq % n_codes
-    h64 = np.asarray(
-        [
-            int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8], "little")
-            for s in dvals
-        ],
-        dtype=np.uint64,
-    ).view(np.int64)
-    return pa.table(
-        {
-            "bucket_key": pa.array(h64[u_code], pa.int64()),
-            id_col: pa.array(ids[u_doc], pa.int64()),
-        }
-    )
-
-
-def dup_span_pairs(docs_ds, k: int = 8, max_bucket: int = 4096):
-    """EXACT duplicated-span detection (the Lee et al. 2022
-    "Deduplicating Training Data Makes Language Models Better" shape,
-    window-hash variant): document pairs sharing at least one
-    identical run of ``k`` consecutive tokens, with the count of
-    distinct shared windows.
-
-    Scale: only (8-byte window hash, doc_id) rows shuffle — text never
-    moves; the shared collision-first plan touches only buckets with
-    ≥2 docs and ``max_bucket`` guards boilerplate-driven O(n²)
-    buckets. Output: (doc_a, doc_b, n_shared), doc_a < doc_b."""
-    grams = compact_blocks(
-        docs_ds.map_batches(
-            lambda b: span_gram_hashes(b, k=k), batch_format="pyarrow"
-        )
-    )
-    return bucket_collision_pairs(
-        grams, count_col="n_shared", max_bucket=max_bucket
-    )
-
-
-def _span_windows_pos(batch: pa.Table, k: int = 8, text_col: str = "text",
-                      id_col: str = "doc_id") -> pa.Table:
-    """ALL k-token windows with their start positions (multiplicity
-    KEPT, unlike :func:`span_gram_hashes`) — the occurrence stream
-    :func:`remove_dup_spans` partitions by gram hash. Same tokenizer
-    contract (trim + ``\\s+`` split) plus an empty-token filter so a
-    whitespace-only document has 0 tokens. Vectorized: k shifted
-    slices joined once; md5 runs once per DISTINCT gram."""
-    import pyarrow.compute as pc
-
-    col = pc.fill_null(batch.column(text_col).combine_chunks(), "")
-    toks = pc.split_pattern_regex(pc.utf8_trim(col, " \t\n\r"), r"\s+")
-    flat = toks.flatten()
-    per_doc = np.diff(np.asarray(toks.offsets, dtype=np.int64))
-    doc_idx = np.repeat(np.arange(len(col), dtype=np.int64), per_doc)
-    nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-    if not nonempty.all():
-        flat = flat.filter(pa.array(nonempty))
-        doc_idx = doc_idx[nonempty]
-    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-    empty = pa.table({
-        "gram": pa.array([], pa.int64()),
-        id_col: pa.array([], pa.int64()),
-        "pos": pa.array([], pa.int64()),
-    })
-    total = len(flat)
-    if total < k:
-        return empty
-    n_win = total - k + 1
-    parts = [flat.slice(j, n_win) for j in range(k)]
-    grams = pc.binary_join_element_wise(*parts, " ")
-    valid = doc_idx[:n_win] == doc_idx[k - 1:]
-    if not valid.any():
-        return empty
-    grams = grams.filter(pa.array(valid))
-    gidx = np.nonzero(valid)[0]
-    gdoc = doc_idx[gidx]
-    doc_starts = np.concatenate(
-        [[0], np.cumsum(np.bincount(doc_idx, minlength=len(col)))]
-    )[:-1]
-    pos = gidx - doc_starts[gdoc]
-    enc = pc.dictionary_encode(grams)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    h64 = np.asarray(
-        [
-            int.from_bytes(hashlib.md5(s.encode("utf-8")).digest()[:8],
-                           "little")
-            for s in enc.dictionary.to_pylist()
-        ],
-        dtype=np.uint64,
-    ).view(np.int64)
-    return pa.table({
-        "gram": pa.array(h64[codes], pa.int64()),
-        id_col: pa.array(ids[gdoc], pa.int64()),
-        "pos": pa.array(pos, pa.int64()),
-    })
-
-
-def remove_dup_spans(docs_ds, k: int = 8, text_col: str = "text",
-                     id_col: str = "doc_id", num_partitions: int = 64):
-    """ExactSubstr-style duplicated-span SCRUB (the removal half of
-    Lee et al. 2022 — :func:`dup_span_pairs` is the detection half):
-    every token covered by a k-token window whose exact text occurs
-    ≥2 times in the corpus (any document, multiplicity counted) is
-    removed; the survivors are re-joined with single spaces.
-
-    Output per document: ``doc_id, n_tokens, n_removed, dup_frac,
-    clean_text`` (documents shorter than ``k`` tokens pass through
-    whitespace-normalized).
-
-    Scale plan — text shuffles ZERO times and no driver structure
-    grows with dup volume:
-      1. occurrence stream: (gram hash, doc_id, pos), 24 B/token;
-      2. ONE key-space exchange on gram hash — a gram's occurrences
-         land wholly in one partition, so in-partition run lengths ARE
-         global counts; runs ≥2 emit their (doc_id, pos) rows;
-      3. ONE exchange on doc_id folds dup starts into a per-doc sorted
-         list (sized by dup content, not corpus);
-      4. a hash join ships those lists back to the documents and a
-         vectorized difference-array sweep rebuilds the clean text.
-    """
-    import pyarrow.compute as pc
-
-    from .joins import hash_join
-
-    wins = compact_blocks(
-        docs_ds.select_columns([id_col, text_col]).map_batches(
-            lambda b: _span_windows_pos(b, k=k, text_col=text_col,
-                                        id_col=id_col),
-            batch_format="pyarrow",
-        )
-    )
-
-    def add_gpart(batch: pa.Table) -> pa.Table:
-        g = batch.column("gram").to_numpy(zero_copy_only=False)
-        part = (g.view(np.uint64) % num_partitions).astype(np.int32)
-        return batch.append_column("__part", pa.array(part, pa.int32()))
-
-    def dup_occurrences(group: pa.Table) -> pa.Table:
-        g = group.column("gram").to_numpy(zero_copy_only=False)
-        order = np.argsort(g, kind="stable")
-        sg = g[order]
-        starts = np.nonzero(np.concatenate([[True], sg[1:] != sg[:-1]]))[0]
-        runlen = np.diff(np.concatenate([starts, [len(sg)]]))
-        keep = order[np.repeat(runlen >= 2, runlen)]
-        return pa.table({
-            id_col: pa.array(
-                group.column(id_col).to_numpy(zero_copy_only=False)[keep],
-                pa.int64(),
-            ),
-            "pos": pa.array(
-                group.column("pos").to_numpy(zero_copy_only=False)[keep],
-                pa.int64(),
-            ),
-        })
-
-    dup = (
-        wins.map_batches(add_gpart, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(dup_occurrences, batch_format="pyarrow")
-    )
-
-    def add_dpart(batch: pa.Table) -> pa.Table:
-        d = batch.column(id_col).to_numpy(zero_copy_only=False)
-        part = (d.view(np.uint64) % num_partitions).astype(np.int32)
-        return batch.append_column("__dpart", pa.array(part, pa.int32()))
-
-    def fold_starts(group: pa.Table) -> pa.Table:
-        d = group.column(id_col).to_numpy(zero_copy_only=False)
-        p = group.column("pos").to_numpy(zero_copy_only=False)
-        order = np.lexsort((p, d))
-        sd, sp = d[order], p[order]
-        starts = np.nonzero(np.concatenate([[True], sd[1:] != sd[:-1]]))[0]
-        offsets = np.concatenate([starts, [len(sd)]])
-        lists = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), pa.array(sp, pa.int64())
-        )
-        return pa.table({
-            id_col: pa.array(sd[starts], pa.int64()),
-            "dup_starts": lists,
-        })
-
-    starts_ds = (
-        dup.map_batches(add_dpart, batch_format="pyarrow")
-        .groupby("__dpart")
-        .map_groups(fold_starts, batch_format="pyarrow")
-    )
-
-    joined = hash_join(
-        docs_ds.select_columns([id_col, text_col]), starts_ds,
-        id_col, id_col, [id_col, text_col], ["dup_starts"], how="left",
-    )
-
-    def rebuild(batch: pa.Table) -> pa.Table:
-        col = pc.fill_null(batch.column(text_col).combine_chunks(), "")
-        toks = pc.split_pattern_regex(pc.utf8_trim(col, " \t\n\r"), r"\s+")
-        n_out, rem_out, clean = [], [], []
-        for row_toks, st in zip(
-            toks.to_pylist(), batch.column("dup_starts").to_pylist()
-        ):
-            t = [x for x in row_toks if x != ""]
-            n = len(t)
-            if not st:
-                n_out.append(n)
-                rem_out.append(0)
-                clean.append(" ".join(t))
-                continue
-            delta = np.zeros(n + 1, dtype=np.int64)
-            s = np.asarray(st, dtype=np.int64)
-            np.add.at(delta, s, 1)
-            np.add.at(delta, np.minimum(s + k, n), -1)
-            cov = np.cumsum(delta[:n]) > 0
-            n_out.append(n)
-            rem_out.append(int(cov.sum()))
-            clean.append(" ".join(
-                tok for tok, c in zip(t, cov.tolist()) if not c
-            ))
-        nt = np.asarray(n_out, dtype=np.int64)
-        nr = np.asarray(rem_out, dtype=np.int64)
-        frac = np.where(nt > 0, nr / np.maximum(nt, 1), 0.0)
-        return pa.table({
-            id_col: batch.column(id_col),
-            "n_tokens": pa.array(nt, pa.int64()),
-            "n_removed": pa.array(nr, pa.int64()),
-            "dup_frac": pc.round(pa.array(frac, pa.float64()), 6),
-            "clean_text": pa.array(clean, pa.string()),
-        })
-
-    return joined.map_batches(rebuild, batch_format="pyarrow")
-
-
-def near_dup_keep_best(docs_ds, score_col: str = "n_chars",
-                       threshold: float = 0.5, k: int = 3,
-                       n_perm: int = 64, bands: int = 16, seed: int = 42,
-                       num_partitions: int = 64):
-    """Quality-aware survivor selection over near-dup clusters: real
-    pipelines keep the BEST document of each near-dup cluster (highest
-    ``score_col``, ties → lowest doc_id), not an arbitrary first.
-
-    Composition: MinHash+LSH verified pairs → connected components →
-    hash join to the per-doc score → per-cluster arg-max inside ONE
-    component-space partition exchange (a component's rows land wholly
-    in one partition, so an in-partition lexsort picks global
-    winners). Output: one row per CLUSTERED doc —
-    ``doc_id, cluster_id, cluster_size, <score_col>, kept``.
-    Unclustered docs are trivially kept and not emitted."""
-    from .graph import connected_components
-    from .joins import hash_join
-
-    pairs = minhash_lsh_verified(
-        docs_ds, threshold=threshold, k=k, n_perm=n_perm, bands=bands,
-        seed=seed,
-    )
-    comps = connected_components(pairs, col_a="doc_a", col_b="doc_b")
-    scored = hash_join(
-        comps, docs_ds.select_columns(["doc_id", score_col]),
-        "node", "doc_id", ["node", "component"], [score_col],
-        how="inner",
-    )
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        c = batch.column("component").to_numpy(zero_copy_only=False)
-        part = (c.view(np.uint64) % num_partitions).astype(np.int32)
-        return batch.append_column("__part", pa.array(part, pa.int32()))
-
-    def pick(group: pa.Table) -> pa.Table:
-        comp = group.column("component").to_numpy(zero_copy_only=False)
-        node = group.column("node").to_numpy(zero_copy_only=False)
-        score = group.column(score_col).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64, copy=False)
-        order = np.lexsort((node, -score, comp))
-        sc, sn, ss = comp[order], node[order], score[order]
-        starts = np.nonzero(np.concatenate([[True], sc[1:] != sc[:-1]]))[0]
-        runlen = np.diff(np.concatenate([starts, [len(sc)]]))
-        kept = np.zeros(len(sc), dtype=np.int64)
-        kept[starts] = 1
-        size = np.repeat(runlen.astype(np.int64), runlen)
-        return pa.table({
-            "doc_id": pa.array(sn, pa.int64()),
-            "cluster_id": pa.array(sc, pa.int64()),
-            "cluster_size": pa.array(size, pa.int64()),
-            score_col: pa.array(ss, pa.int64()),
-            "kept": pa.array(kept, pa.int64()),
-        })
-
-    return (
-        scored.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(pick, batch_format="pyarrow")
-    )
-
-
-def _word_gram64(text: str, k: int) -> "list[int]":
-    """DISTINCT word-k-gram 64-bit fingerprints (blake2b first 8
-    bytes, sign bit cleared). 64-bit space keeps corpus-wide collision
-    odds ~|grams|²/2⁶⁵ — negligible even at 10⁹ distinct grams — so
-    exact intersection COUNTS over the hashes equal counts over the
-    grams themselves (the 32-bit crc space MinHash uses is fine for
-    sketches but would visibly distort exact counts)."""
-    import hashlib
-
-    toks = text.split()
-    if len(toks) < k:
-        if not toks:
-            return []
-        grams = [" ".join(toks)]
-    else:
-        grams = {" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)}
-    return [
-        int.from_bytes(
-            hashlib.blake2b(g.encode(), digest_size=8).digest(), "little"
-        )
-        & 0x7FFFFFFFFFFFFFFF
-        for g in set(grams)
-    ]
-
-
-def containment_pairs(docs_ds, threshold: float = 0.5, k: int = 3,
-                      max_bucket: "int | None" = None):
-    """DIRECTIONAL near-dup: (src, dst) pairs where
-    ``|grams(src) ∩ grams(dst)| / |grams(src)| ≥ threshold`` — Jaccard
-    *containment*, the asymmetric relation Jaccard misses: a short doc
-    quoted wholesale inside a long one scores ~1.0 here but low on
-    Jaccard. The quote-inclusion / page-template detector a crawl
-    corpus needs alongside symmetric near-dup.
-
-    Fully distributed EXACT plan (no driver-side corpus): distinct
-    per-doc gram fingerprints explode to (gram, doc_id) rows — the only
-    corpus-sized payload, and it is two int64s per gram; per-doc sizes
-    are ONE partition fold over the same rows; pair intersection counts
-    come from the shared collision-first plan
-    (:func:`bucket_collision_pairs` with ``count_col``); a keys-only
-    hash join attaches |src| and a vectorized filter applies the
-    threshold. ``max_bucket=None`` keeps counts EXACT (oracle parity);
-    pass a cap at web scale to drop stop-phrase grams that are
-    non-discriminative AND O(bucket²) — same trade the winnowing path
-    documents.
-    """
-    import pyarrow.compute as pc
-
-    from .joins import hash_join
-    from ..functions.agg import partition_fold
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids, grams = [], []
-        for d, t in zip(
-            batch.column("doc_id").to_pylist(),
-            batch.column("text").to_pylist(),
-        ):
-            hs = _word_gram64(t or "", k)
-            grams.extend(hs)
-            ids.extend([d] * len(hs))
-        return pa.table({
-            "gram": pa.array(grams, pa.int64()),
-            "doc_id": pa.array(ids, pa.int64()),
-        })
-
-    grams = compact_blocks(
-        docs_ds.select_columns(["doc_id", "text"]).map_batches(
-            explode, batch_format="pyarrow"
-        )
-    )  # consumed twice (sizes + pairs) — compact prevents re-execution
-    sizes = partition_fold(
-        grams, ["doc_id"], "gram", fn="count", out_val="n_grams"
-    )
-    pairs = bucket_collision_pairs(
-        grams, key_col="gram", id_col="doc_id",
-        count_col="n_shared", max_bucket=max_bucket,
-    )
-
-    def both_directions(batch: pa.Table) -> pa.Table:
-        fwd = pa.table({
-            "src_doc": batch.column("doc_a"),
-            "dst_doc": batch.column("doc_b"),
-            "n_shared": batch.column("n_shared"),
-        })
-        rev = pa.table({
-            "src_doc": batch.column("doc_b"),
-            "dst_doc": batch.column("doc_a"),
-            "n_shared": batch.column("n_shared"),
-        })
-        return pa.concat_tables([fwd, rev]).combine_chunks()
-
-    directional = pairs.map_batches(both_directions, batch_format="pyarrow")
-    joined = hash_join(
-        directional, sizes, "src_doc", "doc_id",
-        ["src_doc", "dst_doc", "n_shared"], ["n_grams"],
-        how="inner", validate="unique_right",
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        c = pc.divide(
-            pc.cast(batch.column("n_shared"), pa.float64()),
-            pc.cast(batch.column("n_grams"), pa.float64()),
-        )
-        keep = pc.greater_equal(c, threshold)
-        out = pa.table({
-            "src_doc": batch.column("src_doc"),
-            "dst_doc": batch.column("dst_doc"),
-            "containment": pc.round(c, 6),
-        })
-        return out.filter(keep)
-
-    return joined.map_batches(finish, batch_format="pyarrow")

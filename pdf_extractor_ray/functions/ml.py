@@ -19,7 +19,7 @@ full-batch GD cost.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 import pyarrow as pa

@@ -5,10 +5,6 @@
   local top-k → distributed grouped top-k merge (driver fan-in is
   k × n_queries, block-count independent).  The baseline that always
   works.
-- ``embedding_near_dups``: cosine ≥ threshold pairs via multi-table
-  hyperplane LSH and ONE key-space partition exchange (in-partition
-  run detection + in-run exact verify — the MinHash family's
-  collision plan with the embedding as payload; no driver structure).
 - ``ivf_topk``: LSH/IVF-bucketed variant — the scale path: random
   hyperplane buckets, search only matching buckets.
 """
@@ -148,307 +144,6 @@ def ann_topk(emb_ds, query_vecs: np.ndarray, k: int = 10, query_ids: Optional[Li
     return _finish_topk(local, k, query_ids)
 
 
-class MultiTableHyperplaneStage:
-    """vec → L rows of (bucket_key, vec_id): one sign-bit bucket per
-    hash table. ``bucket_key = table_idx * 2^n_planes + bits`` keeps
-    tables disjoint in one int64 column — the ONLY payload that
-    shuffles (16 B per vec per table; embeddings never shuffle here).
-    """
-
-    def __init__(self, dim: int, n_planes: int = 3, n_tables: int = 24,
-                 seed: int = 42) -> None:
-        rng = np.random.RandomState(seed)
-        # (L, b, dim) — independent hyperplane sets per table
-        self.planes = rng.randn(n_tables, n_planes, dim)
-        self.n_planes = n_planes
-        self.n_tables = n_tables
-
-    def keys_for(self, m: np.ndarray) -> np.ndarray:
-        """(n, L) int64 bucket keys for a row matrix."""
-        pow2 = 1 << np.arange(self.n_planes)
-        keys = np.empty((m.shape[0], self.n_tables), dtype=np.int64)
-        for t in range(self.n_tables):
-            bits = (m @ self.planes[t].T) > 0
-            keys[:, t] = t * (1 << self.n_planes) + bits @ pow2
-        return keys
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _matrix(batch.column("embedding"))
-        if m.size == 0:
-            return pa.table(
-                {"bucket_key": pa.array([], pa.int64()),
-                 "vec_id": pa.array([], pa.int64())}
-            )
-        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        keys = self.keys_for(m)
-        return pa.table(
-            {
-                "bucket_key": pa.array(keys.ravel(), pa.int64()),
-                "vec_id": pa.array(np.repeat(ids, self.n_tables), pa.int64()),
-            }
-        )
-
-
-def embedding_near_dups(
-    emb_ds,
-    threshold: float = 0.95,
-    n_planes: int = 3,
-    n_tables: int = 24,
-    seed: int = 42,
-    dim: int = 0,
-    num_partitions: int = 64,
-    max_bucket: int | None = None,
-):
-    """Near-dup pairs by cosine ≥ threshold — the SCALE path.
-
-    ONE key-space partition exchange does everything (the
-    ``bucket_collision_pairs`` plan from the MinHash/SimHash family,
-    carrying the embedding as payload): each vector emits its L
-    (bucket_key, vec_id, embedding) memberships pre-tagged with
-    ``__part = bucket_key % num_partitions``, so a bucket's rows land
-    wholly in one partition task, which lexsorts by (bucket, vec_id),
-    reads bucket sizes off run lengths (singleton buckets cost
-    nothing), runs the exact cosine verify as ONE matmul per 2+ run,
-    and pre-folds duplicate pairs in place.  A final pair-keyed
-    partition fold finishes the global distinct.  There is NO count
-    pre-pass, NO hot-bucket ``take_all`` and NO driver structure that
-    scales with collision count (round ≤4 collected the hot-bucket key
-    list on the driver and broadcast it — billions of keys at 100-TB
-    dup rates).
-
-    Shuffle payload is L × (16 B + embedding) per vector; at near-dup
-    settings raise ``n_planes`` (finer buckets) and ``num_partitions``
-    together so one partition's memberships fit a worker heap.
-    ``max_bucket`` (optional) drops buckets larger than that size —
-    non-discriminative at true near-dup thresholds and O(size²) to
-    verify; None keeps every bucket.
-
-    Candidate recall is probabilistic per pair: with per-plane agree
-    probability p = 1 - θ/π, recall = 1-(1-p^b)^L — at b=3, L=24 a
-    pair at cosine 0.45 is found with P ≈ 0.9995 (verified exhaustive
-    vs all-pairs on the test corpora: recall 1.0 at sf0.001/0.01/0.1).
-    The exact all-pairs oracle twin is ``embedding_near_dups_allpairs``.
-    """
-    if dim == 0:
-        first = emb_ds.take(1)
-        dim = len(first[0]["embedding"])
-    stage_kwargs = {
-        "dim": dim, "n_planes": n_planes, "n_tables": n_tables, "seed": seed,
-    }
-
-    from .agg import partition_fold
-    from .dedup import compact_blocks
-
-    class MembershipStage:
-        """vec → L rows of (bucket_key, vec_id, embedding, __part)."""
-
-        def __init__(self) -> None:
-            self.stage = MultiTableHyperplaneStage(**stage_kwargs)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _matrix(batch.column("embedding"))
-            if m.size == 0:
-                return pa.table(
-                    {"bucket_key": pa.array([], pa.int64()),
-                     "vec_id": pa.array([], pa.int64()),
-                     "embedding": pa.array(
-                         [], batch.column("embedding").type),
-                     "__part": pa.array([], pa.int32())}
-                )
-            keys = self.stage.keys_for(m).ravel()  # row-major: vec-major
-            n, L = m.shape[0], self.stage.n_tables
-            taken = batch.take(
-                pa.array(np.repeat(np.arange(n), L), pa.int64()))
-            part = (keys.view(np.uint64) % num_partitions).astype(np.int32)
-            return pa.table(
-                {
-                    "bucket_key": pa.array(keys, pa.int64()),
-                    "vec_id": taken.column("vec_id"),
-                    "embedding": taken.column("embedding"),
-                    "__part": pa.array(part, pa.int32()),
-                }
-            )
-
-    memberships = compact_blocks(emb_ds.select_columns(
-        ["vec_id", "embedding"]
-    ).map_batches(
-        MembershipStage,
-        batch_format="pyarrow",
-        concurrency=pool_size(),
-    ))
-
-    def verify_part(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"vec_a": pa.array([], pa.int64()),
-             "vec_b": pa.array([], pa.int64()),
-             "sim": pa.array([], pa.float64())}
-        )
-        keys = group.column("bucket_key").to_numpy(zero_copy_only=False)
-        ids = group.column("vec_id").to_numpy(zero_copy_only=False)
-        mn = _normalize(_matrix(group.column("embedding")))
-        order = np.lexsort((ids, keys))
-        sk, si, sm = keys[order], ids[order], mn[order]
-        starts = np.nonzero(np.concatenate([[True], sk[1:] != sk[:-1]]))[0]
-        ends = np.concatenate([starts[1:], [len(sk)]])
-        out_a, out_b, out_s = [], [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2 or (max_bucket is not None and n > max_bucket):
-                continue
-            sims = sm[s:e] @ sm[s:e].T
-            ia, ib = np.triu_indices(n, k=1)
-            keep = sims[ia, ib] >= threshold
-            if not keep.any():
-                continue
-            out_a.append(si[s:e][ia[keep]])
-            out_b.append(si[s:e][ib[keep]])
-            out_s.append(np.round(sims[ia[keep], ib[keep]], 6))
-        if not out_a:
-            return empty
-        aa = np.concatenate(out_a)
-        bb = np.concatenate(out_b)
-        ss = np.concatenate(out_s)
-        # in-partition pre-fold: a pair re-verifies (identical sim) in
-        # every bucket it co-collides in — keep one row per pair here
-        # so the global fold sees bounded duplication (≤ n_partitions)
-        uniq, first = np.unique(
-            np.stack([aa, bb], axis=1), axis=0, return_index=True)
-        return pa.table(
-            {
-                "vec_a": pa.array(uniq[:, 0], pa.int64()),
-                "vec_b": pa.array(uniq[:, 1], pa.int64()),
-                "sim": pa.array(ss[first], pa.float64()),
-            }
-        )
-
-    verified = memberships.groupby("__part").map_groups(
-        verify_part, batch_format="pyarrow"
-    )
-    # global distinct (partition fold — the native composite-key
-    # Aggregate measured ~5x slower; see agg.partition_fold)
-    return partition_fold(verified, ["vec_a", "vec_b"], "sim", fn="max")
-
-
-def embedding_near_dups_allpairs(emb_ds, threshold: float = 0.95):
-    """All-pairs cosine ≥ threshold → (vec_a < vec_b) pairs.
-
-    ORACLE TWIN (like ``ngram_jaccard_pairs``): O(n²) with the full
-    matrix broadcast once — small-scale ground truth for
-    ``embedding_near_dups``, not the scale path.
-    """
-    import ray
-
-    rows = emb_ds.select_columns(["vec_id", "embedding"]).take_all()
-    ids = np.asarray([r["vec_id"] for r in rows], dtype=np.int64)
-    mat = _normalize(np.asarray([r["embedding"] for r in rows], dtype=np.float64))
-    order = np.argsort(ids)
-    ids, mat = ids[order], mat[order]
-    ref = ray.put((ids, mat))
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        all_ids, all_mat = ray.get(ref)
-        my_ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        pos = np.searchsorted(all_ids, my_ids)
-        a_out, b_out, s_out = [], [], []
-        for p, a in zip(pos, my_ids):
-            if p + 1 >= len(all_ids):
-                continue
-            sims = all_mat[p + 1 :] @ all_mat[p]
-            hits = np.nonzero(sims >= threshold)[0]
-            for h in hits:
-                a_out.append(int(a))
-                b_out.append(int(all_ids[p + 1 + h]))
-                s_out.append(round(float(sims[h]), 6))
-        return pa.table(
-            {
-                "vec_a": pa.array(a_out, pa.int64()),
-                "vec_b": pa.array(b_out, pa.int64()),
-                "sim": pa.array(s_out, pa.float64()),
-            }
-        )
-
-    return emb_ds.select_columns(["vec_id"]).map_batches(pairs, batch_format="pyarrow")
-
-
-def kmeans_fit(emb_ds, k: int = 16, iters: int = 5, sample_size: int = 4096):
-    """Sample-fit spherical k-means for the IVF coarse quantizer.
-
-    Round-1 ran ``iters`` FULL corpus passes (Lloyd as distributed
-    partial aggregation) — correct but 5× the corpus I/O for a
-    quantizer that only needs a representative sample. Now: one
-    distributed hash-sampling pass (keep row iff
-    ``mix64(vec_id) < rate·2^64`` — deterministic, order-independent,
-    unbiased) bounds the fit set to ≈``sample_size`` rows, which is
-    collected once (sample_size × dim floats, e.g. 4096×768×8 = 25 MB)
-    and Lloyd runs locally in numpy. The corpus is touched exactly
-    once at fit time; the search pass in ``ivf_kmeans_topk`` remains
-    the only full pass. Deterministic: fixed hash sample, init = the
-    k lowest-vec_id sample rows, fixed iteration count.
-    """
-    from .joins import mix64
-
-    n = emb_ds.count()
-    if n == 0:
-        raise ValueError("kmeans_fit: empty embeddings dataset")
-    rate = sample_size / n
-    proj = emb_ds.select_columns(["vec_id", "embedding"])
-    if rate < 1.0:
-        threshold_u64 = np.uint64(min(int(rate * 2**64), 2**64 - 1))
-
-        def hash_sample(batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.uint64)
-            keep = mix64(ids) <= threshold_u64
-            return batch.filter(pa.array(keep))
-
-        proj = proj.map_batches(hash_sample, batch_format="pyarrow")
-    sample = proj.take_all()
-    sample.sort(key=lambda r: r["vec_id"])
-    if len(sample) < k:
-        raise ValueError(
-            f"kmeans_fit: sample of {len(sample)} rows < k={k}; "
-            "raise sample_size"
-        )
-    mat = _normalize(np.asarray([r["embedding"] for r in sample], np.float64))
-    cents = mat[:k].copy()
-
-    for _ in range(iters):
-        assign = np.argmax(mat @ cents.T, axis=1)
-        sums = np.zeros_like(cents)
-        np.add.at(sums, assign, mat)
-        counts = np.bincount(assign, minlength=len(cents)).astype(np.int64)
-        nonempty = counts > 0
-        cents[nonempty] = _normalize(sums[nonempty] / counts[nonempty, None])
-    return cents
-
-
-def ivf_kmeans_topk(emb_ds, query_vecs: np.ndarray, k: int = 10,
-                    n_clusters: int = 16, nprobe: int = 4, iters: int = 5,
-                    query_ids=None):
-    """True IVF ANN: k-means coarse quantizer, search only the nprobe
-    clusters nearest each query. Approximate (recall < 1); exact
-    baseline is ``ann_topk``; the cheap alternative quantizer is
-    ``ivf_topk`` (hyperplane LSH)."""
-    import ray
-
-    cents = kmeans_fit(emb_ds, k=n_clusters, iters=iters)
-    q = _normalize(np.asarray(query_vecs, np.float64))
-    probe = np.argsort(-(q @ cents.T), axis=1)[:, :nprobe]
-    probe_set = sorted({int(c) for row in probe for c in row})
-    cents_ref = ray.put((cents, np.asarray(probe_set, np.int64)))
-
-    def in_probed(batch: pa.Table) -> pa.Table:
-        c, keep = ray.get(cents_ref)
-        m = _matrix(batch.column("embedding"))
-        if m.size == 0:
-            return batch
-        assign = np.argmax(_normalize(m) @ c.T, axis=1)
-        mask = np.isin(assign, keep)
-        return batch.filter(pa.array(mask))
-
-    candidates = emb_ds.map_batches(in_probed, batch_format="pyarrow")
-    return ann_topk(candidates, query_vecs, k, query_ids=query_ids)
-
-
 class HyperplaneBucketStage:
     """vec → LSH bucket id from sign bits of random hyperplane dots."""
 
@@ -492,510 +187,6 @@ def ivf_topk(emb_ds, query_vecs: np.ndarray, k: int = 10, n_planes: int = 8, dim
     return ann_topk(candidates, query_vecs, k)
 
 
-def semantic_dedup(emb_ds, threshold: float = 0.95, n_clusters: int = 16,
-                   iters: int = 5, max_cluster: int = 100_000):
-    """SemDeDup-shape semantic deduplication (Abbas et al. 2023,
-    arXiv:2303.09540): k-means-cluster the embedding space, then drop
-    every vector whose cosine similarity to a LOWER-id vector in the
-    SAME cluster is ≥ ``threshold``.
-
-    Plan:
-    1. coarse quantizer = :func:`kmeans_fit` (one hash-sampled corpus
-       read, Lloyd runs on the driver over ≤ sample_size rows)
-    2. assignment pass: broadcast centroids, one matmul per batch →
-       (cluster, vec_id, embedding)
-    3. ONE groupby(cluster) shuffle — the operator's inherent all-to-all
-       (every vector must meet its cluster peers). Spherical k-means
-       keeps cluster sizes ≈ n/k, and at corpus scale ``n_clusters``
-       grows with the corpus so the per-group payload stays bounded;
-       a cluster above ``max_cluster`` raises loudly (quantizer too
-       coarse) instead of letting one group task OOM on the O(c²) sim
-       matrix.
-    4. in-cluster verify: one normalized matmul; vector i survives iff
-       NO lower-vec_id vector in its cluster is within the ε-ball.
-       Deterministic (fixed sample/init/iters; ascending-id rule), no
-       sequential Python loop.
-
-    Output: (vec_id, cluster, keep) for every input row — filter
-    ``keep`` for survivors; the flag form keeps the drop set auditable.
-    """
-    import ray
-
-    cents = kmeans_fit(emb_ds, k=n_clusters, iters=iters)
-    cents_ref = ray.put(cents)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cents_ref)
-        m = _matrix(batch.column("embedding"))
-        if m.size == 0:
-            cl = pa.array([], pa.int32())
-        else:
-            cl = pa.array(
-                np.argmax(_normalize(m) @ c.T, axis=1).astype(np.int32)
-            )
-        return pa.table(
-            {
-                "cluster": cl,
-                "vec_id": batch.column("vec_id"),
-                "embedding": batch.column("embedding"),
-            }
-        )
-
-    def in_cluster(group: pa.Table) -> pa.Table:
-        n = group.num_rows
-        if n > max_cluster:
-            raise ValueError(
-                f"semantic_dedup: cluster of {n} rows exceeds "
-                f"max_cluster={max_cluster}; raise n_clusters (quantizer "
-                "too coarse for this corpus)"
-            )
-        ids = np.asarray(group.column("vec_id").to_pylist(), dtype=np.int64)
-        order = np.argsort(ids)
-        ids = ids[order]
-        m = _normalize(_matrix(group.column("embedding"))[order])
-        sims = m @ m.T
-        # drop i iff any j<i has sim ≥ threshold (strict lower triangle)
-        tri = np.tril(sims >= threshold, k=-1)
-        keep = ~tri.any(axis=1)
-        return pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "cluster": group.column("cluster").slice(0, 1).take(
-                    pa.array([0] * n, pa.int64())
-                ),
-                "keep": pa.array(keep, pa.bool_()),
-            }
-        )
-
-    return (
-        emb_ds.select_columns(["vec_id", "embedding"])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(in_cluster, batch_format="pyarrow")
-    )
-
-
-def tfidf_cosine_pairs(
-    docs_ds,
-    threshold: float = 0.3,
-    max_df: int = 100,
-    ngram: int = 3,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    num_partitions: int = 32,
-    broadcast_max_docs: int = 2_000_000,
-):
-    """EXACT sparse TF-IDF cosine similarity self-join — the
-    inverted-index all-pairs search (Bayardo et al., WWW 2007 "Scaling
-    Up All Pairs Similarity Search" shape), completing the similarity
-    family: MinHash = probabilistic set overlap, embedding dedup =
-    dense vectors, THIS = exact sparse lexical similarity.
-
-    The unit is a word ``ngram`` shingle (default trigram), not a bare
-    token: shingles keep the inverted index discriminative even over a
-    small word vocabulary AND keep every pair bucket inside the
-    ``max_df`` bound (single common words would blow both).
-
-    Plan — after the explode, ONLY int64 keys and float weights move;
-    shingle strings never shuffle (they collapse to a cached 64-bit
-    md5 fingerprint at the source, collision odds ~|vocab|²/2⁶⁵):
-      1. explode to (doc, shingle-hash, tf);
-      2. ONE shingle-space shuffle: each hash partition lexsorts its
-         runs, reads df = run length for free, drops df > ``max_df``
-         (stop shingles — simultaneously the recall knob and the hard
-         O(df²) bucket bound), and emits w = tf·ln(N/df) in place —
-         no df table, no df join;
-      3. per-doc L2 norms: bincount partials → doc-space groupby,
-         joined back (int-keyed), ŵ = w/‖d‖;
-      4. second shingle-space shuffle: per-run outer products;
-      5. pair-space groupby sum = cosine; threshold + round(6).
-
-    Output: (doc_a, doc_b, cosine) with doc_a < doc_b, cosine ≥
-    ``threshold``. Deterministic and SQL-mirrorable end-to-end (the
-    oracle works in shingle strings; fingerprinting only renames the
-    join keys).
-    """
-    import hashlib
-
-    from ray.data.aggregate import Sum
-
-    from .joins import hash_join
-
-    n_docs = docs_ds.count()
-    log_n = float(np.log(float(n_docs)))
-
-    class ShingleStage:
-        def __init__(self) -> None:
-            self.cache: dict = {}
-
-        def _h(self, g: str) -> int:
-            v = self.cache.get(g)
-            if v is None:
-                v = int.from_bytes(
-                    hashlib.md5(g.encode()).digest()[:8], "big", signed=True
-                )
-                self.cache[g] = v
-            return v
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, ths, tfs = [], [], []
-            for d, t in zip(
-                batch.column(id_col).to_pylist(),
-                batch.column(text_col).to_pylist(),
-            ):
-                ws = (t or "").lower().split()
-                c: dict = {}
-                for i in range(len(ws) - ngram + 1):
-                    g = " ".join(ws[i:i + ngram])
-                    c[g] = c.get(g, 0) + 1
-                ids.extend([d] * len(c))
-                ths.extend(self._h(g) for g in c)
-                tfs.extend(c.values())
-            t = pa.table({
-                id_col: pa.array(ids, pa.int64()),
-                "th": pa.array(ths, pa.int64()),
-                "tf": pa.array(tfs, pa.int64()),
-            })
-            part = (np.asarray(ths, dtype=np.int64).view(np.uint64)
-                    % num_partitions
-                    ).astype(np.int32)
-            return t.append_column("__part", pa.array(part, pa.int32()))
-
-    tok = docs_ds.select_columns([id_col, text_col]).map_batches(
-        ShingleStage, batch_format="pyarrow", concurrency=pool_size()
-    )
-
-    def weigh_runs(group: pa.Table) -> pa.Table:
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        th = group.column("th").to_numpy(zero_copy_only=False)
-        tf = group.column("tf").to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        order = np.lexsort((ids, th))
-        sth, sid, stf = th[order], ids[order], tf[order]
-        starts = np.nonzero(np.concatenate([[True], sth[1:] != sth[:-1]]))[0]
-        run_id = np.cumsum(
-            np.concatenate([[0], (sth[1:] != sth[:-1]).astype(np.int64)])
-        )
-        df = np.bincount(run_id)[run_id]  # run length per row = df
-        keep = df <= max_df
-        w = stf[keep] * (log_n - np.log(df[keep].astype(np.float64)))
-        # df == n_docs ⇒ idf = 0 ⇒ w = 0: zero-information shingles.
-        # Dropping them here (they contribute nothing to any dot
-        # product) also prevents 0/0 NaN norms for docs made ONLY of
-        # universal shingles — the oracle reaches the same no-output
-        # answer through NaN -> HAVING false.
-        nz = w > 0
-        return pa.table({
-            id_col: pa.array(sid[keep][nz], pa.int64()),
-            "th": pa.array(sth[keep][nz], pa.int64()),
-            "w": pa.array(w[nz], pa.float64()),
-        })
-
-    from .dedup import compact_blocks
-
-    # consumed twice (norm partials + join left side): pin it so the
-    # shingle explode and the df shuffle run ONCE
-    weighted = compact_blocks(
-        tok.groupby("__part").map_groups(weigh_runs, batch_format="pyarrow")
-    )
-
-    def norm_partial(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        w = batch.column("w").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(ids, return_inverse=True)
-        return pa.table({
-            id_col: pa.array(uniq, pa.int64()),
-            "nrm2": pa.array(np.bincount(inv, weights=w * w), pa.float64()),
-        })
-
-    norms = (
-        weighted.map_batches(norm_partial, batch_format="pyarrow")
-        .groupby(id_col)
-        .aggregate(Sum("nrm2", alias_name="nrm2"))
-    )
-
-    # norms are ONE float per doc: under the gate they broadcast
-    # (ray.put once, dict lookup per batch — kills a whole join
-    # exchange); above it, the int-keyed hash join is the scale path
-    if n_docs <= broadcast_max_docs:
-        import ray as _ray
-
-        norm_rows = norms.take_all()
-        # store ‖d‖ and DIVIDE (not multiply by a reciprocal): the
-        # oracle divides, and x/n vs x·(1/n) differ in the last ulp
-        nrm_ref = _ray.put({
-            r[id_col]: float(np.sqrt(r["nrm2"])) for r in norm_rows
-        })
-
-        def unit(batch: pa.Table) -> pa.Table:
-            nrm = _ray.get(nrm_ref)
-            ids = batch.column(id_col).to_pylist()
-            w = batch.column("w").to_numpy(zero_copy_only=False)
-            denom = np.asarray([nrm[d] for d in ids], dtype=np.float64)
-            th = batch.column("th").to_numpy(zero_copy_only=False)
-            part = (th.view(np.uint64) % num_partitions).astype(np.int32)
-            return pa.table({
-                id_col: batch.column(id_col),
-                "th": batch.column("th"),
-                "wn": pa.array(w / denom, pa.float64()),
-                "__part": pa.array(part, pa.int32()),
-            })
-
-        unit_ds = weighted.map_batches(unit, batch_format="pyarrow")
-    else:
-        normed = hash_join(
-            weighted, norms, id_col, id_col,
-            [id_col, "th", "w"], ["nrm2"],
-            how="inner", num_partitions=num_partitions,
-        )
-
-        def unit(batch: pa.Table) -> pa.Table:
-            w = batch.column("w").to_numpy(zero_copy_only=False)
-            n2 = batch.column("nrm2").to_numpy(zero_copy_only=False)
-            th = batch.column("th").to_numpy(zero_copy_only=False)
-            part = (th.view(np.uint64) % num_partitions).astype(np.int32)
-            return pa.table({
-                id_col: batch.column(id_col),
-                "th": batch.column("th"),
-                "wn": pa.array(w / np.sqrt(n2), pa.float64()),
-                "__part": pa.array(part, pa.int32()),
-            })
-
-        unit_ds = normed.map_batches(unit, batch_format="pyarrow")
-
-    def pair_products(group: pa.Table) -> pa.Table:
-        th = group.column("th").to_numpy(zero_copy_only=False)
-        ids = group.column(id_col).to_numpy(zero_copy_only=False)
-        wn = group.column("wn").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, th))
-        st, si, sw = th[order], ids[order], wn[order]
-        starts = np.nonzero(np.concatenate([[True], st[1:] != st[:-1]]))[0]
-        ends = np.concatenate([starts[1:], [len(st)]])
-        out_a, out_b, out_p = [], [], []
-        for s, e in zip(starts, ends):
-            k = e - s
-            if k < 2:
-                continue
-            ii, jj = np.triu_indices(k, k=1)
-            out_a.append(si[s:e][ii])
-            out_b.append(si[s:e][jj])
-            out_p.append(sw[s:e][ii] * sw[s:e][jj])
-        if not out_a:
-            return pa.table({
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "p": pa.array([], pa.float64()),
-            })
-        # partial fold: the same pair recurs across this partition's
-        # shingles — collapse to one row per (a, b) before the shuffle,
-        # so the final pair-space aggregate sees partitions×pairs rows,
-        # not Σ df² product rows
-        aa = np.concatenate(out_a)
-        bb = np.concatenate(out_b)
-        pp = np.concatenate(out_p)
-        key = np.stack([aa, bb], axis=1)
-        uniq, inv = np.unique(key, axis=0, return_inverse=True)
-        folded = np.bincount(inv, weights=pp)
-        # route each pair to its fold partition now: one partition
-        # exchange replaces a global composite-key sort-aggregate
-        ppart = (
-            (uniq[:, 0].view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             + uniq[:, 1].view(np.uint64)) % num_partitions
-        ).astype(np.int32)
-        return pa.table({
-            "doc_a": pa.array(uniq[:, 0], pa.int64()),
-            "doc_b": pa.array(uniq[:, 1], pa.int64()),
-            "p": pa.array(folded, pa.float64()),
-            "__ppart": pa.array(ppart, pa.int32()),
-        })
-
-    def fold_finish(group: pa.Table) -> pa.Table:
-        aa = group.column("doc_a").to_numpy(zero_copy_only=False)
-        bb = group.column("doc_b").to_numpy(zero_copy_only=False)
-        pp = group.column("p").to_numpy(zero_copy_only=False)
-        key = np.stack([aa, bb], axis=1)
-        uniq, inv = np.unique(key, axis=0, return_inverse=True)
-        cos = np.bincount(inv, weights=pp)
-        keep = cos >= threshold
-        cos6 = np.floor(cos[keep] * 1e6 + 0.5) / 1e6
-        return pa.table({
-            "doc_a": pa.array(uniq[keep, 0], pa.int64()),
-            "doc_b": pa.array(uniq[keep, 1], pa.int64()),
-            "cosine": pa.array(cos6, pa.float64()),
-        })
-
-    return (
-        unit_ds.groupby("__part")
-        .map_groups(pair_products, batch_format="pyarrow")
-        .groupby("__ppart")
-        .map_groups(fold_finish, batch_format="pyarrow")
-    )
-
-
-# ------------------------------------------------------- product quantization
-def pq_fit(emb_ds, m: int = 8, ksub: int = 16, iters: int = 5,
-           sample_size: int = 4096) -> np.ndarray:
-    """Product-quantization codebooks (Jégou et al. 2011): split the
-    (normalized) embedding into ``m`` subspaces and k-means each
-    subspace with ``ksub`` centroids.  Same deterministic hash-sample
-    fit as :func:`kmeans_fit` — ONE corpus pass bounded to
-    ≈``sample_size`` rows, Lloyd runs locally per subspace.  Returns
-    codebooks of shape (m, ksub, dim/m); memory per code afterwards is
-    ``m`` bytes per vector (ksub ≤ 256) — the 100-TB embedding store
-    answer: a 768-d float32 corpus compresses 384× at m=8.
-    """
-    from .joins import mix64
-
-    n = emb_ds.count()
-    if n == 0:
-        raise ValueError("pq_fit: empty embeddings dataset")
-    if ksub > 256:
-        raise ValueError("pq_fit: ksub > 256 no longer fits uint8 codes")
-    rate = sample_size / n
-    proj = emb_ds.select_columns(["vec_id", "embedding"])
-    if rate < 1.0:
-        threshold_u64 = np.uint64(min(int(rate * 2**64), 2**64 - 1))
-
-        def hash_sample(batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.uint64)
-            keep = mix64(ids) <= threshold_u64
-            return batch.filter(pa.array(keep))
-
-        proj = proj.map_batches(hash_sample, batch_format="pyarrow")
-    sample = proj.take_all()
-    sample.sort(key=lambda r: r["vec_id"])
-    if len(sample) < ksub:
-        raise ValueError(
-            f"pq_fit: sample of {len(sample)} rows < ksub={ksub}; "
-            "raise sample_size"
-        )
-    mat = _normalize(np.asarray([r["embedding"] for r in sample], np.float64))
-    dim = mat.shape[1]
-    if dim % m:
-        raise ValueError(f"pq_fit: dim {dim} not divisible by m={m}")
-    dsub = dim // m
-    books = np.empty((m, ksub, dsub), np.float64)
-    for j in range(m):
-        sub = mat[:, j * dsub:(j + 1) * dsub]
-        cents = sub[:ksub].copy()
-        for _ in range(iters):
-            d = ((sub[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-            assign = np.argmin(d, axis=1)
-            sums = np.zeros_like(cents)
-            np.add.at(sums, assign, sub)
-            counts = np.bincount(assign, minlength=ksub).astype(np.int64)
-            nonempty = counts > 0
-            cents[nonempty] = sums[nonempty] / counts[nonempty, None]
-        books[j] = cents
-    return books
-
-
-def _pq_codes(mat: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """(n, dim) normalized vectors → (n, m) uint8 codes (argmin L2 per
-    subspace, vectorized via the ‖x‖²−2x·c+‖c‖² expansion)."""
-    m, ksub, dsub = books.shape
-    n = mat.shape[0]
-    codes = np.empty((n, m), np.uint8)
-    for j in range(m):
-        sub = mat[:, j * dsub:(j + 1) * dsub]
-        # argmin ‖x−c‖² == argmax (x·c − ‖c‖²/2); x terms constant per row
-        score = sub @ books[j].T - 0.5 * (books[j] ** 2).sum(axis=1)[None, :]
-        codes[:, j] = np.argmax(score, axis=1).astype(np.uint8)
-    return codes
-
-
-def pq_encode(emb_ds, books: np.ndarray):
-    """emb_ds → (vec_id, pq_code:list<uint8>): the persisted compressed
-    index artifact.  Codebooks broadcast once via ``ray.put``; encode
-    is one matmul per subspace per batch."""
-    import ray
-
-    books_ref = ray.put(books)
-
-    def encode(batch: pa.Table) -> pa.Table:
-        b = ray.get(books_ref)
-        mat = _normalize(_matrix(batch.column("embedding")))
-        if mat.size == 0:
-            return pa.table(
-                {
-                    "vec_id": pa.array([], pa.int64()),
-                    "pq_code": pa.array([], pa.list_(pa.uint8())),
-                }
-            )
-        codes = _pq_codes(mat, b)
-        return pa.table(
-            {
-                "vec_id": batch.column("vec_id"),
-                "pq_code": pa.array(codes.tolist(), pa.list_(pa.uint8())),
-            }
-        )
-
-    return emb_ds.map_batches(encode, batch_format="pyarrow")
-
-
-def pq_topk(emb_ds, query_vecs: np.ndarray, k: int = 10, m: int = 8,
-            ksub: int = 16, iters: int = 5, sample_size: int = 4096,
-            query_ids=None):
-    """PQ asymmetric-distance ANN: fit codebooks (one bounded pass),
-    then ONE streaming pass that encodes each batch and scores every
-    query against the uint8 codes via per-query lookup tables
-    (inner-product ADC) — no float matrix ever shuffles or re-reads.
-    Output schema matches :func:`ann_topk` (sim = approximate inner
-    product, rounded); approximate by construction — recall vs the
-    exact baseline is pinned in tests.
-    """
-    import ray
-
-    books = pq_fit(emb_ds, m=m, ksub=ksub, iters=iters,
-                   sample_size=sample_size)
-    q = _normalize(np.asarray(query_vecs, np.float64))
-    if query_ids is None:
-        query_ids = list(range(len(q)))
-    mm, ksub_, dsub = books.shape
-    # luts[qi, j, c] = q_sub · codebook[j, c]
-    luts = np.einsum("qjd,jcd->qjc", q.reshape(len(q), mm, dsub), books)
-    state_ref = ray.put((books, luts))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        b, lut = ray.get(state_ref)
-        vec_ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        mat = _normalize(_matrix(batch.column("embedding")))
-        empty = pa.table(
-            {
-                "query_id": pa.array([], pa.int64()),
-                "vec_id": pa.array([], pa.int64()),
-                "sim": pa.array([], pa.float64()),
-            }
-        )
-        if mat.size == 0:
-            return empty
-        codes = _pq_codes(mat, b)  # (n, m)
-        nq = lut.shape[0]
-        # scores[qi, i] = Σ_j lut[qi, j, codes[i, j]] — gather + sum
-        gathered = lut[:, np.arange(codes.shape[1])[None, :], codes]  # (nq, n, m)
-        scores = gathered.sum(axis=2)
-        out_q, out_v, out_s = [], [], []
-        for qi in range(nq):
-            col = scores[qi]
-            take = min(k, len(col))
-            idx = np.argpartition(-col, take - 1)[:take]
-            for i in idx:
-                out_q.append(qi)
-                out_v.append(int(vec_ids[i]))
-                out_s.append(float(col[i]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
-            }
-        )
-
-    local = emb_ds.map_batches(local_topk, batch_format="pyarrow")
-    return _finish_topk(local, k, query_ids)
-
-
 # ----------------------------------------------------------------- MMR
 def mmr_rerank(cand_ids: "np.ndarray", cand_vecs: "np.ndarray",
                query_vec: "np.ndarray", m: int = 10,
@@ -1037,345 +228,3 @@ def mmr_rerank(cand_ids: "np.ndarray", cand_vecs: "np.ndarray",
         max_sim = np.maximum(max_sim, pair[:, best])
     sel = np.asarray(selected)
     return cand_ids[sel], rel[sel], np.asarray(scores)
-
-
-def embedding_covariance(ds, col: str = "embedding", dims: int = 16,
-                         scale: int = 10_000, merge_fanin: int = 64):
-    """EXACT covariance matrix of the first ``dims`` embedding
-    components — distributed multivariate sufficient statistics with
-    the family's float-parity recipe (``agg.grouped_corr`` extended to
-    a matrix): each value is quantized to int64 at ``scale`` with SQL
-    round semantics (half away from zero), each block reduces to ONE
-    fixed-size partial (n, S ∈ ℤ^d, P = QᵀQ ∈ ℤ^{d×d}), a distributed
-    tree-merge level sums ``merge_fanin`` partials per task (the DSIR /
-    sketch fan-in shape), and the driver folds blocks/merge_fanin rows
-    — embeddings never move.  cov_pop(i,j) = (P_ij − S_i·S_j/n)/n in
-    float64 from identical integers, descaled and rounded
-    half-away-from-zero to 6 digits.
-
-    int64 headroom: |q| ≤ scale for unit-ish embeddings ⇒ P_ij ≤
-    n·scale² — at scale 10⁴ safe to ~9·10¹⁰ rows per block-tree; size
-    ``scale`` down for bigger corpora (parity is unaffected: both
-    engines compare covariances OF THE QUANTIZED variable).
-
-    Output: pyarrow Table (i, j, cov), 1-indexed, i ≤ j — one row per
-    upper-triangle entry.
-    """
-    n_tot, s_tot, p_tot = _embedding_moments(
-        ds, col=col, dims=dims, scale=scale, merge_fanin=merge_fanin)
-    d = int(dims)
-    if n_tot == 0:
-        return pa.table({"i": pa.array([], pa.int64()),
-                         "j": pa.array([], pa.int64()),
-                         "cov": pa.array([], pa.float64())})
-    P = p_tot.reshape(d, d).astype(np.float64)
-    S = s_tot.astype(np.float64)
-    cov = (P - np.outer(S, S) / n_tot) / n_tot / float(scale) ** 2
-    iu, ju = np.triu_indices(d)
-    c = cov[iu, ju]
-    c = np.copysign(np.floor(np.abs(c) * 1e6 + 0.5) / 1e6, c)
-    return pa.table({
-        "i": pa.array((iu + 1).astype(np.int64), pa.int64()),
-        "j": pa.array((ju + 1).astype(np.int64), pa.int64()),
-        "cov": pa.array(c, pa.float64()),
-    })
-
-
-def _embedding_moments(ds, col: str, dims: int, scale: int,
-                       merge_fanin: int = 64):
-    """Shared sufficient-statistics pass for the covariance/PCA family:
-    (n, S ∈ ℤ^d, P = QᵀQ ∈ ℤ^{d×d}) of the scale-quantized first
-    ``dims`` embedding components.  One fixed-size partial per block, a
-    distributed tree-merge level sums ``merge_fanin`` partials per task
-    (the DSIR / sketch fan-in shape), driver folds blocks/merge_fanin
-    rows — embeddings never move and no driver loop scales with block
-    count.  Returns ``(n_tot:int, s_tot:int64[d], p_tot:int64[d*d])``.
-    """
-    d = int(dims)
-
-    def block_stats(batch: pa.Table) -> pa.Table:
-        vals = batch.column(col).to_pylist()
-        if not vals:
-            return pa.table({
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.list_(pa.int64(), d)),
-                "p": pa.array([], pa.list_(pa.int64(), d * d)),
-            })
-        m = np.asarray(vals, dtype=np.float64)[:, :d]
-        q = np.copysign(np.floor(np.abs(m) * scale + 0.5), m).astype(np.int64)
-        s = q.sum(axis=0)
-        p = q.T @ q
-        return pa.table({
-            "n": pa.array([len(vals)], pa.int64()),
-            "s": pa.array([s.tolist()], pa.list_(pa.int64(), d)),
-            "p": pa.array([p.reshape(-1).tolist()], pa.list_(pa.int64(), d * d)),
-        })
-
-    def merge_stats(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        n = int(batch.column("n").to_numpy(zero_copy_only=False).sum())
-        s = np.asarray(batch.column("s").to_pylist(),
-                       dtype=np.int64).sum(axis=0)
-        p = np.asarray(batch.column("p").to_pylist(),
-                       dtype=np.int64).sum(axis=0)
-        return pa.table({
-            "n": pa.array([n], pa.int64()),
-            "s": pa.array([s.tolist()], pa.list_(pa.int64(), d)),
-            "p": pa.array([p.tolist()], pa.list_(pa.int64(), d * d)),
-        })
-
-    merged = (
-        ds.map_batches(block_stats, batch_format="pyarrow")
-        .map_batches(merge_stats, batch_size=merge_fanin,
-                     batch_format="pyarrow")
-    )
-    n_tot = 0
-    s_tot = np.zeros(d, dtype=np.int64)
-    p_tot = np.zeros(d * d, dtype=np.int64)
-    for row in merged.iter_rows():
-        n_tot += int(row["n"])
-        s_tot += np.asarray(row["s"], dtype=np.int64)
-        p_tot += np.asarray(row["p"], dtype=np.int64)
-    return n_tot, s_tot, p_tot
-
-
-def pca_project(ds, col: str = "embedding", dims: int = 16,
-                n_components: int = 2, scale: int = 10_000,
-                out_col: str = "pc", id_col: str | None = None):
-    """PCA dimensionality reduction of an embedding column: project the
-    first ``dims`` components onto the top ``n_components`` principal
-    axes of :func:`embedding_covariance` (the exact distributed
-    covariance — so the fit is one sufficient-statistics pass; only the
-    d×d matrix reaches the eigensolver).
-
-    Determinism: eigensystem of a symmetric matrix via ``np.linalg.eigh``
-    on the EXACT int-derived covariance, components ordered by
-    descending eigenvalue, each eigenvector's sign fixed so its
-    largest-|·| coordinate is positive (eigenvectors are only defined up
-    to sign — without the fix two runs could flip a component).  The
-    mean vector and projection matrix broadcast once (``ray.put``);
-    projection is one centered matmul per batch.
-
-    Output: the input Dataset with ``out_col`` (fixed-size list<double>
-    of length n_components, round-6 for reproducible comparison).
-    Iterative/eigendecomposition step keeps this rows-only (no SQL
-    twin); correctness is pinned against numpy PCA in tests.
-    """
-    import ray
-
-    # ONE tree-merged sufficient-statistics pass yields BOTH the
-    # covariance and the mean (round ≤4 ran a second, un-tree-merged
-    # mean pass whose driver fold iterated one row per block)
-    d = int(dims)
-    n_tot, s_tot, p_tot = _embedding_moments(ds, col=col, dims=d,
-                                             scale=scale)
-    if n_tot == 0:
-        cov = np.zeros((d, d), dtype=np.float64)
-    else:
-        P = p_tot.reshape(d, d).astype(np.float64)
-        S = s_tot.astype(np.float64)
-        cov = (P - np.outer(S, S) / n_tot) / n_tot / float(scale) ** 2
-        # identical round-6 contract as embedding_covariance's output
-        # (the oracled twin) so the eigensystem sees the same matrix;
-        # cov is exactly symmetric (integer P, exact outer), so
-        # rounding preserves symmetry
-        cov = np.copysign(np.floor(np.abs(cov) * 1e6 + 0.5) / 1e6, cov)
-    w, v = np.linalg.eigh(cov)
-    order = np.argsort(w)[::-1][:n_components]
-    comps = v[:, order]                         # d × k
-    flip = np.sign(comps[np.abs(comps).argmax(axis=0),
-                         np.arange(comps.shape[1])])
-    comps = comps * np.where(flip == 0, 1.0, flip)
-
-    # mean of the quantized variable — free from the same moments pass
-    mean = (s_tot.astype(np.float64) / max(n_tot, 1)) / scale
-    proj_ref = ray.put((mean, comps))
-
-    def project(batch: pa.Table) -> pa.Table:
-        mean_v, comps_v = ray.get(proj_ref)
-        vals = batch.column(col).to_pylist()
-        if not vals:
-            out = np.zeros((0, comps_v.shape[1]))
-        else:
-            m = np.asarray(vals, dtype=np.float64)[:, :d]
-            q = np.copysign(np.floor(np.abs(m) * scale + 0.5), m) / scale
-            out = (q - mean_v) @ comps_v
-        out = np.copysign(np.floor(np.abs(out) * 1e6 + 0.5) / 1e6, out)
-        res = batch.drop_columns([out_col]) if out_col in batch.column_names \
-            else batch
-        return res.append_column(
-            out_col,
-            pa.array(out.tolist(), pa.list_(pa.float64(), comps_v.shape[1])),
-        )
-
-    return ds.map_batches(project, batch_format="pyarrow")
-
-
-def label_centroids(ds, col: str = "embedding", label_col: str = "label",
-                    dims: int = 8, scale: int = 10_000):
-    """Per-label centroid of the first ``dims`` embedding components —
-    the label-quality / cluster-drift diagnostic (compare class
-    centroids across snapshots, spot mislabeled clusters).  Same
-    float-parity recipe as :func:`embedding_covariance`: values
-    quantized to int64 at ``scale`` with SQL round semantics, per-block
-    partial sums in LONG form (label, dim, s, c), one low-cardinality
-    group fold (labels × dims is small by contract), mean =
-    (S/c)/scale in float64 from identical integers, round-6
-    half-away-from-zero.  Output: Dataset (label, dim, n, mean),
-    dim 1-indexed.
-    """
-    from .agg import lowcard_groupby_agg
-    from ray.data.aggregate import Sum
-
-    d = int(dims)
-
-    def block_partials(batch: pa.Table) -> pa.Table:
-        labels = batch.column(label_col).to_numpy(zero_copy_only=False)
-        m = _matrix(batch.column(col))
-        if m.shape[0] == 0:
-            return pa.table({
-                "label": pa.array([], pa.int64()),
-                "dim": pa.array([], pa.int64()),
-                "s": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-            })
-        m = m[:, :d]
-        q = np.copysign(np.floor(np.abs(m) * scale + 0.5), m).astype(np.int64)
-        uniq, inv = np.unique(labels, return_inverse=True)
-        k = len(uniq)
-        sums = np.zeros((k, d), dtype=np.int64)
-        np.add.at(sums, inv, q)
-        counts = np.bincount(inv, minlength=k).astype(np.int64)
-        lab = np.repeat(uniq.astype(np.int64), d)
-        dim = np.tile(np.arange(1, d + 1, dtype=np.int64), k)
-        return pa.table({
-            "label": pa.array(lab, pa.int64()),
-            "dim": pa.array(dim, pa.int64()),
-            "s": pa.array(sums.reshape(-1), pa.int64()),
-            "c": pa.array(np.repeat(counts, d), pa.int64()),
-        })
-
-    # lowcard fold returns the final (labels × dims)-row pyarrow Table
-    folded = lowcard_groupby_agg(
-        ds.map_batches(block_partials, batch_format="pyarrow"),
-        ["label", "dim"],
-        [("s", "sum", "s"), ("c", "sum", "c")],
-    )
-    s = folded.column("s").to_numpy(zero_copy_only=False).astype(np.float64)
-    c = folded.column("c").to_numpy(zero_copy_only=False).astype(np.float64)
-    mean = (s / c) / scale
-    mean = np.copysign(np.floor(np.abs(mean) * 1e6 + 0.5) / 1e6, mean)
-    return pa.table({
-        "label": folded.column("label").cast(pa.int64()),
-        "dim": folded.column("dim").cast(pa.int64()),
-        "n": folded.column("c").cast(pa.int64()),
-        "mean": pa.array(mean, pa.float64()),
-    })
-
-
-# --------------------------------------------- random projection (JL lemma)
-def jl_project(ds, out_dims: int = 8, dims: int = 64,
-               scale: int = 10_000, id_col: str = "vec_id",
-               col: str = "embedding"):
-    """Johnson–Lindenstrauss random projection with a ±1 (Achlioptas
-    2003) sign matrix: ``y = (X · R) / sqrt(out_dims)`` — the
-    dimensionality-reduction front-end for ANN at scale. The sign
-    matrix is DERIVED, not stored or broadcast: sign(i, j) = low bit
-    of splitmix64(i·1000 + j) (1-based grid), so every worker and the
-    SQL twin reconstruct the identical R.
-
-    Float-parity recipe: inputs are quantized to int64 at ``scale``
-    (half-away rounding, the covariance family's idiom), the projection
-    is an EXACT int64 matmul, and only the final descale touches
-    floats — identical integers ⇒ identical doubles ⇒ identical
-    round-6 output (IEEE sqrt is correctly rounded, so sqrt(k) agrees
-    bit-for-bit too). Pure per-batch map — no shuffle, nothing scales
-    with corpus size. Output: (vec_id, dim 1..out_dims, proj)."""
-    from .joins import mix64
-
-    ii, jj = np.meshgrid(np.arange(1, dims + 1, dtype=np.uint64),
-                         np.arange(1, out_dims + 1, dtype=np.uint64),
-                         indexing="ij")
-    h = mix64(ii.ravel() * np.uint64(1000) + jj.ravel())
-    signs = np.where((h % np.uint64(2)) == 1, 1, -1).astype(
-        np.int64).reshape(dims, out_dims)
-
-    def project(batch: pa.Table) -> pa.Table:
-        m = _matrix(batch.column(col))
-        if m.shape[0] == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "dim": pa.array([], pa.int64()),
-                "proj": pa.array([], pa.float64()),
-            })
-        m = m[:, :dims]
-        q = np.copysign(np.floor(np.abs(m) * scale + 0.5), m).astype(
-            np.int64)
-        y = q @ signs  # exact: |q| ≤ ~2·scale ⇒ |y| ≤ dims·2·scale ≪ 2⁶³
-        n = m.shape[0]
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        proj = y.astype(np.float64) / float(scale) \
-            / float(np.sqrt(float(out_dims)))
-        r6 = np.copysign(np.floor(np.abs(proj) * 1e6 + 0.5) / 1e6, proj)
-        return pa.table({
-            id_col: pa.array(np.repeat(ids, out_dims), pa.int64()),
-            "dim": pa.array(
-                np.tile(np.arange(1, out_dims + 1, dtype=np.int64), n),
-                pa.int64()),
-            "proj": pa.array(r6.ravel(), pa.float64()),
-        })
-
-    return ds.select_columns([id_col, col]).map_batches(
-        project, batch_format="pyarrow"
-    )
-
-
-def jl_project_vectors(ds, out_dims: int = 8, dims: int = 64,
-                       id_col: str = "vec_id", col: str = "embedding"):
-    """Wide companion of :func:`jl_project` for downstream similarity
-    kernels: (vec_id, embedding = the projected ``out_dims``-vector as
-    a list column). Same DERIVED ±1 sign matrix; float path — the
-    consumer is a distance kernel, not a value oracle. Pure map."""
-    from .joins import mix64
-
-    ii, jj = np.meshgrid(np.arange(1, dims + 1, dtype=np.uint64),
-                         np.arange(1, out_dims + 1, dtype=np.uint64),
-                         indexing="ij")
-    h = mix64(ii.ravel() * np.uint64(1000) + jj.ravel())
-    signs = np.where((h % np.uint64(2)) == 1, 1.0, -1.0).reshape(
-        dims, out_dims)
-    scale = 1.0 / float(np.sqrt(float(out_dims)))
-
-    def project(batch: pa.Table) -> pa.Table:
-        m = _matrix(batch.column(col))
-        if m.shape[0] == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                col: pa.array([], pa.list_(pa.float64())),
-            })
-        y = (m[:, :dims] @ signs) * scale
-        return pa.table({
-            id_col: batch.column(id_col),
-            col: pa.array(list(y), pa.list_(pa.float64())),
-        })
-
-    return ds.select_columns([id_col, col]).map_batches(
-        project, batch_format="pyarrow"
-    )
-
-
-def jl_query_vectors(q: np.ndarray, out_dims: int = 8,
-                     dims: int = 64) -> np.ndarray:
-    """Project QUERY vectors with the same derived sign matrix (the
-    driver-side twin of :func:`jl_project_vectors`)."""
-    from .joins import mix64
-
-    ii, jj = np.meshgrid(np.arange(1, dims + 1, dtype=np.uint64),
-                         np.arange(1, out_dims + 1, dtype=np.uint64),
-                         indexing="ij")
-    h = mix64(ii.ravel() * np.uint64(1000) + jj.ravel())
-    signs = np.where((h % np.uint64(2)) == 1, 1.0, -1.0).reshape(
-        dims, out_dims)
-    return (np.asarray(q, dtype=np.float64)[:, :dims] @ signs) \
-        / float(np.sqrt(float(out_dims)))

@@ -412,7 +412,8 @@ def write_per_doc_json(result_ds, out_dir: str, url_col: str = "url") -> int:
             payload = _envelope_dict(row)
             tmp = os.path.join(out_dir, f".{name}.tmp-{os.getpid()}")
             with open(tmp, "w", encoding="utf-8") as f:
-                _json.dump(payload, f, indent=2, ensure_ascii=False)
+                # default=str: extract-mode records carry warc_ts
+                _json.dump(payload, f, indent=2, ensure_ascii=False, default=str)
             os.replace(tmp, os.path.join(out_dir, name))  # atomic commit
             n_written += 1
         return pa.table({"n": pa.array([n_written], pa.int64())})

@@ -62,14 +62,12 @@ def _survivor_fold(group: pa.Table) -> pa.Table:
     return out.drop_columns(["__wh", "__wl", "__wpart"])
 
 
-def web_prep_pipeline(pages_ds, min_words: int = 30, num_partitions: int = 32):
-    """pages (url, warc_ts, html, lang) → deduped quality corpus
-    ``(url, extracted_text, n_words)``."""
-    from .extraction import extraction_pipeline
-
-    ds = extraction_pipeline(pages_ds)
-    ds = ds.filter(expr=f"extract_status == 'ok' and n_words >= {min_words}")
-    ds = ds.select_columns(["url", "extracted_text", "n_words"])
+def _survivors(extracted_ds, min_words: int, num_partitions: int):
+    """Extraction rows → gated, exact-deduped ``(url, extracted_text,
+    n_words)`` survivors."""
+    ds = extracted_ds.filter(
+        expr=f"extract_status == 'ok' and n_words >= {min_words}"
+    ).select_columns(["url", "extracted_text", "n_words"])
     return (
         ds.map_batches(
             lambda b: _hash_part(b, num_partitions), batch_format="pyarrow"
@@ -77,6 +75,14 @@ def web_prep_pipeline(pages_ds, min_words: int = 30, num_partitions: int = 32):
         .groupby("__wpart")
         .map_groups(_survivor_fold, batch_format="pyarrow")
     )
+
+
+def web_prep_pipeline(pages_ds, min_words: int = 30, num_partitions: int = 32):
+    """pages (url, warc_ts, html, lang) → deduped quality corpus
+    ``(url, extracted_text, n_words)``."""
+    from .extraction import extraction_pipeline
+
+    return _survivors(extraction_pipeline(pages_ds), min_words, num_partitions)
 
 
 def run_web_prep_job(
@@ -90,82 +96,55 @@ def run_web_prep_job(
     """Checkpointed, RESUMABLE flagship job — the global-dedup answer
     to per-partition checkpointing:
 
-    - **Phase 1 (checkpointed)**: extraction + quality gate run per
-      input partition with the same atomic commit + lineage manifest
-      as ``run_extraction_job`` (under ``out_dir/stage1``); a killed
-      run resumes from the last committed partition, re-extracting
-      nothing.
+    - **Phase 1 (checkpointed)**: ``run_extraction_job`` over the input
+      files into ``out_dir/stage1``: every extracted row, committed per
+      partition with its manifest record (``docs_*`` counts, checksum);
+      a killed run resumes from the last committed partition,
+      re-extracting nothing.
     - **Phase 2 (recomputed on resume, by design)**: the GLOBAL exact
       dedup cannot be checkpointed per input partition — a duplicate
-      pair may span partitions — so it re-runs over phase-1's gated
-      intermediates (a column-pruned read of survivors only, a small
-      fraction of the raw corpus) and writes the final survivor
-      parquet to ``out_dir/final``.  Phase 2 cost is one hash exchange
-      over already-extracted text: cheap relative to re-extraction,
-      and always consistent with whatever phase-1 state resumed.
+      pair may span partitions — so it re-runs over a column-pruned
+      read of phase 1's output (``url, extracted_text, n_words,
+      extract_status``), applies the quality gate and writes the final
+      survivor parquet to ``out_dir/final``.  Phase 2 cost is one hash
+      exchange over already-extracted text: cheap relative to
+      re-extraction, and always consistent with whatever phase-1 state
+      resumed.
     """
-    import glob as _glob
+    import glob
+    import os
     import shutil
 
+    import pyarrow.parquet as pq
     import ray.data
 
-    from ..pipelines.extraction import extraction_pipeline
-    from ..state.manifest import Manifest, partition_plan
-
-    import os
+    from .extraction import run_extraction_job
+    from ..state.manifest import Manifest
 
     stage1 = os.path.join(out_dir, "stage1")
-    manifest = Manifest(stage1)
-    plan = partition_plan(list(input_files), files_per_partition)
-    skipped = 0
-    for pid, files in enumerate(plan):
-        if manifest.is_committed(pid):
-            skipped += 1
-            continue
-        tmp = manifest.tmp_dir(pid)
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
-        ds = ray.data.read_parquet(
-            list(files), columns=["url", "warc_ts", "html", "lang"]
-        )
-        gated = extraction_pipeline(ds).filter(
-            expr=f"extract_status == 'ok' and n_words >= {min_words}"
-        ).select_columns(["url", "extracted_text", "n_words"])
-        gated.write_parquet(tmp)
-        import pyarrow.parquet as _pq
-
-        n_rows = sum(
-            _pq.read_metadata(f).num_rows
-            for f in sorted(_glob.glob(os.path.join(tmp, "*.parquet")))
-        )
-        manifest.commit(pid, files, {"docs_in": -1, "docs_ok": n_rows})
+    job = run_extraction_job(list(input_files), stage1, files_per_partition)
 
     # phase 2: global dedup over every committed partition's output
-    part_dirs = [manifest.partition_dir(pid) for pid in range(len(plan))]
+    manifest = Manifest(stage1)
     shards = [
-        f for d in part_dirs for f in sorted(_glob.glob(os.path.join(d, "*.parquet")))
+        f
+        for pid in range(job["partitions_total"])
+        for f in sorted(glob.glob(os.path.join(manifest.partition_dir(pid), "*.parquet")))
     ]
     final = os.path.join(out_dir, "final")
     if os.path.isdir(final):
         shutil.rmtree(final)
-    gated_all = ray.data.read_parquet(shards)
-    survivors = (
-        gated_all.map_batches(
-            lambda b: _hash_part(b, num_partitions), batch_format="pyarrow"
-        )
-        .groupby("__wpart")
-        .map_groups(_survivor_fold, batch_format="pyarrow")
+    extracted = ray.data.read_parquet(
+        shards, columns=["url", "extracted_text", "n_words", "extract_status"]
     )
-    survivors.write_parquet(final)
-    import pyarrow.parquet as _pq
-
+    _survivors(extracted, min_words, num_partitions).write_parquet(final)
     n_final = sum(
-        _pq.read_metadata(f).num_rows
-        for f in sorted(_glob.glob(os.path.join(final, "*.parquet")))
+        pq.read_metadata(f).num_rows
+        for f in sorted(glob.glob(os.path.join(final, "*.parquet")))
     )
     metrics = {
-        "partitions_total": len(plan),
-        "partitions_skipped": skipped,
+        "partitions_total": job["partitions_total"],
+        "partitions_skipped": job["partitions_skipped"],
         "survivors": n_final,
         "output": final,
     }

@@ -54,6 +54,33 @@ def test_cli_wet_format(ray_session, tmp_path, capsys):
     assert (back["text"].str.len() > 0).sum() == 2  # empty payload row empty
 
 
+def test_cli_extract_json_on_parquet_input(ray_session, tmp_path, capsys):
+    """``--mode extract --format json`` writes JSON, with or without
+    ``--per-doc``; only parquet output goes through the checkpointed job."""
+    import glob
+    import os
+
+    from pdf_extractor_ray.cli import main
+
+    src = _tiny_pages(tmp_path)
+    out = str(tmp_path / "json")
+    assert main(["--input", src, "--output", out,
+                 "--mode", "extract", "--format", "json"]) == 0
+    metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    rows = [json.loads(line) for f in glob.glob(f"{out}/*.json")
+            for line in open(f)]
+    assert metrics["files"] >= 1
+    assert sorted(r["url"] for r in rows) == [f"https://t/{i}" for i in range(3)]
+    assert not os.path.exists(os.path.join(out, "_manifest"))
+
+    per_doc = str(tmp_path / "per_doc")
+    assert main(["--input", src, "--output", per_doc, "--mode", "extract",
+                 "--format", "json", "--per-doc"]) == 0
+    metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert metrics["files"] == 3
+    assert sorted(os.listdir(per_doc)) == [f"{i}_extracted.json" for i in range(3)]
+
+
 def _docs_table(tmp_path, name, rows):
     t = pa.table({
         "doc_id": pa.array([r[0] for r in rows], pa.int64()),

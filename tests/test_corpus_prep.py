@@ -207,6 +207,46 @@ def test_run_web_prep_job_resume(ray_session, tmp_path):
     assert final.url.tolist() == ["https://d/1"]
 
 
+def test_run_web_prep_job_stage1_manifest_counts(ray_session, tmp_path):
+    """Phase 1 is ``run_extraction_job``: each stage-1 manifest record
+    carries the partition's real ``docs_*`` counts and the checksum of
+    its committed rows."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.web_prep import run_web_prep_job
+    from pdf_extractor_ray.state.manifest import Manifest, rows_checksum
+
+    long = " ".join(f"word{i}" for i in range(40))
+    html = ("<html><body><p>" + long + "</p></body></html>").encode()
+    shards = []
+    for i, payloads in enumerate([[html, b""], [html + b"<!--x-->"]]):
+        path = str(tmp_path / f"s{i}.parquet")
+        n = len(payloads)
+        pq.write_table(pa.table({
+            "url": pa.array([f"https://m/{i}/{j}" for j in range(n)], pa.string()),
+            "warc_ts": pa.array([dt.datetime(2025, 1, 1)] * n, pa.timestamp("us")),
+            "html": pa.array(payloads, pa.large_binary()),
+            "lang": pa.array(["en"] * n, pa.string()),
+        }), path)
+        shards.append(path)
+    out = str(tmp_path / "job")
+    m = run_web_prep_job(shards, out, files_per_partition=1)
+    assert m["survivors"] == 1
+
+    manifest = Manifest(str(tmp_path / "job" / "stage1"))
+    records = sorted(manifest.records(), key=lambda r: r["partition_id"])
+    assert [(r["docs_in"], r["docs_ok"], r["docs_html"]) for r in records] == [
+        (2, 1, 1), (1, 1, 1)]
+    for r in records:
+        rows = pq.read_table(manifest.partition_dir(r["partition_id"]))
+        assert rows.num_rows == r["docs_in"]
+        assert r["checksum"] == format(rows_checksum(
+            rows.column("url").to_pylist(), rows.column("n_chars").to_pylist()), "08x")
+
+
 def test_run_web_prep_job_emit_wet(ray_session, tmp_path):
     import datetime as dt
 

@@ -33,38 +33,6 @@ def test_exact_dedup_counts(ray_session, docs):
     assert df["count()"].sum() == docs.count()
 
 
-def test_minhash_matches_exact_jaccard(ray_session, docs):
-    """LSH candidates + verify must reproduce the exact all-pairs result
-    on the seeded near-dup corpus (all true pairs well above threshold)."""
-    import ray
-
-    from pdf_extractor_ray.functions.dedup import (
-        JaccardVerifyStage,
-        minhash_lsh_candidates,
-        ngram_jaccard_pairs,
-    )
-
-    exact = ngram_jaccard_pairs(docs, threshold=0.5).to_pandas()
-    texts = {
-        r["doc_id"]: r["text"]
-        for r in docs.select_columns(["doc_id", "text"]).take_all()
-    }
-    texts_ref = ray.put(texts)
-    lsh = (
-        minhash_lsh_candidates(docs)
-        .map_batches(
-            JaccardVerifyStage,
-            fn_constructor_kwargs={"texts_ref": texts_ref, "threshold": 0.5},
-            batch_format="pyarrow",
-            concurrency=(1, 2),
-        )
-        .to_pandas()
-    )
-    key = lambda df: sorted(zip(df["doc_a"], df["doc_b"]))  # noqa: E731
-    assert key(lsh) == key(exact)
-    assert len(exact) > 0  # the corpus really contains near-dups
-
-
 def test_simhash_deterministic(ray_session, docs):
     from pdf_extractor_ray.functions.dedup import simhash_dedup
 
@@ -173,100 +141,20 @@ def test_candidate_shingles_only_touch_candidate_docs(ray_session, docs):
     NOT the corpus: the shingle table has exactly one row per distinct
     candidate doc id — far fewer than corpus rows."""
     from pdf_extractor_ray.functions.dedup import (
+        MinHashBandStage,
+        bucket_collision_pairs,
         candidate_shingles,
-        minhash_lsh_candidates,
     )
 
-    cands = minhash_lsh_candidates(docs).materialize()
+    bands = docs.map_batches(MinHashBandStage, batch_format="pyarrow",
+                             concurrency=1)
+    cands = bucket_collision_pairs(bands, max_bucket=4096).materialize()
     pairs = cands.to_pandas()
     n_cand_docs = len(set(pairs["doc_a"]) | set(pairs["doc_b"]))
     sh = candidate_shingles(docs, cands).to_pandas()
     assert len(sh) == n_cand_docs
     assert n_cand_docs < docs.count()
     assert set(sh.columns) == {"doc_id", "shingles"}
-
-
-def test_embedding_near_dups_lsh_matches_allpairs(ray_session, sf_dir):
-    """The bucketed scale path reproduces the exact all-pairs pairs and
-    sims (recall 1.0 at the fixed seed) with no corpus-wide matrix."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import (
-        embedding_near_dups,
-        embedding_near_dups_allpairs,
-    )
-
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    lsh = embedding_near_dups(emb, threshold=0.45).to_pandas()
-    emb2 = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    exact = embedding_near_dups_allpairs(emb2, threshold=0.45).to_pandas()
-    key = lambda df: sorted(  # noqa: E731
-        zip(df["vec_a"], df["vec_b"], df["sim"]))
-    assert key(lsh) == key(exact)
-    assert len(exact) > 0
-
-
-def test_top_ngrams_matches_counter(ray_session, docs):
-    from collections import Counter
-
-    from pdf_extractor_ray.functions.text import top_ngrams
-
-    got = top_ngrams(docs, n=2, k=10).to_pandas()
-    c = Counter()
-    for r in docs.select_columns(["text"]).take_all():
-        toks = (r["text"] or "").split()
-        for i in range(len(toks) - 1):
-            c[" ".join(toks[i : i + 2])] += 1
-    want = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    assert list(zip(got["ngram"], got["n"])) == want
-
-
-def test_token_df_counts_docs_not_occurrences(ray_session):
-    import pyarrow as pa
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import token_df
-
-    ds = ray.data.from_arrow(pa.table({
-        "text": pa.array(["a a a b", "a c", "c c d"], pa.string()),
-    }))
-    df = token_df(ds, k=10).to_pandas()
-    got = dict(zip(df["token"], df["df"]))
-    assert got == {"a": 2, "c": 2, "b": 1, "d": 1}
-
-
-def test_top_tokens_approx_agrees_with_exact(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import top_ngrams, top_tokens_approx
-
-    docs = ray.data.read_parquet(
-        "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
-    )
-    exact = top_ngrams(docs, n=1, k=10).to_pandas()
-    approx = top_tokens_approx(docs, k=10, per_block=1000).to_pandas()
-    # true heavy hitters survive bounded truncation with exact counts
-    assert list(approx["token"]) == list(exact["ngram"])
-    assert list(approx["n"]) == list(exact["n"])
-
-
-def test_top_tokens_approx_truncation_is_bounded(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import top_tokens_approx
-
-    # tiny per_block forces truncation; top-1 (the single dominant
-    # token) must still be found with its full count
-    docs = ray.data.from_arrow(__import__("pyarrow").table({
-        "text": ["dominant " * 50 + "rare%d unique%d" % (i, i) for i in range(40)],
-    }))
-    out = top_tokens_approx(docs, k=1, per_block=2).to_pandas()
-    assert out["token"].iloc[0] == "dominant"
-    assert out["n"].iloc[0] == 2000
 
 
 def test_latest_by_key_hot_key_partial(ray_session):
@@ -406,471 +294,6 @@ def test_compact_blocks_consolidates_small_and_keeps_rows(ray_session):
     assert sorted(m.to_pandas()["x"]) == [1, 2]
 
 
-def test_redact_pii_semantics():
-    from pdf_extractor_ray.functions.text import redact_pii
-
-    t = pa.table({
-        "doc_id": pa.array([1], pa.int64()),
-        "text": pa.array([
-            "mail a@b.com ssn 123-45-6789 call 555-123-4567 end"
-        ]),
-    })
-    out = redact_pii(t).to_pylist()[0]
-    assert out["n_email"] == 1 and out["n_ssn"] == 1 and out["n_phone"] == 1
-    import hashlib
-    expect = "mail [EMAIL] ssn [SSN] call [PHONE] end"
-    assert out["redacted_md5"] == hashlib.md5(expect.encode()).hexdigest()
-
-
-def test_normalize_text_semantics():
-    import hashlib
-
-    from pdf_extractor_ray.functions.text import normalize_text
-
-    t = pa.table({
-        "doc_id": pa.array([1], pa.int64()),
-        "text": pa.array(["  Hello\t WORLD \n twice  "]),
-    })
-    out = normalize_text(t).to_pylist()[0]
-    assert out["norm_md5"] == hashlib.md5(b"hello world twice").hexdigest()
-    assert out["n_chars_norm"] == len("hello world twice")
-
-
-def test_line_quality_stats_semantics():
-    from pdf_extractor_ray.functions.text import line_quality_stats
-
-    t = pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "text": pa.array([
-            "A good long sentence here.\nshort.\nno terminal punct at all\n"
-            'He said "stop right there!"',
-            "",
-        ]),
-    })
-    out = line_quality_stats(t).to_pylist()
-    # doc 1: 4 lines; kept = line 1 (ends '.', 5 words) only —
-    # 'short.' has 1 word, line 3 has no terminal punct, line 4 ends
-    # with a quote AFTER '!' so the quote class keeps it
-    assert out[0]["n_lines"] == 4 and out[0]["n_kept"] == 2
-    assert out[1]["n_lines"] == 1 and out[1]["n_kept"] == 0
-
-
-def test_ngram_overlap_vs_probes():
-    from pdf_extractor_ray.functions.text import ngram_overlap_vs_probes
-
-    t = pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "text": pa.array([
-            "leaked key agg row appears here",  # bigrams 'key agg','agg row'
-            "nothing shared at all",
-        ]),
-    })
-    out = ngram_overlap_vs_probes(
-        t, ("key agg row",), n=2
-    ).to_pylist()
-    assert out == [{"doc_id": 1, "n_shared_ngrams": 2}]
-
-
-def test_repetition_stats_semantics():
-    from pdf_extractor_ray.functions.text import repetition_stats
-
-    t = pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
-        "text": pa.array([
-            # 4 lines, 'nav bar' twice -> 2 dup-free of 4? distinct=3
-            "nav bar\nreal content line\nnav bar\nfooter",
-            "only one line",
-            # all lines identical: distinct=1 of 3
-            "x\nx\nx",
-        ]),
-    })
-    out = repetition_stats(t).to_pylist()
-    d1, d2, d3 = out
-    assert d1["n_lines"] == 4
-    assert d1["dup_line_frac"] == round(1 - 3 / 4, 6)
-    # chars: nav bar(7)*2 + real content line(17) + footer(6) = 37 total,
-    # distinct chars = 7+17+6 = 30
-    assert d1["dup_line_char_frac"] == round(1 - 30 / 37, 6)
-    assert d2["dup_line_frac"] == 0.0 and d2["n_lines"] == 1
-    assert d3["dup_line_frac"] == round(1 - 1 / 3, 6)
-    assert d3["dup_line_char_frac"] == round(1 - 1 / 3, 6)
-
-
-def test_top_ngram_char_frac_semantics():
-    from pdf_extractor_ray.functions.text import top_ngram_char_frac
-
-    t = pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
-        "text": pa.array([
-            "a b a b a",       # bigrams: 'a b'x2, 'b a'x2 -> tie, lex smaller wins
-            "single",          # <2 tokens -> excluded
-            "x y z x y",       # 'x y'x2 top
-        ]),
-    })
-    out = top_ngram_char_frac(t).to_pylist()
-    assert len(out) == 2
-    d1, d3 = out
-    assert d1["doc_id"] == 1 and d1["top_gram"] == "a b" and d1["n_occ"] == 2
-    assert d1["top_gram_char_frac"] == round(2 * 3 / 9, 6)
-    assert d3["doc_id"] == 3 and d3["top_gram"] == "x y" and d3["n_occ"] == 2
-    assert d3["top_gram_char_frac"] == round(2 * 3 / 9, 6)
-
-
-def test_classifier_score_monotone_and_bounded():
-    from pdf_extractor_ray.functions.text import (
-        add_classifier_score,
-        add_text_features,
-    )
-
-    t = pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "text": pa.array([
-            "the cat sat on the mat and it is a fine day in the sun",
-            "$$$ ### !!! @@@ %%% ^^^ &&& *** ((( )))",
-        ]),
-    })
-    out = add_classifier_score(add_text_features(t)).to_pylist()
-    assert all(0.0 < r["classifier_score"] < 1.0 for r in out)
-    # stopword-rich prose must outscore pure punctuation
-    assert out[0]["classifier_score"] > out[1]["classifier_score"]
-
-
-def test_interdoc_line_dedup_semantics(ray_session):
-    import hashlib
-
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import interdoc_line_dedup
-
-    boiler = "copyright footer 2024"
-    docs = [
-        (1, f"unique alpha\n{boiler}\nunique beta"),
-        (2, f"{boiler}\nunique gamma"),
-        (3, boiler),                       # fully removed
-        (4, f"solo line\n{boiler}"),
-        (5, "entirely original document"),
-    ]
-    ds = ray.data.from_items(
-        [{"doc_id": i, "text": t} for i, t in docs]
-    )
-    out = {
-        r["doc_id"]: r
-        for r in interdoc_line_dedup(ds, max_docs=1).take_all()
-    }
-    assert out[1]["n_lines"] == 3 and out[1]["n_kept"] == 2
-    assert out[1]["clean_md5"] == hashlib.md5(
-        b"unique alpha\nunique beta"
-    ).hexdigest()
-    assert out[2]["n_kept"] == 1
-    assert out[3]["n_lines"] == 1 and out[3]["n_kept"] == 0
-    assert out[3]["clean_md5"] == hashlib.md5(b"").hexdigest()
-    assert out[4]["n_kept"] == 1
-    assert out[5]["n_kept"] == 1
-    # a line must survive when shared by <= max_docs documents
-    # (the boilerplate line is in exactly 4 docs)
-    out2 = {
-        r["doc_id"]: r
-        for r in interdoc_line_dedup(ds, max_docs=4).take_all()
-    }
-    assert all(out2[i]["n_kept"] == out2[i]["n_lines"] for i in out2)
-
-
-def _uf_components(pairs):
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {n: find(n) for n in parent}
-
-
-def test_connected_components_matches_union_find(ray_session):
-    import random
-
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import connected_components
-
-    # dense-ish graph → small diameter → few propagation rounds; the
-    # 30-node chain test below covers the long-diameter regime
-    rng = random.Random(7)
-    pairs = [(rng.randrange(80), rng.randrange(80)) for _ in range(110)]
-    ds = ray.data.from_items(
-        [{"id_a": a, "id_b": b} for a, b in pairs]
-    )
-    want = _uf_components(pairs)
-    # BOTH plans must agree: the size-gated driver union-find (default
-    # — these edges are far under the gate) and the forced iterative
-    # hash-min propagation (local_max_edges=0 = the 100-TB path)
-    got_local = {
-        r["node"]: r["component"]
-        for r in connected_components(ds).take_all()
-    }
-    got_iter = {
-        r["node"]: r["component"]
-        for r in connected_components(ds, local_max_edges=0).take_all()
-    }
-    assert got_local == want
-    assert got_iter == want
-
-
-def test_connected_components_long_chain(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import connected_components
-
-    # a 30-node path: labels must propagate 29 hops to converge —
-    # force the ITERATIVE path (the local union-find would hide a
-    # propagation bug)
-    ds = ray.data.from_items(
-        [{"id_a": i, "id_b": i + 1} for i in range(100, 129)]
-    )
-    got = {
-        r["node"]: r["component"]
-        for r in connected_components(ds, local_max_edges=0).take_all()
-    }
-    assert set(got.values()) == {100} and len(got) == 30
-
-
-def test_connected_components_empty(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import connected_components
-
-    ds = ray.data.from_arrow(
-        pa.table({"id_a": pa.array([], pa.int64()),
-                  "id_b": pa.array([], pa.int64())})
-    )
-    out = connected_components(ds)
-    assert out.count() == 0
-    assert set(out.schema().names) == {"node", "component"}
-
-
-def test_minhash_components_match_pairs_union_find(ray_session, docs):
-    """Cluster labels from the iterative CC must equal union-find over
-    the same verified near-dup pair list."""
-    from pdf_extractor_ray.functions.dedup import minhash_lsh_verified
-    from pdf_extractor_ray.functions.graph import connected_components
-
-    pairs_ds = minhash_lsh_verified(docs, threshold=0.5)
-    pairs = [(r["doc_a"], r["doc_b"]) for r in pairs_ds.take_all()]
-    assert pairs  # seeded corpus has near-dups
-    got = {
-        r["node"]: r["component"]
-        for r in connected_components(
-            pairs_ds, col_a="doc_a", col_b="doc_b"
-        ).take_all()
-    }
-    assert got == _uf_components(pairs)
-
-
-def test_doc_cross_entropy_matches_local(ray_session):
-    import math
-
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import doc_unigram_cross_entropy
-
-    docs = [
-        (1, "a a a b"),
-        (2, "a b c d"),
-        (3, "c c d"),
-    ]
-    ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs])
-    got = {
-        r["doc_id"]: r["cross_entropy"]
-        for r in doc_unigram_cross_entropy(ds).take_all()
-    }
-    # corpus counts: a=5 b=2 c=3 d=2, T=11... wait recompute locally
-    from collections import Counter
-
-    corpus = Counter()
-    for _, t in docs:
-        corpus.update(t.split())
-    T = sum(corpus.values())
-    for i, t in docs:
-        toks = t.split()
-        h = math.log2(T) - sum(
-            math.log2(corpus[x]) for x in toks
-        ) / len(toks)
-        assert abs(got[i] - h) < 1e-6, (i, got[i], h)
-    # stereotyped text (all common tokens) scores lower than rare-heavy
-    assert got[1] < got[2]
-
-
-def test_interdoc_line_dedup_random_property(ray_session):
-    """Random multi-line corpora: engine result must equal a local
-    reference implementation for every doc (n_kept + cleaned md5),
-    across max_docs thresholds."""
-    import hashlib
-    import random
-
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import interdoc_line_dedup
-
-    rng = random.Random(13)
-    vocab = [f"line-{i}" for i in range(12)]  # small pool → real overlap
-    docs = {
-        i: "\n".join(
-            rng.choice(vocab) for _ in range(rng.randint(1, 6))
-        )
-        for i in range(40)
-    }
-    ds = ray.data.from_items(
-        [{"doc_id": i, "text": t} for i, t in docs.items()]
-    )
-    for max_docs in (1, 3):
-        freq: dict = {}
-        for i, t in docs.items():
-            for ln in set(t.split("\n")):
-                freq[ln] = freq.get(ln, 0) + 1
-        drop = {ln for ln, n in freq.items() if n > max_docs}
-        expect = {}
-        for i, t in docs.items():
-            kept = [ln for ln in t.split("\n") if ln not in drop]
-            expect[i] = (
-                len(t.split("\n")),
-                len(kept),
-                hashlib.md5("\n".join(kept).encode()).hexdigest(),
-            )
-        got = {
-            r["doc_id"]: (r["n_lines"], r["n_kept"], r["clean_md5"])
-            for r in interdoc_line_dedup(ds, max_docs=max_docs).take_all()
-        }
-        assert got == expect, f"max_docs={max_docs}"
-
-
-def test_dup_span_pairs_planted(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import dup_span_pairs
-
-    span = "one two three four five six seven eight"  # 8 tokens
-    docs = [
-        (1, f"intro words here {span} and a tail"),
-        (2, f"{span} totally different continuation text"),
-        (3, "no shared window in this document at all kept long enough"),
-        (4, f"prefix {span}"),
-    ]
-    ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs])
-    got = {
-        (r["doc_a"], r["doc_b"]): r["n_shared"]
-        for r in dup_span_pairs(ds, k=8).take_all()
-    }
-    assert set(got) == {(1, 2), (1, 4), (2, 4)}
-    assert all(n >= 1 for n in got.values())
-
-
-def test_remove_dup_spans_planted(ray_session):
-    """ExactSubstr scrub: tokens covered by a corpus-duplicated
-    8-token window are removed; within-doc repeats count; short and
-    clean docs pass through whitespace-normalized."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import remove_dup_spans
-
-    span = "one two three four five six seven eight"  # 8 tokens
-    docs = [
-        (1, f"intro words here {span} and a tail"),
-        (2, f"{span} totally different continuation text"),
-        (3, "no shared window in this doc at all kept long enough"),
-        (4, f"  {span}   {span} "),  # within-doc repeat + messy ws
-        (5, "short doc"),
-        (6, ""),
-    ]
-    ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs])
-    got = {r["doc_id"]: r for r in remove_dup_spans(ds, k=8).take_all()}
-    assert got[1]["clean_text"] == "intro words here and a tail"
-    assert (got[1]["n_tokens"], got[1]["n_removed"]) == (14, 8)
-    assert got[2]["clean_text"] == "totally different continuation text"
-    assert got[3]["n_removed"] == 0
-    assert got[3]["clean_text"].startswith("no shared window")
-    # doc 4: every window of the 16 repeated tokens occurs >= 2 times
-    assert (got[4]["n_tokens"], got[4]["n_removed"]) == (16, 16)
-    assert got[4]["clean_text"] == ""
-    assert got[4]["dup_frac"] == 1.0
-    assert (got[5]["n_tokens"], got[5]["n_removed"]) == (2, 0)
-    assert got[5]["clean_text"] == "short doc"
-    assert (got[6]["n_tokens"], got[6]["clean_text"]) == (0, "")
-    assert got[6]["dup_frac"] == 0.0
-
-
-def test_near_dup_keep_best_planted(ray_session):
-    """Survivor = highest score in the cluster, ties -> min doc_id;
-    unclustered docs are not emitted."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import near_dup_keep_best
-
-    base = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
-            "lambda mu nu xi omicron pi rho sigma tau upsilon")
-    docs = [
-        {"doc_id": 1, "text": base, "n_chars": len(base)},
-        {"doc_id": 2, "text": base + " extra tail words here",
-         "n_chars": len(base) + 22},
-        {"doc_id": 3, "text": base, "n_chars": len(base)},  # tie with 1
-        {"doc_id": 4, "text": "a completely different document "
-                              "with nothing shared at all whatsoever",
-         "n_chars": 70},
-    ]
-    ds = ray.data.from_items(docs)
-    rows = {r["doc_id"]: r
-            for r in near_dup_keep_best(ds, threshold=0.5).take_all()}
-    assert set(rows) == {1, 2, 3}  # doc 4 unclustered
-    assert all(r["cluster_id"] == 1 for r in rows.values())
-    assert all(r["cluster_size"] == 3 for r in rows.values())
-    # doc 2 has the most chars -> kept; 1 and 3 dropped
-    assert [rows[i]["kept"] for i in (1, 2, 3)] == [0, 1, 0]
-
-
-def test_near_dup_keep_best_tiebreak(ray_session):
-    """Equal scores -> the lowest doc_id survives."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import near_dup_keep_best
-
-    base = ("one two three four five six seven eight nine ten eleven "
-            "twelve thirteen fourteen fifteen")
-    docs = [
-        {"doc_id": 7, "text": base, "n_chars": len(base)},
-        {"doc_id": 5, "text": base, "n_chars": len(base)},
-    ]
-    ds = ray.data.from_items(docs)
-    rows = {r["doc_id"]: r
-            for r in near_dup_keep_best(ds, threshold=0.5).take_all()}
-    assert rows[5]["kept"] == 1 and rows[7]["kept"] == 0
-    assert rows[5]["cluster_id"] == 5
-
-
-def test_keyed_chain_edges_md5_mode(ray_session):
-    """md5-mode chain edges + CC must reproduce exact-duplicate groups
-    (component = min doc id per identical text)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import (
-        connected_components,
-        keyed_chain_edges,
-    )
-
-    docs = [
-        (1, "clone text one"), (5, "clone text one"), (9, "clone text one"),
-        (2, "unique a"), (3, "other clone"), (7, "other clone"),
-    ]
-    ds = ray.data.from_items([{"doc_id": i, "text": t} for i, t in docs])
-    comps = connected_components(keyed_chain_edges(ds, key="md5"))
-    got = {r["node"]: r["component"] for r in comps.take_all()}
-    assert got == {1: 1, 5: 1, 9: 1, 3: 3, 7: 3}  # doc 2 is a singleton
-
-
 def test_logreg_train_deterministic_and_learns(ray_session):
     import numpy as np
     import pyarrow as pa
@@ -937,28 +360,6 @@ def test_ann_topk_distributed_merge_parity(ray_session, sf_dir):
         assert res == expect, f"nblocks={nblocks}"
 
 
-def test_dsir_fit_merge_level_parity(ray_session):
-    """fit_feature_counts with a tiny merge fan-in equals fan-in 64 and a
-    direct per-doc count (the tree-merge is a pure re-association)."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.dsir import (
-        _gram_bucket_idx,
-        fit_feature_counts,
-    )
-
-    texts = [f"doc {i} body words alpha beta gamma {i * 7}" for i in range(40)]
-    expect = np.zeros(64, dtype=np.float64)
-    for t in texts:
-        idx = _gram_bucket_idx(t, 4, 64)
-        expect += np.bincount(idx, minlength=64)
-
-    ds = ray.data.from_items([{"text": t} for t in texts]).repartition(10)
-    for fanin in (2, 64):
-        got = fit_feature_counts(ds, k=4, n_buckets=64, merge_fanin=fanin)
-        assert np.array_equal(got, expect), f"fanin={fanin}"
-
-
 def test_logreg_local_gate_bitidentical_to_distributed(ray_session):
     """The size-gated local GD path must produce BIT-identical weights
     to the distributed quantized-gradient fold (int64 sums are
@@ -979,316 +380,3 @@ def test_logreg_local_gate_bitidentical_to_distributed(ray_session):
         lr=1.0, iters=12, local_max_rows=0,  # force the distributed path
     )
     assert np.array_equal(w_local, w_dist)
-
-
-def test_temperature_mix_targets_and_determinism(ray_session):
-    """Largest group keeps max_take; others floor(max_take*sqrt(n/max));
-    selection is the deterministic md5 order (stable across runs)."""
-    import math
-
-    import ray.data
-
-    from pdf_extractor_ray.functions.mix import temperature_mix
-
-    rows = []
-    for g, n in (("a", 100), ("b", 25), ("c", 4)):
-        rows += [{"g": g, "k": f"{g}{i}"} for i in range(n)]
-    ds = ray.data.from_items(rows).repartition(5)
-    out = temperature_mix(ds, "g", "k", alpha=0.5, max_take=40).to_pandas()
-    got = out.groupby("g").size().to_dict()
-    # c's target floor(40*sqrt(0.04)) = 8 exceeds its 4 rows -> keeps 4
-    assert got == {"a": 40, "b": int(40 * math.sqrt(0.25)), "c": 4}
-    out2 = temperature_mix(
-        ray.data.from_items(rows).repartition(11), "g", "k",
-        alpha=0.5, max_take=40,
-    ).to_pandas()
-    key = lambda df: sorted(map(tuple, df[["g", "k"]].itertuples(index=False)))
-    assert key(out) == key(out2)
-
-
-def test_winsorize_by_clips_to_group_band(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import winsorize_by
-
-    vals = list(range(1, 101))  # p5=5, p95=95 under quantile_disc
-    t = pa.table({
-        "id": pa.array(range(100), pa.int64()),
-        "g": pa.array(["x"] * 100, pa.string()),
-        "v": pa.array(vals, pa.int64()),
-    })
-    out = winsorize_by(
-        ray.data.from_arrow(t).repartition(4), "g", "v", "id"
-    ).to_pandas().sort_values("id")
-    assert out["v_w"].min() == 5 and out["v_w"].max() == 95
-    assert (out["v_w"][(out["v_w"] > 5) & (out["v_w"] < 95)]
-            == out.loc[(out["v_w"] > 5) & (out["v_w"] < 95), "v_w"]).all()
-    assert len(out) == 100
-
-
-def test_nfc_normalize_composes(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import nfc_normalize
-
-    ds = ray.data.from_items([
-        {"doc_id": 0, "text": "café olé"},
-        {"doc_id": 1, "text": "plain ascii"},
-    ])
-    out = {r["doc_id"]: r for r in nfc_normalize(ds).take_all()}
-    assert out[0]["text_nfc"] == "café olé" and out[0]["changed"]
-    assert out[1]["text_nfc"] == "plain ascii" and not out[1]["changed"]
-
-
-def test_label_propagation_planted_communities(ray_session):
-    """Two disjoint cliques converge to one label each (the clique's
-    min node id); the bridge-free graph never mixes them."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import label_propagation
-
-    import itertools
-    c1 = list(itertools.combinations([1, 2, 3, 4], 2))
-    c2 = list(itertools.combinations([10, 11, 12, 13, 14], 2))
-    ds = ray.data.from_items(
-        [{"src": a, "dst": b} for a, b in c1 + c2]
-    )
-    got = {r["node"]: r["label"]
-           for r in label_propagation(ds, rounds=4).take_all()}
-    assert {got[n] for n in (1, 2, 3, 4)} == {1}
-    assert {got[n] for n in (10, 11, 12, 13, 14)} == {10}
-
-
-def test_label_propagation_local_distributed_parity(ray_session):
-    """local_max_edges=0 (the 100-TB path) must equal the local numpy
-    kernel exactly, including tie-breaks."""
-    import numpy as np
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import label_propagation
-
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, 60, 300)
-    b = rng.integers(0, 60, 300) + 60
-    ds = ray.data.from_items(
-        [{"src": int(x), "dst": int(y)} for x, y in zip(a, b)]
-    )
-    local = {r["node"]: r["label"]
-             for r in label_propagation(ds, rounds=3).take_all()}
-    dist = {r["node"]: r["label"]
-            for r in label_propagation(
-                ds, rounds=3, local_max_edges=0).take_all()}
-    assert local == dist and len(local) > 0
-
-
-def test_cdc_chunks_reassemble_and_shift_tolerance(ray_session):
-    """Chunks partition the text exactly; an insertion reshuffles only
-    the chunks around the edit point (content-defined boundaries)."""
-    import hashlib
-
-    import numpy as np
-    import ray.data
-
-    from pdf_extractor_ray.functions.fingerprint import cdc_chunks
-
-    rng = np.random.default_rng(11)
-    letters = "abcdefghijklmnopqrstuvwxyz "
-    base = "".join(letters[i] for i in rng.integers(0, 27, 3000))
-    edited = base[:1500] + "INSERTED-SPAN " + base[1500:]
-    docs = [
-        {"doc_id": 1, "text": base},
-        {"doc_id": 2, "text": edited},
-        {"doc_id": 3, "text": "tiny"},          # shorter than window
-        {"doc_id": 4, "text": ""},               # no rows
-    ]
-    ds = ray.data.from_items(docs)
-    rows = cdc_chunks(ds, window=16, modulus=64).take_all()
-    by_doc = {}
-    for r in rows:
-        by_doc.setdefault(r["doc_id"], []).append(r)
-    for d in by_doc.values():
-        d.sort(key=lambda r: r["chunk_idx"])
-    # exact partition of the text, md5s match substrings
-    for doc in docs[:3]:
-        t = doc["text"]
-        ch = by_doc[doc["doc_id"]]
-        assert ch[0]["start"] == 1
-        assert sum(r["chunk_len"] for r in ch) == len(t)
-        pos = 0
-        for r in ch:
-            s, e = pos, pos + r["chunk_len"]
-            assert r["start"] == s + 1
-            assert r["chunk_md5"] == hashlib.md5(
-                t[s:e].encode()).hexdigest()
-            pos = e
-    assert 4 not in by_doc
-    assert len(by_doc[3]) == 1  # short doc = one whole-text chunk
-    # insertion tolerance: the two versions share most chunk hashes
-    h1 = {r["chunk_md5"] for r in by_doc[1]}
-    h2 = {r["chunk_md5"] for r in by_doc[2]}
-    assert len(h1) > 10
-    shared = len(h1 & h2) / len(h1)
-    assert shared > 0.7, f"only {shared:.0%} chunks survived the edit"
-
-
-def test_cdc_dedup_stats_counts(ray_session):
-    """Duplicate docs dedup to one copy's bytes; ratio is exact."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.fingerprint import cdc_dedup_stats
-
-    text = ("the quick brown fox jumps over the lazy dog " * 20).strip()
-    ds = ray.data.from_items([
-        {"doc_id": 1, "text": text},
-        {"doc_id": 2, "text": text},
-    ])
-    row = cdc_dedup_stats(ds, window=16, modulus=64).take_all()[0]
-    assert row["total_bytes"] == 2 * len(text)
-    # identical docs -> identical chunk streams -> half the bytes (or
-    # less, if the repeated sentence dedups within one doc too)
-    assert row["unique_bytes"] <= len(text)
-    assert row["n_unique"] <= row["n_chunks"] // 2
-    assert 0 < row["dedup_ratio"] <= 0.5
-
-
-def test_tfidf_top_terms_planted(ray_session):
-    """A token unique to one doc outranks corpus-wide tokens; ranks
-    are 1..k with deterministic tie-breaks."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import tfidf_top_terms
-
-    common = "the quick brown fox"
-    docs = [
-        {"doc_id": 1, "text": f"{common} zebra zebra"},
-        {"doc_id": 2, "text": f"{common} yak"},
-        {"doc_id": 3, "text": common},
-        {"doc_id": 4, "text": common},
-    ]
-    ds = ray.data.from_items(docs)
-    rows = tfidf_top_terms(ds, k=2).take_all()
-    by_doc = {}
-    for r in rows:
-        by_doc.setdefault(r["doc_id"], {})[r["rank"]] = r
-    assert by_doc[1][1]["token"] == "zebra"   # tf=2, df=1
-    assert by_doc[1][1]["df"] == 1 and by_doc[1][1]["tf"] == 2
-    assert by_doc[2][1]["token"] == "yak"
-    # doc 3: all tokens have df=4, N=4 -> score 0; tie -> token asc
-    assert by_doc[3][1]["token"] == "brown"
-    assert by_doc[3][1]["tfidf"] == 0.0
-    assert all(set(d) <= {1, 2} for d in by_doc.values())
-
-
-def test_jl_project_distance_preservation(ray_session, sf_dir):
-    """Deterministic output; pairwise distances roughly preserved
-    (the JL property) for the ±1/sqrt(k) sign projection."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import jl_project
-
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    rows = jl_project(emb, out_dims=8, dims=64).take_all()
-    by_vec = {}
-    for r in rows:
-        by_vec.setdefault(r["vec_id"], [0.0] * 8)[r["dim"] - 1] = r["proj"]
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    ids = t.column("vec_id").to_pylist()
-    X = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    Y = np.asarray([by_vec[i] for i in ids])
-    assert Y.shape == (len(ids), 8)
-    # squared-norm preservation in expectation: mean ratio near 1
-    nx = (X ** 2).sum(axis=1)
-    ny = (Y ** 2).sum(axis=1)
-    ratio = ny.mean() / nx.mean()
-    assert 0.7 < ratio < 1.3, ratio
-    # determinism: second run identical
-    rows2 = jl_project(emb, out_dims=8, dims=64).take_all()
-    assert sorted(map(tuple, (r.values() for r in rows2))) == \
-        sorted(map(tuple, (r.values() for r in rows)))
-
-
-def test_jl_wide_long_parity(ray_session, sf_dir):
-    """The wide (float) and long (quantized) JL paths agree within
-    quantization error; query projection matches the dataset path."""
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from pdf_extractor_ray.functions.similarity import (
-        jl_project,
-        jl_project_vectors,
-        jl_query_vectors,
-    )
-
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
-                                columns=["vec_id", "embedding"])
-    wide = {r["vec_id"]: np.asarray(r["embedding"])
-            for r in jl_project_vectors(emb, out_dims=8).take_all()}
-    long = {}
-    for r in jl_project(emb, out_dims=8).take_all():
-        long.setdefault(r["vec_id"], [0.0] * 8)[r["dim"] - 1] = r["proj"]
-    # long path quantizes inputs at 1e-4: worst-case error is
-    # 64 components x 5e-5 / sqrt(8) ~ 1.1e-3
-    for vid, w in wide.items():
-        assert np.allclose(w, long[vid], atol=1.5e-3)
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    X = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    qp = jl_query_vectors(X[:3], out_dims=8)
-    ids3 = t.column("vec_id").to_pylist()[:3]
-    for row, vid in zip(qp, ids3):
-        assert np.allclose(row, wide[vid], atol=1e-12)
-
-
-def test_remove_dup_spans_random_property(ray_session):
-    """Randomized cross-check vs a brute-force local reference: for
-    random corpora with planted repeats, the distributed scrub equals
-    the O(n·k) per-doc reference exactly."""
-    import numpy as np
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import remove_dup_spans
-
-    rng = np.random.default_rng(23)
-    vocab = [f"w{i}" for i in range(40)]
-    k = 5
-    docs = []
-    for d in range(30):
-        n = int(rng.integers(0, 30))
-        toks = [vocab[i] for i in rng.integers(0, len(vocab), n)]
-        docs.append((d, " ".join(toks)))
-    # plant a shared phrase across two docs
-    phrase = "p1 p2 p3 p4 p5"
-    docs[3] = (3, docs[3][1] + " " + phrase)
-    docs[7] = (7, phrase + " " + docs[7][1])
-
-    # brute-force reference
-    from collections import Counter
-    all_wins = Counter()
-    tok_lists = {}
-    for d, t in docs:
-        toks = t.split()
-        tok_lists[d] = toks
-        for i in range(max(0, len(toks) - k + 1)):
-            all_wins[" ".join(toks[i:i + k])] += 1
-    expect = {}
-    for d, toks in tok_lists.items():
-        n = len(toks)
-        cov = [False] * n
-        for i in range(max(0, n - k + 1)):
-            if all_wins[" ".join(toks[i:i + k])] >= 2:
-                for j in range(i, min(i + k, n)):
-                    cov[j] = True
-        kept = [t for t, c in zip(toks, cov) if not c]
-        expect[d] = (n, sum(cov), " ".join(kept))
-
-    ds = ray.data.from_items(
-        [{"doc_id": d, "text": t} for d, t in docs]
-    )
-    got = {r["doc_id"]: (r["n_tokens"], r["n_removed"], r["clean_text"])
-           for r in remove_dup_spans(ds, k=k).take_all()}
-    assert got == expect
-    # sanity: the planted phrase really was scrubbed somewhere
-    assert any(n_rem > 0 for _, n_rem, _ in got.values())

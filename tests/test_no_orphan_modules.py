@@ -1,9 +1,16 @@
-"""Guards against the operator library regrowing modules with no user.
+"""Guards against the operator library regrowing code with no user.
 
-A ``functions/`` module counts as used when non-test code reaches it by
-imports: the package outside ``functions/``, ``__ray_entry__.py``,
-``bench.py`` or ``scripts/``, directly or through other used
-``functions/`` modules."""
+A top-level def (function, class or constant) in ``functions/`` counts
+as used when non-test code reaches it: the package outside
+``functions/``, ``__ray_entry__.py``, ``bench.py`` or ``scripts/``
+imports it or names it through an imported module, directly or from
+another used def. A def that only its own tests call has no user.
+
+The walk over-approximates: inside ``functions/`` any name that
+matches a top-level def of the same module counts as a use of it, and
+a used def pulls in its whole module's import-time statements. Nothing
+reaches into ``functions/`` by ``getattr`` or ``importlib``, so the
+walk misses no caller."""
 from __future__ import annotations
 
 import ast
@@ -14,44 +21,85 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FUNCS = os.path.join(REPO, "pdf_extractor_ray", "functions")
-
-# Modules that only tests import. Their operators lost their last query;
-# they go together with their tests. This set may only shrink.
-TEST_ONLY = {
-    "ann_index", "assoc", "bpe", "chunk", "dsir", "fingerprint", "mix",
-    "multimodal", "sample", "setops",
+PKG = "pdf_extractor_ray.functions"
+MODULES = {
+    os.path.basename(p)[:-3]
+    for p in glob.glob(os.path.join(FUNCS, "*.py"))
+    if not p.endswith("__init__.py")
 }
 
 
-def _functions_imports(path: str) -> set[str]:
-    """Names of ``functions/`` modules that the file at ``path`` imports."""
-    in_funcs = os.path.dirname(path) == FUNCS
-    out = set()
-    for node in ast.walk(ast.parse(open(path).read())):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        mod = node.module or ""
-        if node.level == 1 and in_funcs:
-            parts = [mod] if mod else [a.name for a in node.names]
-        elif mod in ("pdf_extractor_ray.functions", "functions"):
-            parts = [a.name for a in node.names]
-        elif ".functions." in f".{mod}":
-            parts = [mod.rsplit(".", 1)[-1]]
-        else:
-            continue
-        out.update(parts)
+def _parse(path: str) -> ast.Module:
+    with open(path) as f:
+        return ast.parse(f.read())
+
+
+def _top_defs(tree: ast.Module) -> dict[str, ast.stmt]:
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                out.update((n.id, node) for n in ast.walk(t) if isinstance(n, ast.Name))
     return out
 
 
-def _modules() -> set[str]:
-    return {
-        os.path.basename(p)[:-3]
-        for p in glob.glob(os.path.join(FUNCS, "*.py"))
-        if not p.endswith("__init__.py")
+def _imports(node: ast.AST, in_funcs: bool) -> dict[str, tuple]:
+    """alias -> ("mod", m) or ("def", m, name) for every ``functions/``
+    import inside ``node``."""
+    out = {}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                m = a.name.rsplit(".", 1)[-1]
+                if a.name == f"{PKG}.{m}" and m in MODULES and a.asname:
+                    out[a.asname] = ("mod", m)
+            continue
+        if not isinstance(n, ast.ImportFrom):
+            continue
+        mod = n.module or ""
+        for a in n.names:
+            alias = a.asname or a.name
+            if n.level == 1 and in_funcs and not mod and a.name in MODULES:
+                out[alias] = ("mod", a.name)
+            elif n.level == 1 and in_funcs and mod in MODULES:
+                out[alias] = ("def", mod, a.name)
+            elif mod == PKG and a.name in MODULES:
+                out[alias] = ("mod", a.name)
+            elif mod.startswith(PKG + ".") and mod.rsplit(".", 1)[-1] in MODULES:
+                out[alias] = ("def", mod.rsplit(".", 1)[-1], a.name)
+    return out
+
+
+def _refs(node: ast.AST, scope: dict, own: str | None, own_defs: dict) -> set:
+    """(module, name) pairs that ``node`` uses."""
+    local = _imports(node, own is not None)
+    names = {**scope, **local}
+    out = {v[1:] for v in local.values() if v[0] == "def"}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            v = names.get(n.id)
+            if v and v[0] == "def":
+                out.add(v[1:])
+            elif own and n.id in own_defs:
+                out.add((own, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            v = names.get(n.value.id)
+            if v and v[0] == "mod":
+                out.add((v[1], n.attr))
+    return out
+
+
+def _reached() -> set[tuple[str, str]]:
+    trees = {m: _parse(os.path.join(FUNCS, f"{m}.py")) for m in MODULES}
+    defs = {m: _top_defs(t) for m, t in trees.items()}
+    scopes = {
+        m: _imports(ast.Module([s for s in t.body if isinstance(s, (ast.Import, ast.ImportFrom))], []),
+                    True)
+        for m, t in trees.items()
     }
-
-
-def _used_modules() -> set[str]:
     roots = [
         p for p in glob.glob(os.path.join(REPO, "pdf_extractor_ray", "**", "*.py"),
                              recursive=True)
@@ -59,26 +107,38 @@ def _used_modules() -> set[str]:
     ]
     roots += [os.path.join(REPO, "__ray_entry__.py"), os.path.join(REPO, "bench.py")]
     roots += glob.glob(os.path.join(REPO, "scripts", "*.py"))
-    mods = _modules()
-    stack = [m for p in roots for m in _functions_imports(p) if m in mods]
-    used = set()
+    stack = [r for p in roots for r in _refs(_parse(p), {}, None, {})]
+    reached, loaded = set(), set()
     while stack:
-        m = stack.pop()
-        if m not in used:
-            used.add(m)
-            stack += [n for n in _functions_imports(os.path.join(FUNCS, f"{m}.py"))
-                      if n in mods]
-    return used
+        m, name = stack.pop()
+        if (m, name) in reached:
+            continue
+        assert name in defs[m], f"{m}.{name} is used but not defined"
+        reached.add((m, name))
+        stack += _refs(defs[m][name], scopes[m], m, defs[m])
+        if m not in loaded:  # import-time statements run with the first use
+            loaded.add(m)
+            for s in trees[m].body:
+                if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                      ast.Assign, ast.AnnAssign, ast.Import, ast.ImportFrom)):
+                    stack += _refs(s, scopes[m], m, defs[m])
+    return reached
 
 
 def test_every_functions_module_has_a_non_test_user():
-    orphans = _modules() - _used_modules()
-    assert orphans <= TEST_ONLY, f"modules with no non-test user: {sorted(orphans - TEST_ONLY)}"
+    orphans = MODULES - {m for m, _ in _reached()}
+    assert not orphans, f"modules with no non-test user: {sorted(orphans)}"
 
 
-def test_test_only_list_names_existing_unused_modules():
-    assert TEST_ONLY <= _modules()
-    assert not TEST_ONLY & _used_modules()
+def test_every_functions_def_has_a_non_test_caller():
+    reached = _reached()
+    orphans = sorted(
+        f"{m}.{name}"
+        for m in MODULES
+        for name in _top_defs(_parse(os.path.join(FUNCS, f"{m}.py")))
+        if (m, name) not in reached
+    )
+    assert not orphans, f"defs with no non-test caller: {orphans}"
 
 
 def test_extraction_path_loads_no_functions_module():

@@ -20,8 +20,8 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-N_SHARDS = 10
-DOCS_PER_SHARD = 30
+N_SHARDS = 40
+DOCS_PER_SHARD = 40
 
 _KILL_SCRIPT = """
 import glob, sys
@@ -90,7 +90,7 @@ def test_sigkill_mid_job_then_resume(ray_session, tmp_path):
 
     proc = subprocess.Popen(
         [sys.executable, "-c", _KILL_SCRIPT, shards, out],
-        cwd="/root/repo",
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         start_new_session=True,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,

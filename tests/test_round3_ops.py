@@ -1,152 +1,9 @@
-"""Round-3 tranche: cohort retention, Markov transitions, rolling
-distinct users (via the query composition), trimmed mean, containment
-near-dup."""
+"""Inverted index, bigram cross-entropy, template clusters and the
+SimHash band layout."""
 from __future__ import annotations
-
-import datetime as dt
 
 import numpy as np
 import pyarrow as pa
-
-
-def _ts(day, hour=0):
-    return dt.datetime(2024, 1, day, hour)
-
-
-def test_cohort_retention_triangle(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import cohort_retention
-
-    # week of Jan 1 2024 starts Mon Jan 1; week2 = Jan 8; week3 = Jan 15
-    ds = ray.data.from_arrow(pa.table({
-        "user_id": pa.array([1, 1, 1, 2, 2, 3], pa.int64()),
-        "ts": pa.array(
-            [_ts(1), _ts(3), _ts(9), _ts(8), _ts(16), _ts(15)],
-            pa.timestamp("us"),
-        ),
-    }))
-    out = cohort_retention(ds).to_pandas()
-    got = {
-        (str(r.cohort_week), int(r.week_offset)): int(r.n_users)
-        for r in out.itertuples()
-    }
-    # user1 cohort w1 active w1+w2; user2 cohort w2 active w2+w3;
-    # user3 cohort w3
-    assert got == {
-        ("2024-01-01", 0): 1,
-        ("2024-01-01", 1): 1,
-        ("2024-01-08", 0): 1,
-        ("2024-01-08", 1): 1,
-        ("2024-01-15", 0): 1,
-    }
-
-
-def test_transition_counts_orders_by_ts_then_tiebreak(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.window import transition_counts
-
-    ds = ray.data.from_arrow(pa.table({
-        "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
-        "user_id": pa.array([7, 7, 7, 8, 8], pa.int64()),
-        # user 7: ts tie between events 2 and 3 → tiebreak by event_id
-        "ts": pa.array(
-            [_ts(1), _ts(2), _ts(2), _ts(1), _ts(2)], pa.timestamp("us")
-        ),
-        "event_type": pa.array(
-            ["view", "click", "purchase", "view", "view"], pa.string()
-        ),
-    }))
-    out = transition_counts(
-        ds, key="user_id", ts_col="ts", val_col="event_type",
-        tiebreak="event_id",
-    ).to_pandas()
-    got = {
-        (r.prev_type, r.cur_type): int(r.n) for r in out.itertuples()
-    }
-    assert got == {
-        ("view", "click"): 1,
-        ("click", "purchase"): 1,
-        ("view", "view"): 1,
-    }
-
-
-def test_trimmed_mean_by_drops_tails(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import trimmed_mean_by
-
-    # 20 values 1..19 plus one 1000.0 outlier; p5 threshold = 1 (disc),
-    # p95 drops the 1000
-    vals = [float(v) for v in range(1, 21)] + [1000.0]
-    ds = ray.data.from_arrow(pa.table({
-        "g": pa.array(["a"] * 21, pa.string()),
-        "v": pa.array(vals, pa.float64()),
-    }))
-    out = trimmed_mean_by(ds, "g", "v", lo_q=0.05, hi_q=0.95).to_pandas()
-    assert len(out) == 1
-    r = out.iloc[0]
-    # quantile_disc rank = ceil(q*n) over 21 values: lo = 2nd smallest,
-    # hi = 20th smallest — matches DuckDB quantile_disc exactly
-    assert r.hi == 20.0 and r.lo == 2.0
-    assert int(r.n_kept) == 19
-    assert abs(r.trimmed_mean - np.mean([float(v) for v in range(2, 21)])) < 1e-6
-
-
-def test_containment_pairs_detects_quote_inclusion(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import containment_pairs
-
-    short = "alpha beta gamma delta epsilon"
-    long = short + " zeta eta theta iota kappa " + "filler " * 30
-    other = "one two three four five six seven eight nine ten"
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
-        "text": pa.array([short, long, other], pa.string()),
-    }))
-    out = containment_pairs(ds, threshold=0.9, k=3).to_pandas()
-    got = {(int(r.src_doc), int(r.dst_doc)): r.containment
-           for r in out.itertuples()}
-    # every trigram of `short` appears in `long` → containment(1→2)=1.0;
-    # reverse direction is well below 0.9; doc 3 shares nothing
-    assert got.get((1, 2)) == 1.0
-    assert (2, 1) not in got and (3, 1) not in got and (1, 3) not in got
-
-
-def test_containment_pairs_exact_counts_vs_python(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.dedup import containment_pairs
-
-    rng = np.random.RandomState(7)
-    vocab = [f"w{i}" for i in range(40)]
-    texts = [
-        " ".join(rng.choice(vocab, size=30)) for _ in range(12)
-    ]
-    ds = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array(range(12), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-    }))
-    out = containment_pairs(ds, threshold=0.2, k=3).to_pandas()
-    got = {(int(r.src_doc), int(r.dst_doc)): round(r.containment, 6)
-           for r in out.itertuples()}
-
-    def grams(t):
-        toks = t.split()
-        return {" ".join(toks[i:i + 3]) for i in range(len(toks) - 2)}
-
-    want = {}
-    gs = [grams(t) for t in texts]
-    for a in range(12):
-        for b in range(12):
-            if a == b or not gs[a]:
-                continue
-            c = len(gs[a] & gs[b]) / len(gs[a])
-            if c >= 0.2:
-                want[(a, b)] = round(c, 6)
-    assert got == want
 
 
 def test_inverted_index_build(ray_session):
@@ -247,97 +104,6 @@ def test_template_clusters_consistent_with_page_structure(ray_session):
         for _, r in tc.iterrows()
     }
     assert got == want
-
-
-def _bfs_tbl(pairs):
-    return pa.table({
-        "src": pa.array([a for a, _ in pairs], pa.int64()),
-        "dst": pa.array([b for _, b in pairs], pa.int64()),
-    })
-
-
-def test_bfs_depths_local_vs_distributed(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import bfs_depths
-
-    edges = ray.data.from_arrow(_bfs_tbl(
-        [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 1), (7, 8)]
-    ))
-    loc = bfs_depths(edges, [0]).to_pandas().sort_values(
-        "node").reset_index(drop=True)
-    dist = bfs_depths(edges, [0], local_max_edges=0).to_pandas().sort_values(
-        "node").reset_index(drop=True)
-    assert loc.equals(dist)
-    got = dict(zip(loc["node"], loc["depth"]))
-    # 7→8 unreachable from 0; cycle 4→1 must not lower depth of 1
-    assert got == {0: 0, 1: 1, 2: 1, 3: 2, 4: 3}
-
-
-def test_bfs_depths_multi_seed_and_dup_edges(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import bfs_depths
-
-    edges = ray.data.from_arrow(_bfs_tbl(
-        [(0, 1), (0, 1), (1, 2), (5, 2), (5, 6)]
-    ))
-    for lme in (2_000_000, 0):
-        out = bfs_depths(edges, [0, 5], local_max_edges=lme).to_pandas()
-        got = dict(zip(out["node"], out["depth"]))
-        assert got == {0: 0, 5: 0, 1: 1, 2: 1, 6: 1}
-
-
-def test_bfs_depths_depth_bound_raises(ray_session):
-    import pytest
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import bfs_depths
-
-    chain = ray.data.from_arrow(_bfs_tbl([(i, i + 1) for i in range(6)]))
-    with pytest.raises(RuntimeError):
-        bfs_depths(chain, [0], max_depth=3, local_max_edges=0)
-    # local path has no round bound (adjacency walk) — full chain
-    out = bfs_depths(chain, [0]).to_pandas()
-    assert out["depth"].max() == 6
-
-
-def test_bfs_depths_random_graphs_vs_reference(ray_session):
-    """Property: local-path bfs_depths equals an independent dict-BFS
-    on random small digraphs (duplicate edges, cycles, self-loops)."""
-    from collections import deque
-
-    import ray.data
-    from hypothesis import given, settings, strategies as st
-
-    from pdf_extractor_ray.functions.graph import bfs_depths
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        edges=st.lists(
-            st.tuples(st.integers(0, 12), st.integers(0, 12)),
-            min_size=1, max_size=40,
-        ),
-        seeds=st.sets(st.integers(0, 12), min_size=1, max_size=3),
-    )
-    def run(edges, seeds):
-        adj = {}
-        for a, b in edges:
-            adj.setdefault(a, []).append(b)
-        want = {s: 0 for s in seeds}
-        dq = deque(seeds)
-        while dq:
-            u = dq.popleft()
-            for v in adj.get(u, ()):
-                if v not in want:
-                    want[v] = want[u] + 1
-                    dq.append(v)
-        ds = ray.data.from_arrow(_bfs_tbl(edges))
-        out = bfs_depths(ds, sorted(seeds)).to_pandas()
-        got = dict(zip(out["node"], out["depth"]))
-        assert got == want
-
-    run()
 
 
 def test_band_layout_partitions_exactly():

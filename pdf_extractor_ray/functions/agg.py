@@ -188,6 +188,755 @@ def lowcard_groupby_agg(
     return t
 
 
+def rollup_agg(
+    ds,
+    keys: Sequence[str],
+    specs: Sequence[AggSpec],
+    max_partial_rows: int = 500_000,
+) -> pa.Table:
+    """``GROUP BY ROLLUP(keys)`` — aggregates at every prefix level
+    (finest, each intermediate subtotal, grand total), with NULL
+    marking a rolled-up key column (SQL ROLLUP semantics).
+
+    Scale plan: the corpus is touched ONCE — the distributed partial
+    pass of :func:`lowcard_groupby_agg` at the FINEST level — and every
+    coarser level re-aggregates the driver-resident finest table
+    (sum/count are re-summed, min/max re-reduced, mean re-derived from
+    hidden sum+count partials). The finest level is small by the same
+    loudly-enforced low-cardinality contract, so rollup adds zero extra
+    shuffles regardless of corpus size.
+
+    Contract: key columns must not contain data NULLs (they would be
+    indistinguishable from subtotal markers — the reason SQL has
+    GROUPING()); enforced loudly."""
+    keys = list(keys)
+    sets = [tuple(keys[:n]) for n in range(len(keys), -1, -1)]
+    return _grouping_sets_agg(ds, keys, specs, sets, max_partial_rows, "rollup_agg")
+
+
+def cube_agg(
+    ds,
+    keys: Sequence[str],
+    specs: Sequence[AggSpec],
+    max_partial_rows: int = 500_000,
+) -> pa.Table:
+    """``GROUP BY CUBE(keys)`` — aggregates at EVERY key subset (2^k
+    grouping sets). Same one-corpus-pass plan as :func:`rollup_agg`:
+    only the finest level touches the data; every other subset
+    re-aggregates the driver-resident finest table."""
+    keys = list(keys)
+    n = len(keys)
+    sets = [
+        tuple(k for i, k in enumerate(keys) if mask & (1 << i))
+        for mask in range((1 << n) - 1, -1, -1)
+    ]
+    return _grouping_sets_agg(ds, keys, specs, sets, max_partial_rows, "cube_agg")
+
+
+def grouping_sets_agg(
+    ds,
+    keys: Sequence[str],
+    sets: Sequence[Sequence[str]],
+    specs: Sequence[AggSpec],
+    max_partial_rows: int = 500_000,
+) -> pa.Table:
+    """``GROUP BY GROUPING SETS(...)`` — aggregate at an ARBITRARY list
+    of key subsets (the generalization ROLLUP and CUBE are sugar for).
+    Same one-corpus-pass plan: only the finest level (all ``keys``)
+    touches the data; every requested set re-aggregates the
+    driver-resident finest table. Each set must be a subset of
+    ``keys``; NULL marks a grouped-out column (SQL semantics, same
+    no-data-NULLs contract as :func:`rollup_agg`)."""
+    keys = list(keys)
+    norm: List[tuple] = []
+    for s in sets:
+        extra = set(s) - set(keys)
+        if extra:
+            raise ValueError(
+                f"grouping set {tuple(s)!r} references non-key columns "
+                f"{sorted(extra)}"
+            )
+        s = tuple(k for k in keys if k in set(s))  # canonical key order
+        if s not in norm:  # duplicate sets would duplicate output rows
+            norm.append(s)
+    if not norm:
+        raise ValueError("at least one grouping set is required")
+    # the finest pass needs every key; ensure it exists in the plan
+    finest = tuple(keys)
+    plan = norm if finest in norm else [finest] + norm
+    tbl = _grouping_sets_agg(
+        ds, keys, specs, plan, max_partial_rows, "grouping_sets_agg"
+    )
+    if finest in norm:
+        return tbl
+    # drop the helper finest level the caller did not ask for: keep
+    # exactly the rows whose key NULL-pattern matches a requested set
+    import pyarrow.compute as pc
+
+    sel = None
+    for s in norm:
+        smask = None
+        for col in keys:
+            cm = (
+                pc.is_null(tbl.column(col))
+                if col not in s
+                else pc.is_valid(tbl.column(col))
+            )
+            smask = cm if smask is None else pc.and_(smask, cm)
+        sel = smask if sel is None else pc.or_(sel, smask)
+    return tbl.filter(sel)
+
+
+def _grouping_sets_agg(
+    ds,
+    keys: List[str],
+    specs: Sequence[AggSpec],
+    sets: Sequence[tuple],
+    max_partial_rows: int,
+    opname: str,
+) -> pa.Table:
+    # hide mean behind re-aggregable sum+count for ALL levels
+    flat: List[AggSpec] = []
+    for col, fn, alias in specs:
+        if fn == "mean":
+            flat.append((col, "sum", f"__{alias}__msum"))
+            flat.append((col, "count", f"__{alias}__mcnt"))
+        else:
+            flat.append((col, fn, alias))
+
+    finest = lowcard_groupby_agg(ds, keys, flat, max_partial_rows)
+    for k in keys:
+        if finest.column(k).null_count:
+            raise ValueError(
+                f"{opname}: key column {k!r} contains NULLs — "
+                "indistinguishable from subtotal markers"
+            )
+
+    refn = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+    def level(sub: tuple) -> pa.Table:
+        sub = list(sub)
+        if sub == keys:
+            lvl = finest
+        elif sub:
+            g = finest.group_by(sub).aggregate(
+                [(alias, refn[fn]) for _, fn, alias in flat]
+            )
+            lvl = pa.table(
+                {**{k: g.column(k) for k in sub},
+                 **{alias: g.column(f"{alias}_{refn[fn]}")
+                    for _, fn, alias in flat}}
+            )
+        else:
+            lvl = pa.table(
+                {alias: pa.array(
+                    [getattr(pc, refn[fn])(finest.column(alias)).as_py()],
+                    finest.schema.field(alias).type,
+                ) for _, fn, alias in flat}
+            )
+        cols = {}
+        for k in keys:
+            cols[k] = (
+                lvl.column(k) if k in lvl.column_names
+                else pa.nulls(lvl.num_rows, finest.schema.field(k).type)
+            )
+        for _, fn, alias in flat:
+            cols[alias] = lvl.column(alias)
+        return pa.table(cols)
+
+    t = pa.concat_tables(level(s) for s in sets)
+
+    mean_aliases = [alias for _, fn, alias in specs if fn == "mean"]
+    if mean_aliases:
+        out = {k: t.column(k) for k in keys}
+        for col, fn, alias in specs:
+            if fn == "mean":
+                out[alias] = pc.divide(
+                    pc.cast(t.column(f"__{alias}__msum"), pa.float64()),
+                    pc.cast(t.column(f"__{alias}__mcnt"), pa.float64()),
+                )
+            else:
+                out[alias] = t.column(alias)
+        t = pa.table(out)
+    return t
+
+
+def exact_quantiles(ds, col: str, qs: Sequence[float] = (0.25, 0.5, 0.75, 0.9)):
+    """EXACT distributed quantiles for a discrete-valued column via a
+    value-count histogram.
+
+    Per-block ``(value, count)`` partials are the only payload that
+    moves (∝ distinct values per block, not rows); the driver folds the
+    distinct-value-sized histogram and reads each quantile off the
+    cumulative counts. Contract: ``distinct(col)`` is bounded (lengths,
+    sizes, small-int measures) — enforced by ``lowcard_groupby_agg``'s
+    partial-row cap underneath.
+
+    Quantile definition matches SQL ``quantile_disc``: the smallest
+    value v whose cumulative count ≥ ``ceil(q · n)``.
+    """
+    import math
+
+    import numpy as np
+
+    hist = lowcard_groupby_agg(ds, [col], [(col, "count", "__qn")])
+    if hist.num_rows == 0:
+        return pa.table(
+            {"q": pa.array([], pa.float64()),
+             "value": pa.array([], hist.schema.field(col).type)}
+        )
+    vals = np.asarray(hist.column(col).to_pylist())
+    cnts = np.asarray(hist.column("__qn").to_pylist(), dtype=np.int64)
+    order = np.argsort(vals)
+    vals, cnts = vals[order], cnts[order]
+    cum = np.cumsum(cnts)
+    n = int(cum[-1])
+    out_q, out_v = [], []
+    for q in qs:
+        rank = max(1, math.ceil(q * n))
+        idx = int(np.searchsorted(cum, rank, side="left"))
+        out_q.append(float(q))
+        out_v.append(vals[idx])
+    return pa.table(
+        {
+            "q": pa.array(out_q, pa.float64()),
+            "value": pa.array(out_v),
+        }
+    )
+
+
+def exact_distinct_by(ds, key: str, col: str, out_col: str = "n_distinct"):
+    """EXACT ``count(DISTINCT col) GROUP BY key`` — the exact twin of
+    ``sketch.approx_distinct_by`` (use that when ±1-2% error is fine
+    and the value space is huge).
+
+    1. per-block distinct (key, value) pairs — vectorized Arrow
+       ``group_by``, so only each block's distinct pairs shuffle
+    2. global ``groupby([key, value])`` count — the one real
+       (value-space) shuffle that exactness fundamentally requires
+    3. per-key pair counts fold through the low-cardinality partial
+       aggregate (key cardinality is small by the same contract).
+    """
+    from ray.data.aggregate import Count
+
+    def block_distinct(batch: pa.Table) -> pa.Table:
+        return batch.select([key, col]).group_by([key, col]).aggregate([])
+
+    from .dedup import compact_blocks
+
+    pairs = compact_blocks(ds.map_batches(block_distinct, batch_format="pyarrow"))
+    global_pairs = pairs.groupby([key, col]).aggregate(Count(alias_name="__n"))
+    return lowcard_groupby_agg(
+        global_pairs.select_columns([key]), [key], [(key, "count", out_col)]
+    )
+
+
+def exact_quantiles_by(ds, key: str, col: str,
+                       qs: Sequence[float] = (0.25, 0.5, 0.75, 0.9)):
+    """EXACT per-group quantiles via (key, value)-count histogram
+    partials — the grouped form of :func:`exact_quantiles`.
+
+    Only ``(key, value, count)`` rows move (∝ groups × distinct
+    values, never rows); the driver folds the histogram per key and
+    reads quantiles off cumulative counts. Same bounded-cardinality
+    contract (loudly enforced underneath), same ``quantile_disc``
+    definition. Output: one row per (key, q)."""
+    import math
+
+    import numpy as np
+
+    hist = lowcard_groupby_agg(ds, [key, col], [(col, "count", "__qn")])
+    if hist.num_rows == 0:
+        return pa.table(
+            {key: pa.array([], hist.schema.field(key).type),
+             "q": pa.array([], pa.float64()),
+             "value": pa.array([], hist.schema.field(col).type)}
+        )
+    keys = np.asarray(hist.column(key).to_pylist())
+    vals = np.asarray(hist.column(col).to_pylist())
+    cnts = np.asarray(hist.column("__qn").to_pylist(), dtype=np.int64)
+    out_k, out_q, out_v = [], [], []
+    for g in sorted(set(keys.tolist())):
+        m = keys == g
+        v, c = vals[m], cnts[m]
+        order = np.argsort(v)
+        v, c = v[order], c[order]
+        cum = np.cumsum(c)
+        n = int(cum[-1])
+        for q in qs:
+            rank = max(1, math.ceil(q * n))
+            idx = int(np.searchsorted(cum, rank, side="left"))
+            out_k.append(g)
+            out_q.append(float(q))
+            out_v.append(v[idx])
+    return pa.table(
+        {
+            key: pa.array(out_k),
+            "q": pa.array(out_q, pa.float64()),
+            "value": pa.array(out_v),
+        }
+    )
+
+
+def mode_by(ds, key: str, col: str, out_col: str = "top_value",
+            count_col: str = "n"):
+    """Grouped MODE with a deterministic tie-break: per key, the most
+    frequent ``col`` value; ties go to the SMALLEST value (SQL-matchable
+    — plain ``mode()`` leaves ties implementation-defined).
+
+    Plan: per-block vectorized (key, value) count partials (Arrow
+    ``group_by``), one native hash groupby summing them — only
+    (key, value, partial_count) rows shuffle, so a value occurring 10^9
+    times still contributes one row per block — then the shared
+    associative :func:`argmax_per_group` picks each key's winner.
+    Key cardinality is UNBOUNDED (native shuffle, not the low-card
+    fold)."""
+    from ray.data.aggregate import Sum
+
+    def block_counts(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return pa.table({})
+        g = (
+            batch.append_column(
+                "__ones", pa.array([1] * batch.num_rows, pa.int64())
+            )
+            .select([key, col, "__ones"])
+            .group_by([key, col])
+            .aggregate([("__ones", "sum")])
+        )
+        return g.rename_columns([key, col, "__pn"])
+
+    from .dedup import compact_blocks
+
+    counts = (
+        compact_blocks(ds.map_batches(block_counts, batch_format="pyarrow"))
+        .groupby([key, col])
+        .aggregate(Sum("__pn", alias_name=count_col))
+    )
+    picked = argmax_per_group(counts, key, count_col, col)
+
+    def rename(batch: pa.Table) -> pa.Table:
+        return batch.rename_columns(
+            [out_col if n == col else n for n in batch.column_names]
+        )
+
+    return picked.map_batches(rename, batch_format="pyarrow")
+
+
+def grouped_corr(ds, key: str, xcol: str, ycol: str,
+                 x_scale: int = 100, y_scale: int = 1):
+    """Sample (Pearson) correlation of two numeric columns per group —
+    SQL ``corr(x, y) GROUP BY key`` — via EXACT integer sufficient
+    statistics.
+
+    Each column is fixed-point scaled to int64 (``x_scale``/``y_scale``
+    decimal sub-units), and the five decomposable sums (n, Σx, Σy, Σx²,
+    Σy², Σxy) fold through the low-cardinality partial aggregate as
+    exact integers — float summation order can never flip an oracle
+    hash (the ``events_value_stddev`` recipe, extended to covariance).
+    The final corr = cov_samp/(sx·sy) is derived on the driver from
+    identical integers and rounded half-up to 6 digits. int64 headroom
+    is the caller's contract: Σx² ≤ 9.2e18 ⇒ |x·scale| ≤ ~3e6 at 1e6
+    rows/group (fine for price/hour/count-shaped columns).
+    Output: (key, n, corr) — corr NULL where either variance is 0."""
+    import pyarrow.compute as pc2
+
+    def widen(batch: pa.Table) -> pa.Table:
+        x = pc2.cast(
+            pc2.round(pc2.multiply(
+                pc2.cast(batch.column(xcol), pa.float64()), float(x_scale)
+            ), ndigits=0),
+            pa.int64(),
+        )
+        y = pc2.cast(
+            pc2.round(pc2.multiply(
+                pc2.cast(batch.column(ycol), pa.float64()), float(y_scale)
+            ), ndigits=0),
+            pa.int64(),
+        )
+        return pa.table(
+            {
+                key: batch.column(key),
+                "__x": x,
+                "__y": y,
+                "__xx": pc2.multiply(x, x),
+                "__yy": pc2.multiply(y, y),
+                "__xy": pc2.multiply(x, y),
+            }
+        )
+
+    t = lowcard_groupby_agg(
+        ds.map_batches(widen, batch_format="pyarrow"),
+        [key],
+        [
+            ("__x", "count", "n"),
+            ("__x", "sum", "sx"),
+            ("__y", "sum", "sy"),
+            ("__xx", "sum", "sxx"),
+            ("__yy", "sum", "syy"),
+            ("__xy", "sum", "sxy"),
+        ],
+    )
+    import math
+
+    import numpy as np
+
+    n = np.asarray(t.column("n").to_pylist(), dtype=np.float64)
+    sx = np.asarray(t.column("sx").to_pylist(), dtype=np.float64)
+    sy = np.asarray(t.column("sy").to_pylist(), dtype=np.float64)
+    sxx = np.asarray(t.column("sxx").to_pylist(), dtype=np.float64)
+    syy = np.asarray(t.column("syy").to_pylist(), dtype=np.float64)
+    sxy = np.asarray(t.column("sxy").to_pylist(), dtype=np.float64)
+    out = []
+    for i in range(len(n)):
+        if n[i] < 2:
+            out.append(None)
+            continue
+        cov = sxy[i] - sx[i] * sy[i] / n[i]
+        vx = sxx[i] - sx[i] * sx[i] / n[i]
+        vy = syy[i] - sy[i] * sy[i] / n[i]
+        if vx <= 0 or vy <= 0:
+            out.append(None)
+            continue
+        r = cov / math.sqrt(vx * vy)
+        out.append(math.floor(r * 1e6 + 0.5) / 1e6)
+    return pa.table(
+        {
+            key: t.column(key),
+            "n": pc.cast(t.column("n"), pa.int64()),
+            "corr": pa.array(out, pa.float64()),
+        }
+    )
+
+
+def argmax_per_group(ds, key: str, score_col: str, tiebreak_col: str):
+    """One row per key: the row with the LARGEST score (ties broken by
+    the smallest tiebreak value — deterministic).
+
+    Argmax is associative, so a per-block partial pass first reduces
+    each block to one candidate per key present in it — with a
+    low-cardinality key every key is hot, and without the partial all
+    of a key's rows would co-locate in one group task; after it, the
+    shuffle carries ≤ n_blocks rows per key. In-group and in-block
+    picks are numpy lexsorts, no per-row Python.
+    """
+    import numpy as np
+
+    def partial_pick(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return batch
+        k = np.asarray(batch.column(key).to_pylist())
+        s = np.asarray(batch.column(score_col).to_pylist(), dtype=np.float64)
+        t = np.asarray(batch.column(tiebreak_col).to_pylist())
+        # per key run: best = max score, tie -> min tiebreak ⇒ sort by
+        # (key, -score, tiebreak) ascending and take each run's FIRST
+        order = np.lexsort((t, -s, k))
+        sk = k[order]
+        first_of_run = np.nonzero(
+            np.concatenate([[True], sk[1:] != sk[:-1]])
+        )[0]
+        return batch.take(pa.array(order[first_of_run], pa.int64()))
+
+    def pick(group: pa.Table) -> pa.Table:
+        s = np.asarray(group.column(score_col).to_pylist(), dtype=np.float64)
+        t = np.asarray(group.column(tiebreak_col).to_pylist())
+        best = np.lexsort((t, -s))[0]
+        return group.slice(int(best), 1)
+
+    return (
+        ds.map_batches(partial_pick, batch_format="pyarrow")
+        .groupby(key)
+        .map_groups(pick, batch_format="pyarrow")
+    )
+
+
+def key_skew_profile(ds, key: str, k: int = 10):
+    """Shuffle-skew diagnostic ("skew doctor"): the ``k`` hottest keys
+    by row count and their share of the table — the check to run
+    BEFORE keying a groupby/join on a column at corpus scale (a key
+    holding >1% of 10^12 rows lands 10^10 rows in one bucket task).
+
+    Native hash groupby count (high-cardinality contract) → global
+    sort desc + limit; only (key, count) rows move. Share uses SQL
+    half-away rounding for oracle parity."""
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Count
+
+    total = float(ds.count())
+    top = (
+        ds.groupby(key)
+        .aggregate(Count(alias_name="n_rows"))
+        .sort(["n_rows", key], descending=[True, False])
+        .limit(k)
+    )
+
+    def finish(batch: pa.Table) -> pa.Table:
+        import numpy as np
+
+        n = batch.column("n_rows").to_numpy(zero_copy_only=False).astype(
+            np.float64
+        )
+        share = np.floor(n / total * 1e6 + 0.5) / 1e6
+        return pa.table(
+            {
+                key: batch.column(key),
+                "n_rows": pc.cast(batch.column("n_rows"), pa.int64()),
+                "share": pa.array(share, pa.float64()),
+            }
+        )
+
+    return top.map_batches(finish, batch_format="pyarrow")
+
+
+def unpivot(ds, id_cols: Sequence[str], value_cols: Sequence[str],
+            var_name: str = "variable", value_name: str = "value"):
+    """MELT — the inverse of the conditional-partial pivot: each input
+    row becomes ``len(value_cols)`` long rows
+    ``(id_cols…, var_name=column-name, value_name=value)``.
+
+    Pure per-batch reshape (SQL ``UNPIVOT``): zero shuffles, output is
+    a column-stack of zero-copy slices per batch, so the operator is
+    I/O-bound at any scale. Value columns are cast to a common type
+    (the first column's type) — the SQL rule."""
+    value_cols = list(value_cols)
+    id_cols = list(id_cols)
+
+    def melt(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            cols = {c: batch.column(c) for c in id_cols}
+            cols[var_name] = pa.array([], pa.string())
+            cols[value_name] = pa.array(
+                [], batch.schema.field(value_cols[0]).type
+            )
+            return pa.table(cols)
+        common = batch.schema.field(value_cols[0]).type
+        parts = []
+        for vc in value_cols:
+            cols = {c: batch.column(c) for c in id_cols}
+            cols[var_name] = pa.array([vc] * batch.num_rows, pa.string())
+            cols[value_name] = batch.column(vc).cast(common)
+            parts.append(pa.table(cols))
+        return pa.concat_tables(parts)
+
+    return ds.map_batches(melt, batch_format="pyarrow")
+
+
+def string_agg_by(ds, key: str, val_col: str, order_cols: Sequence[str],
+                  sep: str = ">", out_col: str = "path"):
+    """Ordered grouped string concatenation — SQL ``string_agg(val, sep
+    ORDER BY order_cols) GROUP BY key`` — plus the row count. One hash
+    shuffle (the operator's inherent cost: every group member must
+    co-locate); in-group work is one numpy lexsort and one join, no
+    per-row Python. The sequence-of-actions shape (user event paths,
+    clickstreams) session-analysis pipelines reduce to."""
+    import numpy as np
+
+    def agg_group(group: pa.Table) -> pa.Table:
+        arrs = []
+        for c in order_cols:
+            col = group.column(c)
+            if pa.types.is_temporal(col.type):
+                col = col.cast(pa.timestamp("us")).cast(pa.int64())
+            arrs.append(np.asarray(col.to_pylist()))
+        order = np.lexsort(tuple(reversed(arrs)))
+        vals = group.column(val_col).take(pa.array(order, pa.int64()))
+        return pa.table(
+            {
+                key: group.column(key).slice(0, 1),
+                out_col: pa.array(
+                    [sep.join(v if v is not None else "" for v in vals.to_pylist())],
+                    pa.string(),
+                ),
+                "n": pa.array([group.num_rows], pa.int64()),
+            }
+        )
+
+    return ds.groupby(key).map_groups(agg_group, batch_format="pyarrow")
+
+
+def exact_quantiles_cont_by(ds, key: str, col: str,
+                            qs: Sequence[float] = (0.25, 0.5, 0.75, 0.9)):
+    """EXACT per-group INTERPOLATED quantiles (SQL ``quantile_cont``,
+    numpy's linear / R type-7 definition: rank r = (n−1)·q, value =
+    x⌊r⌋ + (r−⌊r⌋)·(x⌈r⌉−x⌊r⌋)) — the continuous twin of
+    :func:`exact_quantiles_by`, same (key, value, count) histogram
+    partials, same loudly-enforced bounded-cardinality contract. Both
+    order statistics are read off the cumulative histogram, so no
+    per-row work ever reaches the driver. Output: one row per
+    (key, q); values rounded half-up to 6 digits for stable float
+    comparison."""
+    import numpy as np
+
+    hist = lowcard_groupby_agg(ds, [key, col], [(col, "count", "__qn")])
+    if hist.num_rows == 0:
+        return pa.table(
+            {key: pa.array([], hist.schema.field(key).type),
+             "q": pa.array([], pa.float64()),
+             "value": pa.array([], pa.float64())}
+        )
+    keys = np.asarray(hist.column(key).to_pylist())
+    vals = np.asarray(hist.column(col).to_pylist(), dtype=np.float64)
+    cnts = np.asarray(hist.column("__qn").to_pylist(), dtype=np.int64)
+    out_k, out_q, out_v = [], [], []
+    for g in sorted(set(keys.tolist())):
+        m = keys == g
+        v, c = vals[m], cnts[m]
+        order = np.argsort(v)
+        v, c = v[order], c[order]
+        cum = np.cumsum(c)
+        n = int(cum[-1])
+        for q in qs:
+            r = (n - 1) * q
+            lo_rank, frac = int(np.floor(r)), r - np.floor(r)
+            # order statistic k (0-based) = first value with cum > k
+            lo = v[int(np.searchsorted(cum, lo_rank + 1, side="left"))]
+            hi = (
+                v[int(np.searchsorted(cum, min(lo_rank + 2, n), side="left"))]
+                if frac > 0 else lo
+            )
+            x = lo + frac * (hi - lo)
+            out_k.append(g)
+            out_q.append(float(q))
+            out_v.append(float(np.floor(x * 1e6 + 0.5) / 1e6))
+    return pa.table(
+        {
+            key: pa.array(out_k),
+            "q": pa.array(out_q, pa.float64()),
+            "value": pa.array(out_v, pa.float64()),
+        }
+    )
+
+
+def zscore_by(ds, key: str, val_col: str, scale: int = 100,
+              out_col: str = "zscore"):
+    """Per-group standardization (the feature-scaling transform):
+    every row gets ``(x − mean_g) / sd_g`` with SAMPLE stddev, where
+    the group moments come from exact fixed-point int64 sufficient
+    statistics (the ``events_value_stddev`` recipe) folded through ONE
+    partial aggregate; the tiny (group → mean, sd) map is then
+    broadcast back and applied vectorized per batch — a two-pass,
+    zero-shuffle normalize (rows never move). Rounded
+    half-away-from-zero to 6 digits; NULL where n < 2 or sd = 0."""
+    import numpy as np
+    import pyarrow.compute as pc2
+    import ray
+
+    def widen(batch: pa.Table) -> pa.Table:
+        x = pc2.cast(
+            pc2.round(pc2.multiply(
+                pc2.cast(batch.column(val_col), pa.float64()), float(scale)
+            ), ndigits=0),
+            pa.int64(),
+        )
+        return pa.table({key: batch.column(key), "__x": x,
+                         "__xx": pc2.multiply(x, x)})
+
+    t = lowcard_groupby_agg(
+        ds.map_batches(widen, batch_format="pyarrow"),
+        [key],
+        [("__x", "count", "n"), ("__x", "sum", "s1"), ("__xx", "sum", "s2")],
+    )
+    stats = {}
+    for r in t.to_pylist():
+        n, s1, s2 = float(r["n"]), float(r["s1"]), float(r["s2"])
+        if n < 2:
+            stats[r[key]] = None
+            continue
+        var = (s2 - s1 * s1 / n) / (n - 1.0)
+        sd = var ** 0.5 if var > 0 else 0.0
+        stats[r[key]] = None if sd == 0.0 else (s1 / n, sd)
+    stats_ref = ray.put(stats)
+
+    def apply(batch: pa.Table) -> pa.Table:
+        st = ray.get(stats_ref)
+        x = np.asarray(
+            pc2.round(pc2.multiply(
+                pc2.cast(batch.column(val_col), pa.float64()), float(scale)
+            ), ndigits=0).to_pylist(), dtype=np.float64)
+        # dictionary-encode the key: Python touches each DISTINCT key
+        # once, the per-row work is two numpy gathers
+        enc = pc2.dictionary_encode(
+            batch.column(key).combine_chunks()
+        )
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        dict_vals = enc.dictionary.to_pylist()
+        means = np.full(len(dict_vals), np.nan)
+        sds = np.full(len(dict_vals), np.nan)
+        for i, g in enumerate(dict_vals):
+            ms = st.get(g)
+            if ms is not None:
+                means[i], sds[i] = ms
+        out = (x - means[codes]) / sds[codes]
+        rounded = np.where(np.isnan(out), np.nan,
+                           np.copysign(np.floor(np.abs(out) * 1e6 + 0.5) / 1e6,
+                                       out))
+        arr = pa.array(rounded, pa.float64())
+        arr = pc.if_else(pc.is_nan(arr), pa.nulls(len(x), pa.float64()), arr)
+        return batch.append_column(out_col, arr)
+
+    return ds.map_batches(apply, batch_format="pyarrow")
+
+
+def mad_by(ds, key: str, col: str):
+    """Per-group MEDIAN and MAD (median absolute deviation) — the
+    robust dispersion profile an outlier gate runs on (3-sigma breaks
+    on heavy-tailed web data; median ± k·MAD does not).
+
+    Two histogram passes, zero row shuffles: pass 1 reads the group
+    medians off (key, value, count) partials (`exact_quantiles_cont_by`
+    — SQL quantile_cont/type-7, DuckDB median()); the low-card medians
+    broadcast into a stateless map that attaches |x − median|, and
+    pass 2 reads the deviation medians the same way (DuckDB mad()).
+    Medians of integer data are exact halves, so the broadcast value is
+    exact and the deviations stay exact. Output: (key, median_<col>,
+    mad_<col>) rounded half-up to 6 digits.
+    """
+    import numpy as np
+    import pyarrow.compute as pc
+
+    med_tbl = exact_quantiles_cont_by(
+        ds.select_columns([key, col]), key=key, col=col, qs=(0.5,)
+    )
+    medians = {
+        k: v for k, v in zip(
+            med_tbl.column(key).to_pylist(),
+            med_tbl.column("value").to_pylist(),
+        )
+    }
+
+    def dev(batch: pa.Table) -> pa.Table:
+        ks = batch.column(key).to_pylist()
+        xs = batch.column(col).to_numpy(zero_copy_only=False).astype(
+            np.float64
+        )
+        meds = np.asarray([medians[k] for k in ks], dtype=np.float64)
+        return pa.table({
+            key: batch.column(key),
+            "__dev": pa.array(np.abs(xs - meds), pa.float64()),
+        })
+
+    mad_tbl = exact_quantiles_cont_by(
+        ds.select_columns([key, col]).map_batches(
+            dev, batch_format="pyarrow"
+        ),
+        key=key, col="__dev", qs=(0.5,),
+    )
+    mads = {
+        k: v for k, v in zip(
+            mad_tbl.column(key).to_pylist(),
+            mad_tbl.column("value").to_pylist(),
+        )
+    }
+    keys_sorted = sorted(medians)
+    return pa.table({
+        key: pa.array(keys_sorted),
+        f"median_{col}": pa.array(
+            [medians[k] for k in keys_sorted], pa.float64()
+        ),
+        f"mad_{col}": pa.array([mads[k] for k in keys_sorted], pa.float64()),
+    })
+
+
 def partition_fold(ds, key_cols: Sequence[str], val_col: str,
                    fn: str = "sum", out_val: str | None = None,
                    num_partitions: int = 64):
@@ -272,3 +1021,136 @@ def partition_fold(ds, key_cols: Sequence[str], val_col: str,
         .groupby("__fpart")
         .map_groups(fold, batch_format="pyarrow")
     )
+
+
+def grouped_skew_kurt(ds, key: str, col: str):
+    """Per-group sample SKEWNESS and excess KURTOSIS (DuckDB / pandas
+    definitions: adjusted Fisher–Pearson g1, bias-corrected g2) from
+    EXACT integer power sums — the higher-moment tail of the grouped
+    statistics family (mean/stddev/corr/regr/median/MAD already
+    covered).
+
+    ``col`` must be integral: per-block partials fold Σx, Σx², Σx³,
+    Σx⁴ as int64s through :func:`lowcard_groupby_agg` (exact — shuffle
+    order can never flip an oracle hash); moments derive on the driver
+    in float64. HEADROOM CONTRACT:
+    Σ|x|⁴ per group must stay ≤ 9.2e18 — |x| ≤ 5,000 allows ~1.4e4
+    rows/group; |x| ≤ 500 allows ~1.4e8. Scale wider columns down (or
+    extend the fold to a second int64 limb) before calling.
+
+    Output: (key, n int64, skewness, kurtosis) rounded half-away to 6
+    digits; NULL where n < 3 / n < 4 respectively or variance is zero
+    (SQL semantics).
+    """
+    import numpy as np
+
+    def widen(batch: pa.Table) -> pa.Table:
+        x = pc.cast(batch.column(col), pa.int64())
+        x2 = pc.multiply_checked(x, x)
+        x3 = pc.multiply_checked(x2, x)
+        x4 = pc.multiply_checked(x3, x)  # checked: overflow raises loudly
+        return pa.table({
+            key: batch.column(key),
+            "__s1": x, "__s2": x2, "__s3": x3, "__s4": x4,
+        })
+
+    t = lowcard_groupby_agg(
+        ds.select_columns([key, col]).map_batches(
+            widen, batch_format="pyarrow"
+        ),
+        keys=[key],
+        specs=[
+            ("__s1", "count", "n"),
+            ("__s1", "sum", "s1"),
+            ("__s2", "sum", "s2"),
+            ("__s3", "sum", "s3"),
+            ("__s4", "sum", "s4"),
+        ],
+    )
+    n = t.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
+    s1 = t.column("s1").to_numpy(zero_copy_only=False).astype(np.float64)
+    s2 = t.column("s2").to_numpy(zero_copy_only=False).astype(np.float64)
+    s3 = t.column("s3").to_numpy(zero_copy_only=False).astype(np.float64)
+    s4 = t.column("s4").to_numpy(zero_copy_only=False).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = s1 / n
+        m2 = s2 / n - mu * mu
+        m3 = s3 / n - 3 * mu * s2 / n + 2 * mu ** 3
+        m4 = (s4 / n - 4 * mu * s3 / n + 6 * mu * mu * s2 / n
+              - 3 * mu ** 4)
+        g1 = m3 / m2 ** 1.5
+        skew = g1 * np.sqrt(n * (n - 1)) / (n - 2)
+        g2 = m4 / (m2 * m2) - 3.0
+        kurt = ((n + 1) * g2 + 6) * (n - 1) / ((n - 2) * (n - 3))
+
+    def rnd(v):
+        return np.where(
+            np.isfinite(v),
+            np.floor(np.abs(v) * 1e6 + 0.5) / 1e6 * np.sign(v),
+            np.nan,
+        )
+
+    skew = np.where((n >= 3) & (m2 > 0), rnd(skew), np.nan)
+    kurt = np.where((n >= 4) & (m2 > 0), rnd(kurt), np.nan)
+    return pa.table({
+        key: t.column(key),
+        "n": t.column("n"),
+        "skewness": pa.array(
+            [None if np.isnan(v) else float(v) for v in skew], pa.float64()
+        ),
+        "kurtosis": pa.array(
+            [None if np.isnan(v) else float(v) for v in kurt], pa.float64()
+        ),
+    })
+
+
+def winsorize_by(ds, key: str, col: str, id_col: str,
+                 lo_q: float = 0.05, hi_q: float = 0.95):
+    """Per-group WINSORIZATION: clip ``col`` to the group's own
+    ``quantile_disc`` [lo_q, hi_q] band — the outlier-taming transform
+    quality pipelines apply before averaging/z-scoring per source.
+    Unlike a trimmed mean (which drops and aggregates), this
+    keeps every row and returns the clipped value.
+
+    Float-exact by construction: quantile_disc thresholds are ACTUAL
+    data values (no interpolation) and clipping is min/max — no
+    arithmetic at all, so the SQL twin (least/greatest against
+    quantile_disc CTE thresholds) matches bit-for-bit.
+
+    Plan: the grouped (key, value, count) histogram pass reads the
+    thresholds (low-cardinality contract underneath), the tiny
+    threshold map broadcasts (``ray.put``), and the clip is one
+    vectorized dictionary-encoded pass. No row shuffles. Output:
+    (id_col, key, <col>_w) — one row per input row.
+    """
+    import numpy as np
+    import ray
+
+    qt = exact_quantiles_by(ds, key, col, qs=(lo_q, hi_q))
+    bounds: dict = {}
+    for r in qt.to_pylist():
+        lo, hi = bounds.get(r[key], (None, None))
+        if r["q"] == lo_q:
+            lo = r["value"]
+        else:
+            hi = r["value"]
+        bounds[r[key]] = (lo, hi)
+    bounds_ref = ray.put(bounds)
+    out_col = f"{col}_w"
+
+    def clip(batch: pa.Table) -> pa.Table:
+        b = ray.get(bounds_ref)
+        x = batch.column(col).to_numpy(zero_copy_only=False)
+        enc = batch.column(key).combine_chunks().dictionary_encode()
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        dict_vals = enc.dictionary.to_pylist()
+        los = np.array([b[g][0] for g in dict_vals])
+        his = np.array([b[g][1] for g in dict_vals])
+        w = np.minimum(np.maximum(x, los[codes]), his[codes])
+        return pa.table({
+            id_col: batch.column(id_col),
+            key: batch.column(key),
+            out_col: pa.array(w).cast(batch.schema.field(col).type),
+        })
+
+    return ds.map_batches(clip, batch_format="pyarrow")

@@ -1,5 +1,6 @@
-"""Persisted BM25 lexical index — the lexical member of the persisted-
-index family (LSH near-dup recrawl index: ``lsh_index.py``). Build ONCE over the historical corpus, query
+"""Persisted BM25 lexical index — the third member of the persisted-
+index family (LSH near-dup recrawl index: ``lsh_index.py``; IVF ANN
+index: ``ann_index.py``). Build ONCE over the historical corpus, query
 many times: postings are stored hash-BUCKETED BY TOKEN
 (``postings/bucket=i/part-*.parquet``), so a query reads ONLY its
 terms' bucket dirs — no corpus scan, no quantizer refit, no index

@@ -143,91 +143,3 @@ def pack_sequences(
         .groupby("__bucket")
         .map_groups(pack, batch_format="pyarrow")
     )
-
-
-def pack_sequences_grouped(
-    ds,
-    group_col: str = "doc_id",
-    ntok_col: str = "n_tokens",
-    budget: int = 256,
-    order_cols: tuple = ("chunk_id",),
-    num_buckets: int = 32,
-):
-    """Greedy first-fit packing that NEVER crosses group boundaries —
-    the packing mode for training setups where sequences must not mix
-    documents. Items of one group are packed in ``order_cols`` order;
-    a new pack opens when the running total would exceed ``budget``
-    (a single oversized item still gets its own pack) or the group
-    changes.
-
-    One hash(group) partition exchange co-locates each group; the
-    in-partition greedy is the operator's inherent sequential scan
-    (same as :func:`pack_sequences`), vectorized everywhere except the
-    accumulate-and-reset walk.  Deterministic by construction, so the
-    whole operator is value-checkable against a lockstep recursive-CTE
-    SQL twin.  Output: one row per pack — ``group_col``, ``pack_seq``
-    (0-based within the group), ``n_items``, ``total_tokens``.
-    """
-    from .joins import _bucket_of
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = _bucket_of(batch.column(group_col), num_buckets)
-        return batch.append_column(
-            "__bucket",
-            pa.array(np.asarray(b.to_numpy(zero_copy_only=False),
-                                dtype=np.int32)),
-        )
-
-    def pack(group: pa.Table) -> pa.Table:
-        gid_type = group.schema.field(group_col).type
-        empty = pa.table({
-            group_col: pa.array([], gid_type),
-            "pack_seq": pa.array([], pa.int64()),
-            "n_items": pa.array([], pa.int64()),
-            "total_tokens": pa.array([], pa.int64()),
-        })
-        n = group.num_rows
-        if n == 0:
-            return empty
-        gids = group.column(group_col).to_numpy(zero_copy_only=False)
-        toks = group.column(ntok_col).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        keys = [group.column(c).to_numpy(zero_copy_only=False)
-                for c in reversed(list(order_cols))]
-        order = np.lexsort(tuple(keys) + (gids,))
-        gids, toks = gids[order], toks[order]
-        out_g: list = []
-        out_seq: list = []
-        out_n: list = []
-        out_t: list = []
-        cur_g, cur_seq, cur_n, cur_t = None, 0, 0, 0
-        for g, t in zip(gids, toks):
-            t = int(t)
-            if cur_g is not None and g == cur_g and cur_n \
-                    and cur_t + t > budget:
-                out_g.append(cur_g); out_seq.append(cur_seq)
-                out_n.append(cur_n); out_t.append(cur_t)
-                cur_seq += 1
-                cur_n, cur_t = 0, 0
-            elif cur_g is None or g != cur_g:
-                if cur_g is not None and cur_n:
-                    out_g.append(cur_g); out_seq.append(cur_seq)
-                    out_n.append(cur_n); out_t.append(cur_t)
-                cur_g, cur_seq, cur_n, cur_t = g, 0, 0, 0
-            cur_n += 1
-            cur_t += t
-        if cur_g is not None and cur_n:
-            out_g.append(cur_g); out_seq.append(cur_seq)
-            out_n.append(cur_n); out_t.append(cur_t)
-        return pa.table({
-            group_col: pa.array(out_g, gid_type),
-            "pack_seq": pa.array(out_seq, pa.int64()),
-            "n_items": pa.array(out_n, pa.int64()),
-            "total_tokens": pa.array(out_t, pa.int64()),
-        })
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(pack, batch_format="pyarrow")
-    )

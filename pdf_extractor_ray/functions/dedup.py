@@ -292,6 +292,29 @@ def bucket_collision_pairs(
     return pairs.groupby("__ppart").map_groups(fold, batch_format="pyarrow")
 
 
+def minhash_lsh_candidates(docs_ds, n_perm: int = 64, bands: int = 16, seed: int = 42,
+                           max_bucket: int = 4096):
+    """documents → candidate near-dup pairs (doc_a < doc_b), distinct.
+
+    Band stage → (bucket_key, doc_id) — the ONLY shuffle payload
+    (~16 B/doc/band; corpus text never shuffles) — then the shared
+    ``bucket_collision_pairs`` plan. Measured 13.1s → ~4s at sf0.1.
+    ``max_bucket`` drops band buckets larger than that size — a band
+    signature shared by thousands of docs is boilerplate-driven and
+    non-discriminative, and would cost O(size²) pairs in one task.
+    """
+    bands_ds = compact_blocks(docs_ds.map_batches(
+        MinHashBandStage,
+        fn_constructor_kwargs={"n_perm": n_perm, "bands": bands, "seed": seed},
+        batch_format="pyarrow",
+        concurrency=pool_size(),
+    ))
+    # ^ the band table is consumed twice (count pass + pair pass), so
+    # materializing it — not the documents — avoids recomputing minhash
+    # signatures. The object store spills it at scale.
+    return bucket_collision_pairs(bands_ds, max_bucket=max_bucket)
+
+
 def candidate_shingles(docs_ds, cand_pairs_ds, k: int = 3):
     """(doc_id, shingles:list<uint32>) for ONLY the docs that appear in
     candidate pairs.
@@ -488,13 +511,56 @@ def minhash_lsh_verified(
     )
 
 
+class JaccardVerifyStage:
+    """Candidate pairs + broadcast text lookup → verified pairs.
+
+    SMALL-SCALE variant: the text lookup is ``ray.put`` once and read
+    per actor — only valid when candidate docs ≪ corpus AND the corpus
+    text fits the driver. The scale path is ``minhash_lsh_verified``,
+    which joins candidates back to shingles distributed.
+    """
+
+    def __init__(self, texts_ref, threshold: float = 0.5, k: int = 3) -> None:
+        import ray
+
+        self.texts = ray.get(texts_ref)
+        self.threshold = threshold
+        self.k = k
+        self._cache: dict = {}
+
+    def _sh(self, doc_id: int) -> Set[int]:
+        s = self._cache.get(doc_id)
+        if s is None:
+            s = _word_shingles(self.texts.get(doc_id, ""), self.k)
+            self._cache[doc_id] = s
+        return s
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        a_ids = batch.column("doc_a").to_pylist()
+        b_ids = batch.column("doc_b").to_pylist()
+        keep_a, keep_b, sims = [], [], []
+        for a, b in zip(a_ids, b_ids):
+            sim = jaccard(self._sh(a), self._sh(b))
+            if sim >= self.threshold:
+                keep_a.append(a)
+                keep_b.append(b)
+                sims.append(round(sim, 6))
+        return pa.table(
+            {
+                "doc_a": pa.array(keep_a, pa.int64()),
+                "doc_b": pa.array(keep_b, pa.int64()),
+                "jaccard": pa.array(sims, pa.float64()),
+            }
+        )
+
+
 # -------------------------------------------------- exact all-pairs (oracle)
 def ngram_jaccard_pairs(docs_ds, threshold: float = 0.5, k: int = 3):
     """EXACT all-pairs word-k-gram Jaccard ≥ threshold (doc_a < doc_b).
 
     Small-scale ground truth for the LSH variants; oracle-checkable in
     SQL.  O(n²) — driver correctness scale only; the scale path is
-    :func:`minhash_lsh_verified`.
+    ``minhash_lsh_candidates`` + ``JaccardVerifyStage``.
     """
     import ray
 
@@ -812,3 +878,117 @@ def simhash_dedup(docs_ds, max_hamming: int = 3):
     return hamming_bucket_pairs(
         hamming_bands(sigs, max_hamming), max_hamming=max_hamming
     )
+
+
+def _word_gram64(text: str, k: int) -> "list[int]":
+    """DISTINCT word-k-gram 64-bit fingerprints (blake2b first 8
+    bytes, sign bit cleared). 64-bit space keeps corpus-wide collision
+    odds ~|grams|²/2⁶⁵ — negligible even at 10⁹ distinct grams — so
+    exact intersection COUNTS over the hashes equal counts over the
+    grams themselves (the 32-bit crc space MinHash uses is fine for
+    sketches but would visibly distort exact counts)."""
+    import hashlib
+
+    toks = text.split()
+    if len(toks) < k:
+        if not toks:
+            return []
+        grams = [" ".join(toks)]
+    else:
+        grams = {" ".join(toks[i : i + k]) for i in range(len(toks) - k + 1)}
+    return [
+        int.from_bytes(
+            hashlib.blake2b(g.encode(), digest_size=8).digest(), "little"
+        )
+        & 0x7FFFFFFFFFFFFFFF
+        for g in set(grams)
+    ]
+
+
+def containment_pairs(docs_ds, threshold: float = 0.5, k: int = 3,
+                      max_bucket: "int | None" = None):
+    """DIRECTIONAL near-dup: (src, dst) pairs where
+    ``|grams(src) ∩ grams(dst)| / |grams(src)| ≥ threshold`` — Jaccard
+    *containment*, the asymmetric relation Jaccard misses: a short doc
+    quoted wholesale inside a long one scores ~1.0 here but low on
+    Jaccard. The quote-inclusion / page-template detector a crawl
+    corpus needs alongside symmetric near-dup.
+
+    Fully distributed EXACT plan (no driver-side corpus): distinct
+    per-doc gram fingerprints explode to (gram, doc_id) rows — the only
+    corpus-sized payload, and it is two int64s per gram; per-doc sizes
+    are ONE partition fold over the same rows; pair intersection counts
+    come from the shared collision-first plan
+    (:func:`bucket_collision_pairs` with ``count_col``); a keys-only
+    hash join attaches |src| and a vectorized filter applies the
+    threshold. ``max_bucket=None`` keeps counts EXACT (oracle parity);
+    pass a cap at web scale to drop stop-phrase grams that are
+    non-discriminative AND O(bucket²) — same trade the winnowing path
+    documents.
+    """
+    import pyarrow.compute as pc
+
+    from .joins import hash_join
+    from ..functions.agg import partition_fold
+
+    def explode(batch: pa.Table) -> pa.Table:
+        ids, grams = [], []
+        for d, t in zip(
+            batch.column("doc_id").to_pylist(),
+            batch.column("text").to_pylist(),
+        ):
+            hs = _word_gram64(t or "", k)
+            grams.extend(hs)
+            ids.extend([d] * len(hs))
+        return pa.table({
+            "gram": pa.array(grams, pa.int64()),
+            "doc_id": pa.array(ids, pa.int64()),
+        })
+
+    grams = compact_blocks(
+        docs_ds.select_columns(["doc_id", "text"]).map_batches(
+            explode, batch_format="pyarrow"
+        )
+    )  # consumed twice (sizes + pairs) — compact prevents re-execution
+    sizes = partition_fold(
+        grams, ["doc_id"], "gram", fn="count", out_val="n_grams"
+    )
+    pairs = bucket_collision_pairs(
+        grams, key_col="gram", id_col="doc_id",
+        count_col="n_shared", max_bucket=max_bucket,
+    )
+
+    def both_directions(batch: pa.Table) -> pa.Table:
+        fwd = pa.table({
+            "src_doc": batch.column("doc_a"),
+            "dst_doc": batch.column("doc_b"),
+            "n_shared": batch.column("n_shared"),
+        })
+        rev = pa.table({
+            "src_doc": batch.column("doc_b"),
+            "dst_doc": batch.column("doc_a"),
+            "n_shared": batch.column("n_shared"),
+        })
+        return pa.concat_tables([fwd, rev]).combine_chunks()
+
+    directional = pairs.map_batches(both_directions, batch_format="pyarrow")
+    joined = hash_join(
+        directional, sizes, "src_doc", "doc_id",
+        ["src_doc", "dst_doc", "n_shared"], ["n_grams"],
+        how="inner", validate="unique_right",
+    )
+
+    def finish(batch: pa.Table) -> pa.Table:
+        c = pc.divide(
+            pc.cast(batch.column("n_shared"), pa.float64()),
+            pc.cast(batch.column("n_grams"), pa.float64()),
+        )
+        keep = pc.greater_equal(c, threshold)
+        out = pa.table({
+            "src_doc": batch.column("src_doc"),
+            "dst_doc": batch.column("dst_doc"),
+            "containment": pc.round(c, 6),
+        })
+        return out.filter(keep)
+
+    return joined.map_batches(finish, batch_format="pyarrow")

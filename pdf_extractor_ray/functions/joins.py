@@ -1,14 +1,16 @@
 """Distributed joins — operators Ray Data lacks natively.
 
+- ``asof_join``: for every left row, attach the right row with the
+  same key and the LATEST right timestamp ≤ the left timestamp (ties
+  broken by the largest tiebreak column value — deterministic),
+  left-outer.
 - ``hash_join``: generic equi-join (inner / left-outer) between two
   large Datasets. Both sides are hash-bucketed on the join key into
   ``num_partitions`` buckets — the single all-to-all shuffle — and
   each bucket is matched VECTORIZED (``pc.index_in``), so Python is
   invoked once per bucket, not per key or per row. The right side
-  must be unique per key (dimension-join contract, validated loudly)
-  unless ``validate='many'`` asks for the full many-to-many join.
-- ``semi_anti_join``: keep the left rows whose key is (or is not)
-  on the right, on the same single-shuffle plan.
+  must be unique per key (dimension-join contract, validated loudly);
+  many-to-many joins need the per-key ``asof_join``-style grouping.
 
 Distribution notes: the groupby co-locates each key's rows once;
 within a group/bucket the match is numpy/pyarrow, not per-row Python.
@@ -22,10 +24,181 @@ these generalize the engine to enrichment workloads.
 from __future__ import annotations
 
 import zlib
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
+
+
+def asof_join(
+    left_ds,
+    right_ds,
+    key: str,
+    left_ts: str,
+    right_ts: str,
+    right_tiebreak: str,
+    left_cols: Sequence[str],
+    right_cols: Sequence[str],
+    direction: str = "backward",
+    tolerance=None,
+):
+    """Left-outer as-of join (pandas ``merge_asof`` surface). Output
+    columns: ``left_cols`` + ``right_cols`` (nullable where no right
+    row qualifies).
+
+    ``direction``: ``backward`` (default — latest right row with
+    ``r_ts <= l_ts``, ties to the LARGEST tiebreak) or ``forward``
+    (earliest right row with ``r_ts >= l_ts``, ties to the SMALLEST
+    tiebreak — the "next event after" attribution shape).
+    ``tolerance``: optional max |r_ts − l_ts| as a
+    ``datetime.timedelta`` or int µs; matches outside it become NULL.
+    """
+    import datetime
+
+    if direction not in ("backward", "forward"):
+        raise ValueError(
+            f"direction must be 'backward' or 'forward', got {direction!r}"
+        )
+    tol_us = None
+    if tolerance is not None:
+        tol_us = (
+            int(tolerance.total_seconds() * 1_000_000)
+            if isinstance(tolerance, datetime.timedelta)
+            else int(tolerance)
+        )
+    left_cols = list(left_cols)
+    right_cols = list(right_cols)
+
+    # schema derivation on the driver (cheap metadata call)
+    l_schema = left_ds.schema()
+    r_schema = right_ds.schema()
+    l_types = {n: t for n, t in zip(l_schema.names, l_schema.types)}
+    r_types = {n: t for n, t in zip(r_schema.names, r_schema.types)}
+    key_type = l_types[key]  # natural key type — string keys (url) work
+    fields = [pa.field("__key", key_type), pa.field("__ts", pa.timestamp("us")),
+              pa.field("__side", pa.int8())]
+    fields += [pa.field(f"l_{c}", l_types[c]) for c in left_cols]
+    fields += [pa.field(f"r_{c}", r_types[c]) for c in right_cols]
+    fields.append(pa.field("__tb", pa.int64()))
+    schema = pa.schema(fields)
+
+    def to_common(side: int, ts_col: str, cols: List[str], prefix: str, tb: str):
+        def fn(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            arrays = {
+                "__key": batch.column(key).cast(key_type),
+                "__ts": batch.column(ts_col).cast(pa.timestamp("us")),
+                "__side": pa.array([side] * n, pa.int8()),
+            }
+            for f in schema:
+                if f.name.startswith("l_"):
+                    c = f.name[2:]
+                    arrays[f.name] = (
+                        batch.column(c) if side == 0 and c in batch.column_names
+                        else pa.nulls(n, f.type)
+                    )
+                elif f.name.startswith("r_"):
+                    c = f.name[2:]
+                    arrays[f.name] = (
+                        batch.column(c) if side == 1 and c in batch.column_names
+                        else pa.nulls(n, f.type)
+                    )
+            arrays["__tb"] = (
+                batch.column(tb).cast(pa.int64()) if side == 1
+                else pa.array([0] * n, pa.int64())
+            )
+            return pa.table(arrays, schema=schema)
+
+        return fn
+
+    both = left_ds.map_batches(
+        to_common(0, left_ts, left_cols, "l_", right_tiebreak), batch_format="pyarrow"
+    ).union(
+        right_ds.map_batches(
+            to_common(1, right_ts, right_cols, "r_", right_tiebreak),
+            batch_format="pyarrow",
+        )
+    )
+    from .dedup import compact_blocks
+
+    both = compact_blocks(both, skip_above_bytes=4 << 30)
+    # ^ single-consumer shuffle feed: the block-count consolidation is
+    # gated on lazy read-size metadata so a corpus-scale join payload
+    # is never pinned in the object store (ADVICE r2)
+
+    out_fields = [pa.field(c, l_types[c]) for c in left_cols]
+    out_fields += [pa.field(c, r_types[c]) for c in right_cols]
+    out_schema = pa.schema(out_fields)
+
+    def match_group(group: pa.Table) -> pa.Table:
+        side = np.asarray(group.column("__side").to_pylist(), dtype=np.int8)
+        ts = np.asarray(group.column("__ts").cast(pa.int64()).to_pylist(), dtype=np.int64)
+        tb = np.asarray(group.column("__tb").to_pylist(), dtype=np.int64)
+        l_idx = np.nonzero(side == 0)[0]
+        r_idx = np.nonzero(side == 1)[0]
+        if len(l_idx) == 0:
+            return out_schema.empty_table()
+        lefts = group.take(pa.array(l_idx))
+        if len(r_idx) == 0:
+            cols = {c: lefts.column(f"l_{c}") for c in left_cols}
+            for c in right_cols:
+                cols[c] = pa.nulls(len(l_idx), out_schema.field(c).type)
+            return pa.table(cols, schema=out_schema)
+        # sort right side by (ts, tiebreak); backward walks back from
+        # searchsorted-right, forward takes searchsorted-left
+        order = np.lexsort((tb[r_idx], ts[r_idx]))
+        r_sorted = r_idx[order]
+        r_ts = ts[r_sorted]
+        l_ts = ts[l_idx]
+        if direction == "backward":
+            pos = np.searchsorted(r_ts, l_ts, side="right") - 1
+            has = pos >= 0
+            if tol_us is not None:
+                has &= (l_ts - r_ts[np.clip(pos, 0, None)]) <= tol_us
+        else:
+            pos = np.searchsorted(r_ts, l_ts, side="left")
+            has = pos < len(r_ts)
+            if tol_us is not None:
+                has &= (
+                    r_ts[np.clip(pos, 0, len(r_ts) - 1)] - l_ts
+                ) <= tol_us
+            pos = np.clip(pos, 0, len(r_ts) - 1)
+        take_r = np.where(has, r_sorted[np.clip(pos, 0, None)], -1)
+        rights = group.take(pa.array(np.clip(take_r, 0, None), pa.int64()))
+        cols = {c: lefts.column(f"l_{c}") for c in left_cols}
+        has_arr = pa.array(has)
+        import pyarrow.compute as pc
+
+        for c in right_cols:
+            matched = rights.column(f"r_{c}")
+            cols[c] = pc.if_else(
+                has_arr, matched, pa.nulls(len(l_idx), out_schema.field(c).type)
+            )
+        return pa.table(cols, schema=out_schema)
+
+    import ray.data
+
+    matched = both.groupby("__key").map_groups(match_group, batch_format="pyarrow")
+    return ray.data.from_arrow(out_schema.empty_table()).union(
+        _coerce_blocks(matched, out_schema)
+    )
+
+
+def to_pandas_typed(ds):
+    """``Dataset.to_pandas`` that keeps column names on empty results.
+
+    Ray 2.49's ``to_pandas()`` returns a column-less DataFrame whenever
+    the dataset has zero rows — even when every block carries a typed
+    schema — because it builds the frame from the (empty) batch stream
+    rather than the dataset schema. This wrapper falls back to the
+    unified lazy schema so callers (tests, oracles, CLIs) always see
+    the declared columns."""
+    df = ds.to_pandas()
+    if df.shape[1] == 0:
+        sch = ds.schema()
+        if sch is not None:
+            return pa.schema(zip(sch.names, sch.types)).empty_table().to_pandas()
+    return df
 
 
 def _coerce_blocks(ds, out_schema: pa.Schema):
@@ -476,4 +649,410 @@ def hash_join(
     # comparisons see named columns, not a schemaless empty dataset)
     return ray.data.from_arrow(out_schema.empty_table()).union(
         _coerce_blocks(joined, out_schema)
+    )
+
+
+def broadcast_join(
+    left_ds,
+    right_ds,
+    left_key: str,
+    right_key: str,
+    right_cols: Sequence[str],
+    how: str = "inner",
+    max_right_bytes: int = 64 << 20,
+):
+    """Map-side equi-join against a SMALL right side — zero shuffle.
+
+    The scale path for dimension enrichment (region/nation/config
+    tables that stay constant-sized while the fact side grows): the
+    right side's projected columns are collected once on the driver
+    (LOUD size cap — a right side that outgrows ``max_right_bytes``
+    belongs in :func:`hash_join`), ``ray.put`` once, and every left
+    batch attaches its matches with a single vectorized ``pc.index_in``
+    + ``take``. The left side streams through a fused ``map_batches``
+    — no repartition, no groupby, no all-to-all.
+
+    Semantics: SQL equi-join, unique-right contract (duplicate right
+    keys raise — use :func:`hash_join` ``validate='many'`` for m:n),
+    null left keys never match. ``how`` ∈ {inner, left}; output is all
+    left columns plus ``right_cols`` (names must not collide)."""
+    import pyarrow.compute as pc
+    import ray
+
+    if how not in ("inner", "left"):
+        raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
+    right_cols = list(right_cols)
+
+    rt = pa.concat_tables(
+        ray.get(right_ds.select_columns([right_key] + right_cols).to_arrow_refs())
+    )
+    if rt.nbytes > max_right_bytes:
+        raise ValueError(
+            f"broadcast_join: right side is {rt.nbytes >> 20} MiB "
+            f"(cap {max_right_bytes >> 20} MiB) — too large to broadcast; "
+            "use hash_join"
+        )
+    r_keys = rt.column(right_key).combine_chunks().drop_null()
+    if pc.count_distinct(r_keys).as_py() != len(r_keys):
+        raise ValueError(
+            "broadcast_join: right side has duplicate join keys; "
+            "dedupe it or use hash_join(validate='many')"
+        )
+    valid = pc.is_valid(rt.column(right_key))
+    rt = rt.filter(valid).combine_chunks()
+    rt_ref = ray.put(rt)
+
+    def attach(batch: pa.Table) -> pa.Table:
+        right = ray.get(rt_ref)
+        lk = batch.column(left_key)
+        idx = pc.index_in(lk, value_set=right.column(right_key))
+        idx = pc.if_else(pc.is_valid(lk), idx, pa.nulls(len(lk), pa.int32()))
+        if how == "inner":
+            keep = pc.is_valid(idx)
+            batch = batch.filter(keep)
+            idx = idx.filter(keep)
+        matched = right.take(idx)  # null idx → null row (left-outer)
+        for c in right_cols:
+            batch = batch.append_column(c, matched.column(c))
+        return batch
+
+    return left_ds.map_batches(attach, batch_format="pyarrow")
+
+
+def _numcast(col: pa.ChunkedArray):
+    """Cast a numeric/timestamp column to a comparable numpy dtype.
+
+    Timestamps become exact int64 microseconds; everything else goes
+    to float64 (band edges, prices). Returns (numpy array, is_ts)."""
+    t = col.type
+    if pa.types.is_timestamp(t):
+        return (
+            np.asarray(col.cast(pa.timestamp("us")).cast(pa.int64()).to_pylist(),
+                       dtype=np.int64),
+            True,
+        )
+    return np.asarray(col.cast(pa.float64()).to_pylist(), dtype=np.float64), False
+
+
+def range_join(
+    left_ds,
+    right_ds,
+    key: str,
+    left_val: str,
+    right_lo: str,
+    right_hi: str,
+    left_cols: Sequence[str],
+    right_cols: Sequence[str],
+    max_width=None,
+    lo_inclusive: bool = True,
+    hi_inclusive: bool = False,
+):
+    """Keyed interval (range) join — INNER, many-to-many.
+
+    Emits one row per (left, right) pair with the same ``key`` where
+    ``right_lo <= left_val < right_hi`` (inclusivity per flags). The
+    operator Ray Data lacks natively; the reference has no joins at
+    all (SURVEY §2.4) — this serves enrichment shapes like
+    "event within N days of an order" or IP→range lookups.
+
+    Plan: both sides are tagged and unioned (one pass each), then ONE
+    hash shuffle co-locates each key's rows (`groupby(key)`), and the
+    in-group interval match is fully vectorized: right intervals are
+    sorted by ``lo``; for every left value a double ``searchsorted``
+    yields the candidate slice, flattened with repeat/cumsum index
+    arithmetic and masked by the ``hi`` bound — no per-row Python.
+
+    Partitioning assumptions (documented per the engine contract):
+    - one key's rows fit one group task (same as asof_join/windows;
+      salt or time-split giant keys upstream);
+    - when ``max_width`` is given, EVERY right interval must satisfy
+      ``hi - lo <= max_width`` (validated loudly per group) — the
+      prune then bounds candidates to the [v - max_width, v] window
+      of ``lo`` values, making in-group cost O(pairs) instead of
+      O(rows × preceding intervals). Without it, correctness holds
+      but a key whose intervals all start early degrades to a scan.
+
+    Values may be timestamps (exact int64 µs) or numerics (float64).
+    """
+    left_cols = list(left_cols)
+    right_cols = list(right_cols)
+    l_schema = left_ds.schema()
+    r_schema = right_ds.schema()
+    l_types = {n: t for n, t in zip(l_schema.names, l_schema.types)}
+    r_types = {n: t for n, t in zip(r_schema.names, r_schema.types)}
+    key_type = l_types[key]
+    val_is_ts = pa.types.is_timestamp(l_types[left_val])
+    num_type = pa.int64() if val_is_ts else pa.float64()
+
+    fields = [pa.field("__key", key_type), pa.field("__v", num_type),
+              pa.field("__hi", num_type), pa.field("__side", pa.int8())]
+    fields += [pa.field(f"l_{c}", l_types[c]) for c in left_cols]
+    fields += [pa.field(f"r_{c}", r_types[c]) for c in right_cols]
+    schema = pa.schema(fields)
+
+    def to_common(side: int):
+        def fn(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            if side == 0:
+                v, _ = _numcast(batch.column(left_val))
+                hi = np.zeros(n, dtype=v.dtype)
+            else:
+                v, _ = _numcast(batch.column(right_lo))
+                hi, _ = _numcast(batch.column(right_hi))
+            arrays = {
+                "__key": batch.column(key).cast(key_type),
+                "__v": pa.array(v, num_type),
+                "__hi": pa.array(hi, num_type),
+                "__side": pa.array([side] * n, pa.int8()),
+            }
+            for f in schema:
+                pre, c = f.name[:2], f.name[2:]
+                if pre == "l_":
+                    arrays[f.name] = (batch.column(c) if side == 0
+                                      else pa.nulls(n, f.type))
+                elif pre == "r_":
+                    arrays[f.name] = (batch.column(c) if side == 1
+                                      else pa.nulls(n, f.type))
+            return pa.table(arrays, schema=schema)
+
+        return fn
+
+    both = left_ds.map_batches(to_common(0), batch_format="pyarrow").union(
+        right_ds.map_batches(to_common(1), batch_format="pyarrow")
+    )
+    from .dedup import compact_blocks
+
+    both = compact_blocks(both, skip_above_bytes=4 << 30)
+
+    out_fields = [pa.field(c, l_types[c]) for c in left_cols]
+    out_fields += [pa.field(c, r_types[c]) for c in right_cols]
+    out_schema = pa.schema(out_fields)
+    width = None if max_width is None else (
+        np.int64(max_width) if val_is_ts else np.float64(max_width))
+    lo_side = "right" if lo_inclusive else "left"
+
+    def match_group(group: pa.Table) -> pa.Table:
+        side = np.asarray(group.column("__side").to_pylist(), dtype=np.int8)
+        v = np.asarray(group.column("__v").to_pylist())
+        hi = np.asarray(group.column("__hi").to_pylist())
+        l_idx = np.nonzero(side == 0)[0]
+        r_idx = np.nonzero(side == 1)[0]
+        if len(l_idx) == 0 or len(r_idx) == 0:
+            return out_schema.empty_table()
+        r_lo = v[r_idx]
+        r_hi = hi[r_idx]
+        if width is not None:
+            w = r_hi - r_lo
+            if len(w) and w.max() > width:
+                raise ValueError(
+                    f"range_join: interval wider than max_width={max_width} "
+                    f"(saw {w.max()}); widen max_width or drop it"
+                )
+        order = np.argsort(r_lo, kind="stable")
+        r_sorted = r_idx[order]
+        lo_s = r_lo[order]
+        hi_s = r_hi[order]
+        lv = v[l_idx]
+        a = np.searchsorted(lo_s, lv, side=lo_side)
+        if width is not None:
+            b = np.searchsorted(lo_s, lv - width, side="left")
+        else:
+            b = np.zeros(len(lv), dtype=np.int64)
+        counts = a - b
+        tot = int(counts.sum())
+        if tot == 0:
+            return out_schema.empty_table()
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        offs = (np.arange(tot) - np.repeat(cum[:-1], counts)
+                + np.repeat(b, counts))
+        l_rep = np.repeat(l_idx, counts)
+        cand = r_sorted[offs]
+        cand_hi = hi_s[offs]
+        v_rep = np.repeat(lv, counts)
+        keep = cand_hi >= v_rep if hi_inclusive else cand_hi > v_rep
+        if not keep.any():
+            return out_schema.empty_table()
+        lefts = group.take(pa.array(l_rep[keep], pa.int64()))
+        rights = group.take(pa.array(cand[keep], pa.int64()))
+        cols = {c: lefts.column(f"l_{c}") for c in left_cols}
+        for c in right_cols:
+            cols[c] = rights.column(f"r_{c}")
+        return pa.table(cols, schema=out_schema)
+
+    import ray.data
+
+    matched = both.groupby("__key").map_groups(match_group, batch_format="pyarrow")
+    return ray.data.from_arrow(out_schema.empty_table()).union(
+        _coerce_blocks(matched, out_schema)
+    )
+
+
+def broadcast_range_join(
+    left_ds,
+    bands: pa.Table,
+    left_val: str,
+    lo_col: str,
+    hi_col: str,
+    band_cols: Sequence[str],
+    how: str = "inner",
+):
+    """Keyless range join against a SMALL, NON-OVERLAPPING interval
+    table (price bands, latency buckets, IP blocks after a split) —
+    map-side only, ZERO shuffle.
+
+    ``bands`` is driver-resident (dimension-sized; the scale contract
+    is the same as ``broadcast_join``'s): it is validated to be
+    non-overlapping when sorted by ``lo``, ``ray.put`` once, and every
+    batch classifies rows with one vectorized ``searchsorted`` against
+    the sorted ``lo`` edges, then masks by ``hi`` (half-open
+    ``lo <= v < hi``). Rows in no band are dropped (``how='inner'``)
+    or kept with null band columns (``'left'``)."""
+    import pyarrow.compute as pc
+    import ray
+
+    band_cols = list(band_cols)
+    lo_np, _ = _numcast(bands.column(lo_col))
+    hi_np, _ = _numcast(bands.column(hi_col))
+    order = np.argsort(lo_np, kind="stable")
+    lo_s, hi_s = lo_np[order], hi_np[order]
+    if len(lo_s) > 1 and (hi_s[:-1] > lo_s[1:]).any():
+        raise ValueError("broadcast_range_join: bands overlap — use range_join")
+    sorted_bands = bands.take(pa.array(order, pa.int64())).combine_chunks()
+    state = ray.put((lo_s, hi_s, sorted_bands))
+
+    def attach(batch: pa.Table) -> pa.Table:
+        lo_a, hi_a, bt = ray.get(state)
+        v, _ = _numcast(batch.column(left_val))
+        pos = np.searchsorted(lo_a, v, side="right") - 1
+        ok = (pos >= 0) & (v < hi_a[np.clip(pos, 0, None)])
+        if how == "inner":
+            batch = batch.filter(pa.array(ok))
+            idx = pa.array(pos[ok], pa.int64())
+            matched = bt.take(idx)
+            for c in band_cols:
+                batch = batch.append_column(c, matched.column(c))
+            return batch
+        idx = pa.array(np.where(ok, pos, -1), pa.int32())
+        idx = pc.if_else(pa.array(ok), idx, pa.nulls(len(ok), pa.int32()))
+        matched = bt.take(idx)
+        for c in band_cols:
+            batch = batch.append_column(c, matched.column(c))
+        return batch
+
+    return left_ds.map_batches(attach, batch_format="pyarrow")
+
+
+def broadcast_cross_join(left_ds, right_table: pa.Table,
+                         max_right_rows: int = 10_000):
+    """CROSS JOIN against a SMALL driver-resident table — every left
+    row pairs with every right row (grid/calendar/template expansion
+    shapes). Map-side only, ZERO shuffle: the right table is
+    ``ray.put`` once; each batch expands with one repeat/tile index
+    pair. The dimension contract is loud: output is |left|×|right|
+    rows, so ``max_right_rows`` guards against an accidental
+    corpus-sized right side (use a real join instead).
+    """
+    import ray
+
+    if right_table.num_rows > max_right_rows:
+        raise ValueError(
+            f"broadcast_cross_join: right side has {right_table.num_rows} "
+            f"rows > max_right_rows={max_right_rows} — a cross product "
+            "this size needs a real shuffle plan, not a broadcast"
+        )
+    overlap = set(right_table.column_names)
+
+    r_ref = ray.put(right_table.combine_chunks())
+
+    def expand(batch: pa.Table) -> pa.Table:
+        clash = overlap & set(batch.column_names)
+        if clash:
+            raise ValueError(f"output column collision: {sorted(clash)}")
+        right = ray.get(r_ref)
+        nl, nr = batch.num_rows, right.num_rows
+        if nl == 0 or nr == 0:
+            fields = list(batch.schema) + list(right.schema)
+            return pa.schema(fields).empty_table()
+        li = pa.array(np.repeat(np.arange(nl), nr), pa.int64())
+        ri = pa.array(np.tile(np.arange(nr), nl), pa.int64())
+        lt = batch.take(li)
+        rt = right.take(ri)
+        cols = {c: lt.column(c) for c in lt.column_names}
+        for c in rt.column_names:
+            cols[c] = rt.column(c)
+        return pa.table(cols)
+
+    return left_ds.map_batches(expand, batch_format="pyarrow")
+
+
+def salted_join(
+    left_ds,
+    right_ds,
+    left_key: str,
+    right_key: str,
+    left_cols: Sequence[str],
+    right_cols: Sequence[str],
+    how: str = "inner",
+    n_salt: int = 8,
+    num_partitions: int = 32,
+):
+    """Skew-defusing equi-join: SALT the hot-keyed (left) side so one
+    dominant key spreads over ``n_salt`` buckets instead of landing its
+    whole cross-product in a single task.
+
+    The big/skewed side gains a deterministic per-row salt (splitmix64
+    of the key mixed with the row's block offset — stable across
+    retries, uniform within a key); the small side REPLICATES each row
+    ``n_salt`` times, once per salt value.  Joining on the composite
+    ``(key, salt)`` then yields exactly the plain join's result — every
+    (left, right) key pair still meets exactly once — while a key that
+    used to pin one partition now fans over ``n_salt``.  Shuffle cost:
+    the small side's payload grows ×n_salt (keep it the dimension
+    side); the big side is unchanged.
+
+    Result-equality with ``hash_join(validate='many')`` is pinned by
+    tests.  Keys must be
+    integers (the composite key is ``key·n_salt + salt`` in int64).
+    ``how`` ∈ {inner, left}: left-outer semantics follow the salted
+    left side naturally (each left row carries exactly one salt).
+    """
+    if how not in ("inner", "left"):
+        raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
+    left_cols = list(left_cols)
+    right_cols = list(right_cols)
+
+    def salt_left(batch: pa.Table) -> pa.Table:
+        if batch.column(left_key).null_count:
+            raise ValueError(
+                "salted_join: null join keys are not supported "
+                "(filter them out or use hash_join)"
+            )
+        k = np.asarray(batch.column(left_key).to_pylist(), dtype=np.int64)
+        # mix block-local position into the salt so equal keys spread
+        pos = np.arange(len(k), dtype=np.uint64)
+        salt = (mix64(k.astype(np.uint64) + (pos * np.uint64(0x9E3779B97F4A7C15)))
+                % np.uint64(n_salt)).astype(np.int64)
+        ck = k * np.int64(n_salt) + salt
+        return batch.append_column("__ck", pa.array(ck, pa.int64()))
+
+    def replicate_right(batch: pa.Table) -> pa.Table:
+        if batch.column(right_key).null_count:
+            raise ValueError(
+                "salted_join: null join keys are not supported "
+                "(filter them out or use hash_join)"
+            )
+        n = batch.num_rows
+        idx = np.repeat(np.arange(n, dtype=np.int64), n_salt)
+        rep = batch.take(pa.array(idx, pa.int64()))
+        k = np.asarray(rep.column(right_key).to_pylist(), dtype=np.int64)
+        salt = np.tile(np.arange(n_salt, dtype=np.int64), n)
+        ck = k * np.int64(n_salt) + salt
+        return rep.append_column("__ck", pa.array(ck, pa.int64()))
+
+    salted_l = left_ds.map_batches(salt_left, batch_format="pyarrow")
+    salted_r = right_ds.map_batches(replicate_right, batch_format="pyarrow")
+    return hash_join(
+        salted_l, salted_r, "__ck", "__ck",
+        left_cols, right_cols, how=how,
+        num_partitions=num_partitions, validate="many",
     )

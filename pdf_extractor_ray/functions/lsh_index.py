@@ -31,7 +31,7 @@ sets from a candidate-filtered pass over the batch → two hash joins
 attach both sets → vectorized exact-Jaccard verify.
 
 Recall contract: identical signature scheme and seed as
-:func:`~.dedup.minhash_lsh_verified` (recall 1.0 at the pinned seed/threshold is
+``minhash_lsh_candidates`` (recall 1.0 at the pinned seed/threshold is
 a per-pair property of the signatures, so it holds across the
 old/new split); verification is exact, so precision is exact.
 

@@ -103,6 +103,15 @@ def merge_item_lists(
     return merged
 
 
+def count_filled_fields(items: List[Dict[str, Any]]) -> int:
+    """G7 improvement metric: non-null merge-field count (reference
+    decides 'merge actually worked' by comparing this before/after,
+    extraction_service.py:299-316)."""
+    return sum(
+        1 for it in items for f in _MERGE_FIELDS if it.get(f) is not None
+    )
+
+
 # ------------------------------------------------------------- Ray wrapper
 def _row_to_item(row: Dict[str, Any]) -> Dict[str, Any]:
     item = {f: row.get(f) for f in _MERGE_FIELDS + _META_FIELDS if f in row}
@@ -165,11 +174,31 @@ def merge_tagged(tagged_ds, threshold: int = 3):
     """One item Dataset already carrying ``source`` ∈ {primary,
     secondary} → merged items Dataset.
 
-    Both sources should derive from the SAME upstream pipeline (e.g.
-    line-items vs table-items of one extraction run): tagging in a
-    single map_batches avoids executing the upstream plan twice (union
-    branches re-execute their whole lineage).
+    Prefer this over :func:`merge_sources` when both sources derive
+    from the SAME upstream pipeline (e.g. line-items vs table-items of
+    one extraction run): tagging in a single map_batches avoids
+    executing the upstream plan twice (union branches re-execute their
+    whole lineage).
     """
     return tagged_ds.groupby("url").map_groups(
         lambda g: _merge_group(g, threshold), batch_format="pyarrow"
     )
+
+
+def merge_sources(primary_ds, secondary_ds, threshold: int = 3):
+    """Two item Datasets (ITEMS_SCHEMA-like, keyed by url) → merged
+    items Dataset. Tags rows, unions, groups per url, merges in-group.
+    """
+
+    def tag(source: str):
+        def fn(batch: pa.Table) -> pa.Table:
+            return batch.append_column(
+                "source", pa.array([source] * batch.num_rows, pa.string())
+            )
+
+        return fn
+
+    both = primary_ds.map_batches(tag("primary"), batch_format="pyarrow").union(
+        secondary_ds.map_batches(tag("secondary"), batch_format="pyarrow")
+    )
+    return merge_tagged(both, threshold)

@@ -297,83 +297,3 @@ def rebalance_weighted(ds, group_col: str, key_col: str,
         .groupby(group_col)
         .map_groups(head, batch_format="pyarrow")
     )
-
-
-def temperature_mix(ds, group_col: str, key_col: str,
-                    alpha: float = 0.5, max_take: int = 1000):
-    """Temperature-smoothed mixture sampling (the multilingual-LM
-    exponent trick, mBERT/XLM: sample group g with probability
-    ∝ n_g^alpha so head languages stop drowning the tail).  The
-    LARGEST group contributes exactly ``max_take`` rows; every other
-    group contributes ``floor(max_take · (n_g/n_max)^alpha + 1e-9)``
-    rows, chosen by the deterministic ``(md5(key), key)`` order.
-
-    Float-parity by construction: the per-group target involves ONE
-    division and one correctly-rounded power of it — no float SUM over
-    groups whose order a SQL engine could permute — so the SQL twin
-    (``floor(max_take * round(pow(n/n_max, alpha), 9) + 1e-9)``)
-    computes bit-identical targets.  alpha=0.5 uses sqrt explicitly
-    (IEEE-exact in both engines); other alphas go through pow and are
-    oracle-checked empirically.
-
-    Plan: one count-only groupby (low-cardinality contract — group
-    counts fit on the driver), then per-group top-n: per-block trim to
-    the group's target, one group exchange, head.  Rows move once.
-    """
-    import math
-
-    import numpy as np
-
-    from .sample import stratified_sample  # noqa: F401 (same idiom)
-    import hashlib
-
-    counts = ds.groupby(group_col).count().take_all()
-    if not counts:
-        return ds.limit(0)
-    n_by_g = {r[group_col]: int(r["count()"]) for r in counts}
-    n_max = max(n_by_g.values())
-    targets = {}
-    for g, n in n_by_g.items():
-        ratio = n / n_max
-        w = math.sqrt(ratio) if alpha == 0.5 else ratio ** alpha
-        targets[g] = int(math.floor(max_take * round(w, 9) + 1e-9))
-    t_max = max(targets.values())
-
-    def add_rank(batch: pa.Table) -> pa.Table:
-        ranks = [
-            hashlib.md5(str(v).encode()).hexdigest()
-            for v in batch.column(key_col).to_pylist()
-        ]
-        return batch.append_column("__rank", pa.array(ranks, pa.string()))
-
-    def trim(batch: pa.Table) -> pa.Table:
-        # per-block partial: keep at most t_max rows per group (top-n is
-        # associative) so the exchange carries <= blocks x t_max per group
-        import numpy as np
-
-        g = np.asarray(batch.column(group_col).to_pylist())
-        r = np.asarray(batch.column("__rank").to_pylist())
-        k = np.asarray(batch.column(key_col).to_pylist())
-        order = np.lexsort((k, r, g))
-        sg = g[order]
-        run_start = np.concatenate([[True], sg[1:] != sg[:-1]])
-        run_idx = np.arange(len(sg)) - np.maximum.accumulate(
-            np.where(run_start, np.arange(len(sg)), 0)
-        )
-        return batch.take(pa.array(order[run_idx < t_max], pa.int64()))
-
-    def head(group: pa.Table) -> pa.Table:
-        import numpy as np
-
-        t = targets.get(group.column(group_col)[0].as_py(), 0)
-        r = np.asarray(group.column("__rank").to_pylist())
-        k = np.asarray(group.column(key_col).to_pylist())
-        order = np.lexsort((k, r))[:t]
-        return group.take(pa.array(order, pa.int64())).drop_columns(["__rank"])
-
-    return (
-        ds.map_batches(add_rank, batch_format="pyarrow")
-        .map_batches(trim, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(head, batch_format="pyarrow")
-    )

@@ -78,30 +78,3 @@ def test_pack_sequences_oversized_item_own_pack(ray_session):
     by_tot = {int(r.total_tokens): list(r.item_ids) for r in out.itertuples()}
     assert by_tot[500] == [1]
     assert sorted(by_tot[20]) == [2, 3]
-
-
-def test_pack_sequences_grouped_invariants(ray_session):
-    import pyarrow as pa
-    import ray.data
-
-    from pdf_extractor_ray.functions.chunk import pack_sequences_grouped
-
-    # doc A: tokens 100,100,100 -> packs [200],[100]; doc B: 300 alone
-    # (oversized allowed); doc C: 256 exactly, then 1 -> [256],[1]
-    t = pa.table({
-        "doc_id": [1, 1, 1, 2, 3, 3],
-        "chunk_id": [0, 1, 2, 0, 0, 1],
-        "n_tokens": [100, 100, 100, 300, 256, 1],
-    })
-    out = sorted(
-        (r["doc_id"], r["pack_seq"], r["n_items"], r["total_tokens"])
-        for r in pack_sequences_grouped(
-            ray.data.from_arrow(t), budget=256).take_all()
-    )
-    assert out == [
-        (1, 0, 2, 200), (1, 1, 1, 100),
-        (2, 0, 1, 300),
-        (3, 0, 1, 256), (3, 1, 1, 1),
-    ]
-    # every item in exactly one pack: n_items sums to the input rows
-    assert sum(r[2] for r in out) == t.num_rows

@@ -33,6 +33,38 @@ def test_exact_dedup_counts(ray_session, docs):
     assert df["count()"].sum() == docs.count()
 
 
+def test_minhash_matches_exact_jaccard(ray_session, docs):
+    """LSH candidates + verify must reproduce the exact all-pairs result
+    on the seeded near-dup corpus (all true pairs well above threshold)."""
+    import ray
+
+    from pdf_extractor_ray.functions.dedup import (
+        JaccardVerifyStage,
+        minhash_lsh_candidates,
+        ngram_jaccard_pairs,
+    )
+
+    exact = ngram_jaccard_pairs(docs, threshold=0.5).to_pandas()
+    texts = {
+        r["doc_id"]: r["text"]
+        for r in docs.select_columns(["doc_id", "text"]).take_all()
+    }
+    texts_ref = ray.put(texts)
+    lsh = (
+        minhash_lsh_candidates(docs)
+        .map_batches(
+            JaccardVerifyStage,
+            fn_constructor_kwargs={"texts_ref": texts_ref, "threshold": 0.5},
+            batch_format="pyarrow",
+            concurrency=(1, 2),
+        )
+        .to_pandas()
+    )
+    key = lambda df: sorted(zip(df["doc_a"], df["doc_b"]))  # noqa: E731
+    assert key(lsh) == key(exact)
+    assert len(exact) > 0  # the corpus really contains near-dups
+
+
 def test_simhash_deterministic(ray_session, docs):
     from pdf_extractor_ray.functions.dedup import simhash_dedup
 
@@ -141,20 +173,76 @@ def test_candidate_shingles_only_touch_candidate_docs(ray_session, docs):
     NOT the corpus: the shingle table has exactly one row per distinct
     candidate doc id — far fewer than corpus rows."""
     from pdf_extractor_ray.functions.dedup import (
-        MinHashBandStage,
-        bucket_collision_pairs,
         candidate_shingles,
+        minhash_lsh_candidates,
     )
 
-    bands = docs.map_batches(MinHashBandStage, batch_format="pyarrow",
-                             concurrency=1)
-    cands = bucket_collision_pairs(bands, max_bucket=4096).materialize()
+    cands = minhash_lsh_candidates(docs).materialize()
     pairs = cands.to_pandas()
     n_cand_docs = len(set(pairs["doc_a"]) | set(pairs["doc_b"]))
     sh = candidate_shingles(docs, cands).to_pandas()
     assert len(sh) == n_cand_docs
     assert n_cand_docs < docs.count()
     assert set(sh.columns) == {"doc_id", "shingles"}
+
+
+def test_top_ngrams_matches_counter(ray_session, docs):
+    from collections import Counter
+
+    from pdf_extractor_ray.functions.text import top_ngrams
+
+    got = top_ngrams(docs, n=2, k=10).to_pandas()
+    c = Counter()
+    for r in docs.select_columns(["text"]).take_all():
+        toks = (r["text"] or "").split()
+        for i in range(len(toks) - 1):
+            c[" ".join(toks[i : i + 2])] += 1
+    want = sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    assert list(zip(got["ngram"], got["n"])) == want
+
+
+def test_token_df_counts_docs_not_occurrences(ray_session):
+    import pyarrow as pa
+    import ray.data
+
+    from pdf_extractor_ray.functions.text import token_df
+
+    ds = ray.data.from_arrow(pa.table({
+        "text": pa.array(["a a a b", "a c", "c c d"], pa.string()),
+    }))
+    df = token_df(ds, k=10).to_pandas()
+    got = dict(zip(df["token"], df["df"]))
+    assert got == {"a": 2, "c": 2, "b": 1, "d": 1}
+
+
+def test_top_tokens_approx_agrees_with_exact(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.text import top_ngrams, top_tokens_approx
+
+    docs = ray.data.read_parquet(
+        "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
+    )
+    exact = top_ngrams(docs, n=1, k=10).to_pandas()
+    approx = top_tokens_approx(docs, k=10, per_block=1000).to_pandas()
+    # true heavy hitters survive bounded truncation with exact counts
+    assert list(approx["token"]) == list(exact["ngram"])
+    assert list(approx["n"]) == list(exact["n"])
+
+
+def test_top_tokens_approx_truncation_is_bounded(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.text import top_tokens_approx
+
+    # tiny per_block forces truncation; top-1 (the single dominant
+    # token) must still be found with its full count
+    docs = ray.data.from_arrow(__import__("pyarrow").table({
+        "text": ["dominant " * 50 + "rare%d unique%d" % (i, i) for i in range(40)],
+    }))
+    out = top_tokens_approx(docs, k=1, per_block=2).to_pandas()
+    assert out["token"].iloc[0] == "dominant"
+    assert out["n"].iloc[0] == 2000
 
 
 def test_latest_by_key_hot_key_partial(ray_session):
@@ -294,6 +382,115 @@ def test_compact_blocks_consolidates_small_and_keeps_rows(ray_session):
     assert sorted(m.to_pandas()["x"]) == [1, 2]
 
 
+def test_redact_pii_semantics():
+    from pdf_extractor_ray.functions.text import redact_pii
+
+    t = pa.table({
+        "doc_id": pa.array([1], pa.int64()),
+        "text": pa.array([
+            "mail a@b.com ssn 123-45-6789 call 555-123-4567 end"
+        ]),
+    })
+    out = redact_pii(t).to_pylist()[0]
+    assert out["n_email"] == 1 and out["n_ssn"] == 1 and out["n_phone"] == 1
+    import hashlib
+    expect = "mail [EMAIL] ssn [SSN] call [PHONE] end"
+    assert out["redacted_md5"] == hashlib.md5(expect.encode()).hexdigest()
+
+
+def test_normalize_text_semantics():
+    import hashlib
+
+    from pdf_extractor_ray.functions.text import normalize_text
+
+    t = pa.table({
+        "doc_id": pa.array([1], pa.int64()),
+        "text": pa.array(["  Hello\t WORLD \n twice  "]),
+    })
+    out = normalize_text(t).to_pylist()[0]
+    assert out["norm_md5"] == hashlib.md5(b"hello world twice").hexdigest()
+    assert out["n_chars_norm"] == len("hello world twice")
+
+
+def test_line_quality_stats_semantics():
+    from pdf_extractor_ray.functions.text import line_quality_stats
+
+    t = pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": pa.array([
+            "A good long sentence here.\nshort.\nno terminal punct at all\n"
+            'He said "stop right there!"',
+            "",
+        ]),
+    })
+    out = line_quality_stats(t).to_pylist()
+    # doc 1: 4 lines; kept = line 1 (ends '.', 5 words) only —
+    # 'short.' has 1 word, line 3 has no terminal punct, line 4 ends
+    # with a quote AFTER '!' so the quote class keeps it
+    assert out[0]["n_lines"] == 4 and out[0]["n_kept"] == 2
+    assert out[1]["n_lines"] == 1 and out[1]["n_kept"] == 0
+
+
+def test_ngram_overlap_vs_probes():
+    from pdf_extractor_ray.functions.text import ngram_overlap_vs_probes
+
+    t = pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": pa.array([
+            "leaked key agg row appears here",  # bigrams 'key agg','agg row'
+            "nothing shared at all",
+        ]),
+    })
+    out = ngram_overlap_vs_probes(
+        t, ("key agg row",), n=2
+    ).to_pylist()
+    assert out == [{"doc_id": 1, "n_shared_ngrams": 2}]
+
+
+def test_repetition_stats_semantics():
+    from pdf_extractor_ray.functions.text import repetition_stats
+
+    t = pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "text": pa.array([
+            # 4 lines, 'nav bar' twice -> 2 dup-free of 4? distinct=3
+            "nav bar\nreal content line\nnav bar\nfooter",
+            "only one line",
+            # all lines identical: distinct=1 of 3
+            "x\nx\nx",
+        ]),
+    })
+    out = repetition_stats(t).to_pylist()
+    d1, d2, d3 = out
+    assert d1["n_lines"] == 4
+    assert d1["dup_line_frac"] == round(1 - 3 / 4, 6)
+    # chars: nav bar(7)*2 + real content line(17) + footer(6) = 37 total,
+    # distinct chars = 7+17+6 = 30
+    assert d1["dup_line_char_frac"] == round(1 - 30 / 37, 6)
+    assert d2["dup_line_frac"] == 0.0 and d2["n_lines"] == 1
+    assert d3["dup_line_frac"] == round(1 - 1 / 3, 6)
+    assert d3["dup_line_char_frac"] == round(1 - 1 / 3, 6)
+
+
+def test_classifier_score_monotone_and_bounded():
+    from pdf_extractor_ray.functions.text import (
+        add_classifier_score,
+        add_text_features,
+    )
+
+    t = pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": pa.array([
+            "the cat sat on the mat and it is a fine day in the sun",
+            "$$$ ### !!! @@@ %%% ^^^ &&& *** ((( )))",
+        ]),
+    })
+    out = add_classifier_score(add_text_features(t)).to_pylist()
+    assert all(0.0 < r["classifier_score"] < 1.0 for r in out)
+    # stopword-rich prose must outscore pure punctuation
+    assert out[0]["classifier_score"] > out[1]["classifier_score"]
+
+
 def test_logreg_train_deterministic_and_learns(ray_session):
     import numpy as np
     import pyarrow as pa
@@ -360,6 +557,28 @@ def test_ann_topk_distributed_merge_parity(ray_session, sf_dir):
         assert res == expect, f"nblocks={nblocks}"
 
 
+def test_dsir_fit_merge_level_parity(ray_session):
+    """fit_feature_counts with a tiny merge fan-in equals fan-in 64 and a
+    direct per-doc count (the tree-merge is a pure re-association)."""
+    import ray.data
+
+    from pdf_extractor_ray.functions.dsir import (
+        _gram_bucket_idx,
+        fit_feature_counts,
+    )
+
+    texts = [f"doc {i} body words alpha beta gamma {i * 7}" for i in range(40)]
+    expect = np.zeros(64, dtype=np.float64)
+    for t in texts:
+        idx = _gram_bucket_idx(t, 4, 64)
+        expect += np.bincount(idx, minlength=64)
+
+    ds = ray.data.from_items([{"text": t} for t in texts]).repartition(10)
+    for fanin in (2, 64):
+        got = fit_feature_counts(ds, k=4, n_buckets=64, merge_fanin=fanin)
+        assert np.array_equal(got, expect), f"fanin={fanin}"
+
+
 def test_logreg_local_gate_bitidentical_to_distributed(ray_session):
     """The size-gated local GD path must produce BIT-identical weights
     to the distributed quantized-gradient fold (int64 sums are
@@ -380,3 +599,170 @@ def test_logreg_local_gate_bitidentical_to_distributed(ray_session):
         lr=1.0, iters=12, local_max_rows=0,  # force the distributed path
     )
     assert np.array_equal(w_local, w_dist)
+
+
+def test_winsorize_by_clips_to_group_band(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.agg import winsorize_by
+
+    vals = list(range(1, 101))  # p5=5, p95=95 under quantile_disc
+    t = pa.table({
+        "id": pa.array(range(100), pa.int64()),
+        "g": pa.array(["x"] * 100, pa.string()),
+        "v": pa.array(vals, pa.int64()),
+    })
+    out = winsorize_by(
+        ray.data.from_arrow(t).repartition(4), "g", "v", "id"
+    ).to_pandas().sort_values("id")
+    assert out["v_w"].min() == 5 and out["v_w"].max() == 95
+    assert (out["v_w"][(out["v_w"] > 5) & (out["v_w"] < 95)]
+            == out.loc[(out["v_w"] > 5) & (out["v_w"] < 95), "v_w"]).all()
+    assert len(out) == 100
+
+
+def test_nfc_normalize_composes(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.text import nfc_normalize
+
+    ds = ray.data.from_items([
+        {"doc_id": 0, "text": "café olé"},
+        {"doc_id": 1, "text": "plain ascii"},
+    ])
+    out = {r["doc_id"]: r for r in nfc_normalize(ds).take_all()}
+    assert out[0]["text_nfc"] == "café olé" and out[0]["changed"]
+    assert out[1]["text_nfc"] == "plain ascii" and not out[1]["changed"]
+
+
+def test_cdc_chunks_reassemble_and_shift_tolerance(ray_session):
+    """Chunks partition the text exactly; an insertion reshuffles only
+    the chunks around the edit point (content-defined boundaries)."""
+    import hashlib
+
+    import numpy as np
+    import ray.data
+
+    from pdf_extractor_ray.functions.fingerprint import cdc_chunks
+
+    rng = np.random.default_rng(11)
+    letters = "abcdefghijklmnopqrstuvwxyz "
+    base = "".join(letters[i] for i in rng.integers(0, 27, 3000))
+    edited = base[:1500] + "INSERTED-SPAN " + base[1500:]
+    docs = [
+        {"doc_id": 1, "text": base},
+        {"doc_id": 2, "text": edited},
+        {"doc_id": 3, "text": "tiny"},          # shorter than window
+        {"doc_id": 4, "text": ""},               # no rows
+    ]
+    ds = ray.data.from_items(docs)
+    rows = cdc_chunks(ds, window=16, modulus=64).take_all()
+    by_doc = {}
+    for r in rows:
+        by_doc.setdefault(r["doc_id"], []).append(r)
+    for d in by_doc.values():
+        d.sort(key=lambda r: r["chunk_idx"])
+    # exact partition of the text, md5s match substrings
+    for doc in docs[:3]:
+        t = doc["text"]
+        ch = by_doc[doc["doc_id"]]
+        assert ch[0]["start"] == 1
+        assert sum(r["chunk_len"] for r in ch) == len(t)
+        pos = 0
+        for r in ch:
+            s, e = pos, pos + r["chunk_len"]
+            assert r["start"] == s + 1
+            assert r["chunk_md5"] == hashlib.md5(
+                t[s:e].encode()).hexdigest()
+            pos = e
+    assert 4 not in by_doc
+    assert len(by_doc[3]) == 1  # short doc = one whole-text chunk
+    # insertion tolerance: the two versions share most chunk hashes
+    h1 = {r["chunk_md5"] for r in by_doc[1]}
+    h2 = {r["chunk_md5"] for r in by_doc[2]}
+    assert len(h1) > 10
+    shared = len(h1 & h2) / len(h1)
+    assert shared > 0.7, f"only {shared:.0%} chunks survived the edit"
+
+
+def test_cdc_dedup_stats_counts(ray_session):
+    """Duplicate docs dedup to one copy's bytes; ratio is exact."""
+    import ray.data
+
+    from pdf_extractor_ray.functions.fingerprint import cdc_dedup_stats
+
+    text = ("the quick brown fox jumps over the lazy dog " * 20).strip()
+    ds = ray.data.from_items([
+        {"doc_id": 1, "text": text},
+        {"doc_id": 2, "text": text},
+    ])
+    row = cdc_dedup_stats(ds, window=16, modulus=64).take_all()[0]
+    assert row["total_bytes"] == 2 * len(text)
+    # identical docs -> identical chunk streams -> half the bytes (or
+    # less, if the repeated sentence dedups within one doc too)
+    assert row["unique_bytes"] <= len(text)
+    assert row["n_unique"] <= row["n_chunks"] // 2
+    assert 0 < row["dedup_ratio"] <= 0.5
+
+
+def test_jl_project_distance_preservation(ray_session, sf_dir):
+    """Deterministic output; pairwise distances roughly preserved
+    (the JL property) for the ±1/sqrt(k) sign projection."""
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from pdf_extractor_ray.functions.similarity import jl_project
+
+    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
+                                columns=["vec_id", "embedding"])
+    rows = jl_project(emb, out_dims=8, dims=64).take_all()
+    by_vec = {}
+    for r in rows:
+        by_vec.setdefault(r["vec_id"], [0.0] * 8)[r["dim"] - 1] = r["proj"]
+    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
+    ids = t.column("vec_id").to_pylist()
+    X = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
+    Y = np.asarray([by_vec[i] for i in ids])
+    assert Y.shape == (len(ids), 8)
+    # squared-norm preservation in expectation: mean ratio near 1
+    nx = (X ** 2).sum(axis=1)
+    ny = (Y ** 2).sum(axis=1)
+    ratio = ny.mean() / nx.mean()
+    assert 0.7 < ratio < 1.3, ratio
+    # determinism: second run identical
+    rows2 = jl_project(emb, out_dims=8, dims=64).take_all()
+    assert sorted(map(tuple, (r.values() for r in rows2))) == \
+        sorted(map(tuple, (r.values() for r in rows)))
+
+
+def test_jl_wide_long_parity(ray_session, sf_dir):
+    """The wide (float) and long (quantized) JL paths agree within
+    quantization error; query projection matches the dataset path."""
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from pdf_extractor_ray.functions.similarity import (
+        jl_project,
+        jl_project_vectors,
+        jl_query_vectors,
+    )
+
+    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
+                                columns=["vec_id", "embedding"])
+    wide = {r["vec_id"]: np.asarray(r["embedding"])
+            for r in jl_project_vectors(emb, out_dims=8).take_all()}
+    long = {}
+    for r in jl_project(emb, out_dims=8).take_all():
+        long.setdefault(r["vec_id"], [0.0] * 8)[r["dim"] - 1] = r["proj"]
+    # long path quantizes inputs at 1e-4: worst-case error is
+    # 64 components x 5e-5 / sqrt(8) ~ 1.1e-3
+    for vid, w in wide.items():
+        assert np.allclose(w, long[vid], atol=1.5e-3)
+    t = pq.read_table(f"{sf_dir}/embeddings.parquet")
+    X = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
+    qp = jl_query_vectors(X[:3], out_dims=8)
+    ids3 = t.column("vec_id").to_pylist()[:3]
+    for row, vid in zip(qp, ids3):
+        assert np.allclose(row, wide[vid], atol=1e-12)

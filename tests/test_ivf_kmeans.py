@@ -1,14 +1,59 @@
-"""Exact distributed top-k and MMR re-ranking."""
+"""Distributed k-means IVF: determinism and recall vs the exact baseline."""
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 
 
-def test_ann_topk_neighbours_share_cluster(ray_session):
+def _emb_ds(n=400, dim=16, seed=11):
     import ray.data
 
-    from pdf_extractor_ray.functions.similarity import ann_topk
+    rng = np.random.RandomState(seed)
+    # clustered data so IVF recall is meaningful
+    centers = rng.randn(8, dim) * 3
+    vecs = centers[rng.randint(0, 8, n)] + rng.randn(n, dim) * 0.3
+    t = pa.table(
+        {
+            "vec_id": pa.array(range(n), pa.int64()),
+            "embedding": pa.array([list(map(float, v)) for v in vecs],
+                                  pa.list_(pa.float64())),
+        }
+    )
+    return ray.data.from_arrow(t), vecs
+
+
+def test_kmeans_deterministic(ray_session):
+    from pdf_extractor_ray.functions.similarity import kmeans_fit
+
+    ds, _ = _emb_ds()
+    c1 = kmeans_fit(ds, k=8, iters=3)
+    c2 = kmeans_fit(ds, k=8, iters=3)
+    assert np.array_equal(c1, c2)
+    # centroids are unit-norm (spherical k-means)
+    np.testing.assert_allclose(np.linalg.norm(c1, axis=1), 1.0, rtol=1e-9)
+
+
+def test_ivf_kmeans_recall_vs_exact(ray_session):
+    from pdf_extractor_ray.functions.similarity import ann_topk, ivf_kmeans_topk
+
+    ds, vecs = _emb_ds()
+    queries = vecs[:3]
+    exact = ann_topk(ds, queries, k=10, query_ids=[0, 1, 2]).to_pandas()
+    approx = ivf_kmeans_topk(
+        ds, queries, k=10, n_clusters=8, nprobe=3, query_ids=[0, 1, 2]
+    ).to_pandas()
+    recalls = []
+    for qid in (0, 1, 2):
+        want = set(exact[exact.query_id == qid]["vec_id"])
+        got = set(approx[approx.query_id == qid]["vec_id"])
+        recalls.append(len(want & got) / len(want))
+    assert np.mean(recalls) >= 0.8  # nprobe=3/8 on clustered data
+
+
+def test_pq_topk_recall_vs_exact(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.similarity import ann_topk, pq_topk
 
     rng = np.random.RandomState(7)
     # 8 loose clusters in 32-d so PQ subspaces carry real signal
@@ -22,13 +67,41 @@ def test_ann_topk_neighbours_share_cluster(ray_session):
     })).repartition(4)
     q = vecs[:3] + 0.01
 
-    # every exact neighbour of a query comes from its own cluster
+    # PQ codes can't micro-rank INSIDE a tight cluster (same-cluster
+    # points share codes) — the meaningful guarantee is that every
+    # retrieved neighbor comes from the query's ground-truth cluster,
+    # and that the exact top-k is itself all same-cluster (so PQ and
+    # exact agree at the cluster level).
     exact_rows = ann_topk(ds, q, k=10).to_pylist()
-    assert len(exact_rows) == 30
+    approx_rows = pq_topk(ds, q, k=10, m=8, ksub=16).to_pylist()
+    assert len(approx_rows) == 30
     exact_prec = sum(
         1 for r in exact_rows if r["vec_id"] % 8 == r["query_id"] % 8
     ) / len(exact_rows)
+    approx_prec = sum(
+        1 for r in approx_rows if r["vec_id"] % 8 == r["query_id"] % 8
+    ) / len(approx_rows)
     assert exact_prec == 1.0
+    assert approx_prec >= 0.9, approx_prec
+
+
+def test_pq_encode_deterministic_and_compact(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.similarity import pq_encode, pq_fit
+
+    rng = np.random.RandomState(3)
+    vecs = rng.randn(64, 16)
+    ds = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(64), pa.int64()),
+        "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32())),
+    }))
+    books = pq_fit(ds, m=4, ksub=8, sample_size=64)
+    assert books.shape == (4, 8, 4)
+    a = {r["vec_id"]: r["pq_code"] for r in pq_encode(ds, books).take_all()}
+    b = {r["vec_id"]: r["pq_code"] for r in pq_encode(ds, books).take_all()}
+    assert a == b
+    assert all(len(c) == 4 and all(0 <= x < 8 for x in c) for c in a.values())
 
 
 def test_mmr_rerank_reference_parity_and_determinism():

@@ -1,9 +1,12 @@
-"""Property-based join tests: hash/semi/anti joins vs a direct
+"""Property-based join tests: hash/semi/anti/asof joins vs a direct
 row-by-row SQL-semantics oracle on random keyed tables (nulls,
 duplicate keys, skewed key spaces)."""
 from __future__ import annotations
 
+import datetime
+
 import pyarrow as pa
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -45,13 +48,9 @@ def _ds(t):
 
 
 def _pdf(ds):
-    """``to_pandas`` that keeps the columns of an empty result: Ray's
-    returns a column-less frame when the dataset has no rows."""
-    df = ds.to_pandas()
-    if df.shape[1] == 0 and ds.schema() is not None:
-        sch = ds.schema()
-        return pa.schema(zip(sch.names, sch.types)).empty_table().to_pandas()
-    return df
+    from pdf_extractor_ray.functions.joins import to_pandas_typed
+
+    return to_pandas_typed(ds)
 
 
 @_SETTINGS
@@ -125,6 +124,52 @@ def test_semi_anti_join_matches_sql_semantics(ray_session, left, right, how):
     else:
         want = [(lk, lv) for lk, lv in left if lk is None or lk not in rkeys]
     assert got_set == sorted(want, key=lambda t: (t[0] is not None, t[0] or 0, t[1]))
+
+
+TS = st.integers(min_value=0, max_value=50)
+
+
+@_SETTINGS
+@given(
+    left=st.lists(st.tuples(st.integers(0, 3), TS), min_size=0, max_size=10),
+    right=st.lists(st.tuples(st.integers(0, 3), TS, st.integers(0, 9)),
+                   min_size=0, max_size=10),
+)
+def test_asof_join_matches_direct_oracle(ray_session, left, right):
+    """For every left (key, ts): the right row with the same key,
+    max right_ts ≤ ts, ties by max tiebreak; left-outer."""
+    from pdf_extractor_ray.functions.joins import asof_join
+
+    def us(v):
+        return datetime.datetime(2024, 1, 1) + datetime.timedelta(seconds=v)
+
+    lt = pa.table(
+        {
+            "k": pa.array([k for k, _ in left], pa.int64()),
+            "ts": pa.array([us(t) for _, t in left], pa.timestamp("us")),
+            "lid": pa.array(list(range(len(left))), pa.int64()),
+        }
+    )
+    rt = pa.table(
+        {
+            "k": pa.array([k for k, _, _ in right], pa.int64()),
+            "rts": pa.array([us(t) for _, t, _ in right], pa.timestamp("us")),
+            "rid": pa.array([tb for _, _, tb in right], pa.int64()),
+        }
+    )
+    got = _pdf(asof_join(
+        _ds(lt), _ds(rt), key="k", left_ts="ts", right_ts="rts",
+        right_tiebreak="rid", left_cols=["lid"], right_cols=["rid"],
+    ))
+    got_map = {
+        int(l): (None if r != r else int(r))
+        for l, r in zip(got["lid"], got["rid"])
+    }
+    assert len(got) == len(left)
+    for lid, (k, ts) in enumerate(left):
+        cands = [(t, tb) for rk, t, tb in right if rk == k and t <= ts]
+        want = max(cands)[1] if cands else None
+        assert got_map[lid] == want, (lid, k, ts, cands)
 
 
 @_SETTINGS

@@ -1,12 +1,13 @@
 
 
-def test_hash_join_hot_key_cross_product(ray_session):
-    """hash_join(validate='many') on a pathologically hot key emits the
-    full per-key cross product."""
+def test_salted_join_equals_plain_join(ray_session):
+    """salted_join must produce EXACTLY hash_join(validate='many')'s
+    rows — the salt changes partition layout only — including on a
+    pathologically hot key."""
     import pyarrow as pa
     import ray.data
 
-    from pdf_extractor_ray.functions.joins import hash_join
+    from pdf_extractor_ray.functions.joins import hash_join, salted_join
 
     # one hot key (1) with 60 left rows x 3 right rows, plus normal keys
     lk = [1] * 60 + [2, 3, 4] * 5
@@ -19,12 +20,34 @@ def test_hash_join_hot_key_cross_product(ray_session):
         "rk": pa.array(rk, pa.int64()),
         "rv": pa.array([f"r{i}" for i in range(len(rk))], pa.string()),
     })
-    out = hash_join(
+    plain = hash_join(
         ray.data.from_arrow(left).repartition(4),
         ray.data.from_arrow(right), "k", "rk",
         ["k", "lv"], ["rv"], how="inner", validate="many",
     ).to_pandas()
-    assert len(out) == 60 * 3 + 5 + 5  # hot cross product + k=2,4 matches
-    hot = out[out["k"] == 1]
-    assert sorted(set(map(tuple, hot[["lv", "rv"]].itertuples(index=False)))) == [
-        (lv, rv) for lv in range(60) for rv in ("r0", "r1", "r2")]
+    salted = salted_join(
+        ray.data.from_arrow(left).repartition(4),
+        ray.data.from_arrow(right), "k", "rk",
+        ["k", "lv"], ["rv"], how="inner", n_salt=4,
+    ).to_pandas()
+    key = lambda df: sorted(map(tuple, df[["k", "lv", "rv"]].itertuples(index=False)))
+    assert key(plain) == key(salted)
+    assert len(salted) == 60 * 3 + 5 + 5  # hot cross product + k=2,4 matches
+
+
+def test_salted_join_left_outer(ray_session):
+    import pyarrow as pa
+    import ray.data
+
+    from pdf_extractor_ray.functions.joins import salted_join
+
+    left = pa.table({"k": pa.array([1, 2], pa.int64()),
+                     "lv": pa.array([10, 20], pa.int64())})
+    right = pa.table({"rk": pa.array([1], pa.int64()),
+                      "rv": pa.array(["x"], pa.string())})
+    out = salted_join(
+        ray.data.from_arrow(left), ray.data.from_arrow(right),
+        "k", "rk", ["k", "lv"], ["rv"], how="left", n_salt=4,
+    ).to_pandas().sort_values("k").reset_index(drop=True)
+    assert len(out) == 2
+    assert out.loc[0, "rv"] == "x" and out.loc[1, "rv"] is None or out.loc[1, "rv"] != out.loc[1, "rv"]

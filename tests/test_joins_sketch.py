@@ -1,11 +1,83 @@
-"""Hash join, key bucketing and count-min sketch: parity with exact
-references."""
+"""As-of join and HLL sketch: parity with exact references."""
 from __future__ import annotations
+
+import datetime as dt
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+
+
+def _ts(day):
+    return dt.datetime(2024, 1, day)
+
+
+def test_asof_join_semantics(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.joins import asof_join
+
+    left = ray.data.from_arrow(pa.table({
+        "user_id": pa.array([1, 1, 2, 3], pa.int64()),
+        "ts": pa.array([_ts(5), _ts(1), _ts(9), _ts(2)], pa.timestamp("us")),
+        "event_id": pa.array([10, 11, 12, 13], pa.int64()),
+    }))
+    right = ray.data.from_arrow(pa.table({
+        "o_custkey": pa.array([1, 1, 1, 2], pa.int64()),
+        "o_orderdate": pa.array([_ts(1), _ts(4), _ts(4), _ts(20)], pa.timestamp("us")),
+        "o_orderkey": pa.array([100, 101, 102, 103], pa.int64()),
+    }))
+
+    # harmonize key name: rename right key to user_id
+    def rn(b: pa.Table) -> pa.Table:
+        return b.rename_columns(["user_id", "o_orderdate", "o_orderkey"])
+
+    df = (
+        asof_join(
+            left, right.map_batches(rn, batch_format="pyarrow"),
+            key="user_id", left_ts="ts", right_ts="o_orderdate",
+            right_tiebreak="o_orderkey",
+            left_cols=["event_id", "user_id", "ts"],
+            right_cols=["o_orderkey"],
+        )
+        .to_pandas()
+        .sort_values("event_id")
+        .reset_index(drop=True)
+    )
+    by_event = dict(zip(df["event_id"], df["o_orderkey"]))
+    assert by_event[10] == 102  # ts day5: latest ≤ is day4; tie → max orderkey
+    assert by_event[11] == 100  # ts day1: exact-day match allowed
+    assert pd.isna(by_event[12])  # user 2's only order is later (day20)
+    assert pd.isna(by_event[13])  # user 3 has no orders
+    assert len(df) == 4
+
+
+def test_hll_accuracy(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sketch import approx_distinct
+
+    rng = np.random.RandomState(3)
+    vals = rng.randint(0, 50_000, size=200_000).astype(np.int64)
+    exact = len(np.unique(vals))
+    ds = ray.data.from_arrow(pa.table({"v": pa.array(vals, pa.int64())}))
+    est = approx_distinct(ds, "v", p=12)
+    assert abs(est - exact) / exact < 0.05  # p=12 → ~1.6% typical error
+
+
+def test_hll_merge_associativity():
+    from pdf_extractor_ray.functions.sketch import _estimate, _hash64, _registers
+
+    a = np.arange(0, 5000, dtype=np.int64)
+    b = np.arange(2500, 8000, dtype=np.int64)
+    ra = _registers(_hash64(a), 12)
+    rb = _registers(_hash64(b), 12)
+    merged = np.maximum(ra, rb)
+    whole = _registers(_hash64(np.arange(0, 8000, dtype=np.int64)), 12)
+    assert np.array_equal(merged, whole)  # merge == sketch of union
+    est = _estimate(merged, 12)
+    assert abs(est - 8000) / 8000 < 0.05
 
 
 # ------------------------------------------------------------------ hash join
@@ -90,6 +162,71 @@ def test_hash_join_matches_duckdb(ray_session):
     pd.testing.assert_frame_equal(mine, ref, check_dtype=False)
 
 
+def test_asof_join_string_key(ray_session):
+    """String keys (url) must work — the corpus key at web scale."""
+    import ray.data
+
+    from pdf_extractor_ray.functions.joins import asof_join
+
+    left = ray.data.from_arrow(pa.table({
+        "url": pa.array(["a.com", "b.com"], pa.string()),
+        "ts": pa.array([_ts(5), _ts(2)], pa.timestamp("us")),
+        "event_id": pa.array([1, 2], pa.int64()),
+    }))
+    right = ray.data.from_arrow(pa.table({
+        "url": pa.array(["a.com", "a.com", "b.com"], pa.string()),
+        "crawl_ts": pa.array([_ts(1), _ts(4), _ts(9)], pa.timestamp("us")),
+        "crawl_id": pa.array([100, 101, 102], pa.int64()),
+    }))
+    df = asof_join(
+        left, right, key="url", left_ts="ts", right_ts="crawl_ts",
+        right_tiebreak="crawl_id",
+        left_cols=["event_id", "url"], right_cols=["crawl_id"],
+    ).to_pandas().sort_values("event_id").reset_index(drop=True)
+    assert df["crawl_id"].tolist()[0] == 101  # latest crawl ≤ ts(5)
+    assert pd.isna(df["crawl_id"].tolist()[1])  # no crawl ≤ ts(2)
+
+
+def test_approx_distinct_by_accuracy(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sketch import approx_distinct_by
+
+    rng = np.random.default_rng(3)
+    n = 20_000
+    types = np.array(["a", "b", "c"])[rng.integers(0, 3, n)]
+    # distinct user pools of very different sizes per type
+    users = np.where(
+        types == "a", rng.integers(0, 5000, n),
+        np.where(types == "b", rng.integers(0, 400, n), rng.integers(0, 37, n)),
+    )
+    ds = ray.data.from_arrow(pa.table({
+        "event_type": pa.array(types.tolist()),
+        "user_id": pa.array(users.tolist(), pa.int64()),
+    }))
+    out = approx_distinct_by(ds, "event_type", "user_id", p=12).to_pandas()
+    exact = {
+        t: len(set(users[types == t].tolist())) for t in ("a", "b", "c")
+    }
+    for _, row in out.iterrows():
+        e = exact[row["event_type"]]
+        assert abs(row["approx_distinct"] - e) / e < 0.05, (row["event_type"], e)
+
+
+def test_approx_distinct_by_high_card_group_raises(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sketch import approx_distinct_by
+
+    n = 3000
+    ds = ray.data.from_arrow(pa.table({
+        "g": pa.array([f"g{i}" for i in range(n)]),
+        "v": pa.array(list(range(n)), pa.int64()),
+    })).repartition(1)
+    with pytest.raises(Exception):
+        approx_distinct_by(ds, "g", "v").to_pandas()
+
+
 def test_hash_join_many_to_many_matches_duckdb(ray_session):
     import duckdb
     import ray.data
@@ -129,6 +266,77 @@ def test_hash_join_validate_rejects_unknown():
 
     with pytest.raises(ValueError):
         hash_join(None, None, "k", "k", ["k"], [], validate="nope")
+
+
+def test_bloom_no_false_negatives_and_fp_bound(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sketch import (
+        bloom_build,
+        bloom_contains,
+        bloom_prefilter,
+    )
+
+    rng = np.random.default_rng(9)
+    members = rng.choice(10_000_000, size=5000, replace=False).astype(np.int64)
+    ds = ray.data.from_arrow(pa.table({"k": pa.array(members.tolist(), pa.int64())}))
+    bloom = bloom_build(ds, "k", n_bits=1 << 18, k=4)
+    # zero false negatives
+    assert bloom_contains(bloom, members, 1 << 18, 4).all()
+    # false-positive rate near theory: (1-e^(-kn/m))^k ≈ 0.24% here
+    non = rng.choice(10_000_000, size=20_000, replace=False)
+    non = non[~np.isin(non, members)].astype(np.int64)
+    fp = bloom_contains(bloom, non, 1 << 18, 4).mean()
+    assert fp < 0.02, fp
+    # prefilter keeps every member row
+    kept = bloom_prefilter(ds, "k", bloom, n_bits=1 << 18).to_pandas()
+    assert len(kept) == len(members)
+
+
+def test_approx_quantiles_error_bound(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sketch import approx_quantiles
+
+    rng = np.random.default_rng(13)
+    vals = np.concatenate([
+        rng.normal(100, 20, 20_000),
+        rng.exponential(50, 5_000),  # skewed tail
+    ])
+    ds = ray.data.from_arrow(pa.table({"value": pa.array(vals.tolist())}))
+    out = approx_quantiles(ds, "value", qs=(0.1, 0.5, 0.9, 0.99)).to_pandas()
+    bound = (vals.max() - vals.min()) / 4096
+    for _, row in out.iterrows():
+        exact = np.quantile(vals, row["q"])
+        assert abs(row["value"] - exact) <= bound * 2, (row["q"], row["value"], exact)
+
+
+def test_approx_quantiles_constant_column(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sketch import approx_quantiles
+
+    ds = ray.data.from_arrow(pa.table({"value": pa.array([7.0] * 100)}))
+    out = approx_quantiles(ds, "value").to_pandas()
+    assert (out["value"] == 7.0).all()
+
+
+def test_approx_distinct_by_null_group(ray_session):
+    """Null group keys form their own group (SQL GROUP BY semantics)
+    instead of crashing the partial's sort."""
+    import ray.data
+
+    from pdf_extractor_ray.functions.sketch import approx_distinct_by
+
+    ds = ray.data.from_arrow(pa.table({
+        "g": pa.array(["a", None, "a", None, "b"]),
+        "v": pa.array([1, 2, 3, 2, 9], pa.int64()),
+    }))
+    out = approx_distinct_by(ds, "g", "v", p=12).to_pandas()
+    got = {(
+        None if g is None or (isinstance(g, float) and g != g) else g
+    ): n for g, n in zip(out["g"], out["approx_distinct"])}
+    assert got == {"a": 2, None: 1, "b": 1}
 
 
 def test_string_key_bucketing_vectorized_stable_and_uniform():
@@ -198,12 +406,19 @@ def test_sketch_tree_merge_many_blocks(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from pdf_extractor_ray.functions.sketch import cms_build, cms_estimate
+    from pdf_extractor_ray.functions.sketch import (
+        bloom_build,
+        bloom_contains,
+        cms_build,
+        cms_estimate,
+    )
 
     keys = np.arange(2000, dtype=np.int64)
     ds = ray.data.from_arrow(
         pa.table({"k": pa.array(keys, pa.int64())})
     ).repartition(100)  # > max_driver_blobs=64 → tree level engages
+    bloom = bloom_build(ds, "k", n_bits=1 << 16)
+    assert bloom_contains(bloom, keys, 1 << 16).all()
     cms = cms_build(ds, "k", width=1 << 14)
     est = cms_estimate(cms, keys[:50])
     assert (est >= 1).all() and est.max() <= 3

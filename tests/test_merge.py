@@ -1,10 +1,14 @@
-"""Enrich-merge (J1-J3) semantics: scoring, coalescing, anti-join add."""
+"""Enrich-merge (J1-J3) semantics: scoring, coalescing, anti-join add,
+and the distributed groupby(url).map_groups wrapper."""
 from __future__ import annotations
+
+import pyarrow as pa
 
 from pdf_extractor_ray.functions.merge import (
     match_score,
     merge_item_fields,
     merge_item_lists,
+    merge_sources,
 )
 
 
@@ -56,3 +60,46 @@ def test_merge_each_secondary_used_once():
     out = merge_item_lists(prim, sec)
     assert out[0]["model_number"] == "P-1"
     assert out[1].get("model_number") is None  # secondary consumed by first
+
+
+def test_merge_improvement_metric():
+    from pdf_extractor_ray.functions.merge import count_filled_fields
+
+    prim = [{"fixture_type": "Valve Package", "page_number": 1}]
+    sec = [{"fixture_type": "Valve Package", "model_number": "VP-1", "page_number": 1}]
+    before = count_filled_fields(prim)
+    after = count_filled_fields(merge_item_lists(prim, sec))
+    assert after > before  # the merge filled model_number
+
+
+def _items_ds(rows):
+    import ray.data
+
+    t = pa.Table.from_pylist(rows)
+    return ray.data.from_arrow(t)
+
+
+def test_merge_sources_distributed(ray_session):
+    prim = _items_ds(
+        [
+            {"url": "u1", "fixture_type": "Valve Package", "model_number": None,
+             "page_number": 1, "line_number": 1},
+            {"url": "u2", "fixture_type": "Cooling Tower", "model_number": None,
+             "page_number": 1, "line_number": 1},
+        ]
+    )
+    sec = _items_ds(
+        [
+            {"url": "u1", "fixture_type": "Valve Package", "model_number": "VP-1",
+             "page_number": 1, "line_number": None},
+            {"url": "u3", "fixture_type": "Boiler", "model_number": "B-2",
+             "page_number": 1, "line_number": None},
+        ]
+    )
+    df = merge_sources(prim, sec).to_pandas()
+    u1 = df[df.url == "u1"]
+    assert len(u1) == 1 and u1.iloc[0]["model_number"] == "VP-1"
+    u2 = df[df.url == "u2"]
+    assert len(u2) == 1 and u2.iloc[0]["model_number"] is None
+    u3 = df[df.url == "u3"]  # secondary-only doc survives via anti-join add
+    assert len(u3) == 1 and u3.iloc[0]["model_number"] == "B-2"

@@ -303,6 +303,23 @@ def test_extract_links_annots():
     assert extract_links(b"not a pdf") == []
 
 
+def test_outlink_stage_reads_pdf_annots(ray_session):
+    import pyarrow as pa
+
+    from pdf_extractor_ray.fixtures.pdf_build import PdfPage, build_pdf
+    from pdf_extractor_ray.functions.url import OutlinkStage
+
+    pdf = build_pdf([PdfPage(texts=[(72.0, 720.0, 12.0, "t")],
+                             links=["https://t/a", "/rel"])])
+    batch = pa.table({
+        "url": pa.array(["https://src/doc.pdf"], pa.string()),
+        "html": pa.array([pdf], pa.large_binary()),
+    })
+    out = OutlinkStage()(batch)
+    assert out.column("dst_url").to_pylist() == [
+        "https://t/a", "https://src/rel"]  # relative URIs resolve
+
+
 def test_extract_outline_order_and_encryption():
     from pdf_extractor_ray.codecs.pdf_codec import extract_outline
     from pdf_extractor_ray.fixtures.pdf_build import PdfPage, build_pdf

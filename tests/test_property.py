@@ -169,6 +169,32 @@ def test_html_n_words_every_unicode_separator():
     assert len(mixed.split()) == len(words)
 
 
+# ------------------------------------------------------------------ round 2
+@settings(max_examples=60, deadline=None)
+@given(
+    st.text(alphabet="abcdef gh", min_size=60, max_size=200),
+    st.text(alphabet="qrstuv wx", min_size=10, max_size=60),
+    st.text(alphabet="klmnop yz", min_size=10, max_size=60),
+)
+def test_winnowing_shared_substring_guarantee(shared, pre, post):
+    """Any shared substring of length >= w + k - 1 yields >= 1 shared
+    fingerprint (Schleimer et al. 2003, Theorem 1) — for every input."""
+    import numpy as np
+
+    from pdf_extractor_ray.functions.fingerprint import winnow_fingerprints
+
+    k, w = 8, 16
+    # normalization collapses whitespace; require the NORMALIZED shared
+    # run to clear the guarantee length
+    import re
+    norm = re.sub(r"\s+", " ", shared.lower().strip())
+    if len(norm) < w + k - 1:
+        return
+    fa = winnow_fingerprints(pre + " " + shared + " " + post, k, w)
+    fb = winnow_fingerprints(post + " " + shared + " " + pre, k, w)
+    assert len(np.intersect1d(fa, fb)) >= 1
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     st.lists(st.integers(0, 30), min_size=0, max_size=40),

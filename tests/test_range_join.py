@@ -141,57 +141,6 @@ def test_broadcast_range_join_bands(ray_session):
                              hi_col="hi", band_cols=["band"])
 
 
-def test_interval_overlap_join_basic(ray_session):
-    import ray.data
-
-    from pdf_extractor_ray.functions.joins import interval_overlap_join
-
-    def mk(rows, idc):
-        return ray.data.from_arrow(pa.table({
-            "k": pa.array([r[0] for r in rows], pa.int64()),
-            idc: pa.array([r[1] for r in rows], pa.int64()),
-            "lo": pa.array([float(r[2]) for r in rows], pa.float64()),
-            "hi": pa.array([float(r[3]) for r in rows], pa.float64()),
-        }))
-
-    left = mk([(1, 10, 0, 5), (1, 11, 10, 12), (2, 20, 0, 100)], "lid")
-    right = mk([(1, 90, 4, 6), (1, 91, 5, 7), (1, 92, 11, 13),
-                (2, 93, 99, 101), (3, 94, 0, 1)], "rid")
-    out = interval_overlap_join(
-        left, right, key="k",
-        left_lo="lo", left_hi="hi", right_lo="lo", right_hi="hi",
-        left_cols=["k", "lid"], right_cols=["rid"], max_width=10,
-    ).to_pandas()
-    got = sorted(map(tuple, out[["k", "lid", "rid"]].itertuples(index=False)))
-    # half-open: [0,5) meets [4,6) but NOT [5,7); [10,12) meets [11,13)
-    assert got == [(1, 10, 90), (1, 11, 92), (2, 20, 93)]
-
-
-def test_interval_overlap_join_width_contract(ray_session):
-    import ray.data
-
-    import pytest as _pytest
-
-    from pdf_extractor_ray.functions.joins import interval_overlap_join
-
-    def mk(rows, idc):
-        return ray.data.from_arrow(pa.table({
-            "k": pa.array([r[0] for r in rows], pa.int64()),
-            idc: pa.array([r[1] for r in rows], pa.int64()),
-            "lo": pa.array([float(r[2]) for r in rows], pa.float64()),
-            "hi": pa.array([float(r[3]) for r in rows], pa.float64()),
-        }))
-
-    left = mk([(1, 1, 0, 5)], "lid")
-    right = mk([(1, 2, 0, 50)], "rid")  # width 50 > max_width 10
-    with _pytest.raises(Exception, match="wider than max_width"):
-        interval_overlap_join(
-            left, right, key="k", left_lo="lo", left_hi="hi",
-            right_lo="lo", right_hi="hi",
-            left_cols=["lid"], right_cols=["rid"], max_width=10,
-        ).to_pandas()
-
-
 def test_asof_forward_with_tolerance(ray_session):
     import datetime as dt
 

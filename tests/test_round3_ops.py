@@ -1,9 +1,100 @@
-"""Inverted index, bigram cross-entropy, template clusters and the
-SimHash band layout."""
+"""Round-3 tranche: Markov transitions, rolling distinct users (via the
+query composition), containment near-dup."""
 from __future__ import annotations
+
+import datetime as dt
 
 import numpy as np
 import pyarrow as pa
+
+
+def _ts(day, hour=0):
+    return dt.datetime(2024, 1, day, hour)
+
+
+def test_transition_counts_orders_by_ts_then_tiebreak(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.window import transition_counts
+
+    ds = ray.data.from_arrow(pa.table({
+        "event_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        "user_id": pa.array([7, 7, 7, 8, 8], pa.int64()),
+        # user 7: ts tie between events 2 and 3 → tiebreak by event_id
+        "ts": pa.array(
+            [_ts(1), _ts(2), _ts(2), _ts(1), _ts(2)], pa.timestamp("us")
+        ),
+        "event_type": pa.array(
+            ["view", "click", "purchase", "view", "view"], pa.string()
+        ),
+    }))
+    out = transition_counts(
+        ds, key="user_id", ts_col="ts", val_col="event_type",
+        tiebreak="event_id",
+    ).to_pandas()
+    got = {
+        (r.prev_type, r.cur_type): int(r.n) for r in out.itertuples()
+    }
+    assert got == {
+        ("view", "click"): 1,
+        ("click", "purchase"): 1,
+        ("view", "view"): 1,
+    }
+
+
+def test_containment_pairs_detects_quote_inclusion(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.dedup import containment_pairs
+
+    short = "alpha beta gamma delta epsilon"
+    long = short + " zeta eta theta iota kappa " + "filler " * 30
+    other = "one two three four five six seven eight nine ten"
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "text": pa.array([short, long, other], pa.string()),
+    }))
+    out = containment_pairs(ds, threshold=0.9, k=3).to_pandas()
+    got = {(int(r.src_doc), int(r.dst_doc)): r.containment
+           for r in out.itertuples()}
+    # every trigram of `short` appears in `long` → containment(1→2)=1.0;
+    # reverse direction is well below 0.9; doc 3 shares nothing
+    assert got.get((1, 2)) == 1.0
+    assert (2, 1) not in got and (3, 1) not in got and (1, 3) not in got
+
+
+def test_containment_pairs_exact_counts_vs_python(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.dedup import containment_pairs
+
+    rng = np.random.RandomState(7)
+    vocab = [f"w{i}" for i in range(40)]
+    texts = [
+        " ".join(rng.choice(vocab, size=30)) for _ in range(12)
+    ]
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(range(12), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+    }))
+    out = containment_pairs(ds, threshold=0.2, k=3).to_pandas()
+    got = {(int(r.src_doc), int(r.dst_doc)): round(r.containment, 6)
+           for r in out.itertuples()}
+
+    def grams(t):
+        toks = t.split()
+        return {" ".join(toks[i:i + 3]) for i in range(len(toks) - 2)}
+
+    want = {}
+    gs = [grams(t) for t in texts]
+    for a in range(12):
+        for b in range(12):
+            if a == b or not gs[a]:
+                continue
+            c = len(gs[a] & gs[b]) / len(gs[a])
+            if c >= 0.2:
+                want[(a, b)] = round(c, 6)
+    assert got == want
 
 
 def test_inverted_index_build(ray_session):

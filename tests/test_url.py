@@ -1,38 +1,107 @@
-"""Anchor-text index over page links."""
-from __future__ import annotations
-
+"""URL component parsing + normalization (functions/url.py)."""
 import pyarrow as pa
 
+from pdf_extractor_ray.functions.url import normalize_urls, parse_urls
 
-def test_anchor_text_stage_captures_inner_text(ray_session):
+
+def _parse_one(url):
+    t = parse_urls(pa.table({"url": [url]}))
+    return {c: t.column(c)[0].as_py() for c in t.column_names if c != "url"}
+
+
+def test_parse_full_url():
+    p = _parse_one("https://www.example.com/a/b/c?q=1&r=2#frag")
+    assert p["scheme"] == "https"
+    assert p["host"] == "www.example.com"
+    assert p["reg_domain"] == "example.com"
+    assert p["tld"] == "com"
+    assert p["path"] == "/a/b/c"
+    assert p["query"] == "q=1&r=2"
+    assert p["path_depth"] == 3
+
+
+def test_parse_port_and_bare_host():
+    p = _parse_one("http://h.org:8080/x")
+    assert (p["host"], p["path"]) == ("h.org", "/x")
+    bare = _parse_one("ftp://files.example.net")
+    assert bare["path"] == "" and bare["path_depth"] == 0
+    assert bare["reg_domain"] == "example.net"
+
+
+def test_parse_single_label_host_has_no_reg_domain():
+    p = _parse_one("http://localhost/x")
+    assert p["host"] == "localhost"
+    assert p["reg_domain"] == ""  # needs two labels
+    assert p["tld"] == ""  # needs a dot
+
+
+def test_parse_non_url_and_null_yield_empty_components():
+    t = parse_urls(pa.table({"url": ["not a url", None]}))
+    assert t.column("host").to_pylist() == ["", ""]
+    assert t.column("path_depth").to_pylist() == [0, 0]
+
+
+def test_normalize_default_port_case_slash_fragment():
+    t = normalize_urls(
+        pa.table(
+            {
+                "url": [
+                    "https://WWW.Example.COM:443/a",  # default port + case
+                    "http://h.org:80",  # default port + no path
+                    "https://h.org:8443/p",  # NON-default port kept
+                    "https://h.org/p?x=1#frag",  # fragment dropped
+                    "plain text",  # pass-through
+                ]
+            }
+        )
+    )
+    assert t.column("url_norm").to_pylist() == [
+        "https://www.example.com/a",
+        "http://h.org/",
+        "https://h.org:8443/p",
+        "https://h.org/p?x=1",
+        "plain text",
+    ]
+
+
+def test_normalize_idempotent():
+    urls = pa.table({"url": ["https://A.B.com:443/x?q=1#f", "http://h.io"]})
+    once = normalize_urls(urls).column("url_norm")
+    twice = normalize_urls(
+        pa.table({"url": once}), url_col="url"
+    ).column("url_norm")
+    assert once.to_pylist() == twice.to_pylist()
+
+
+def test_host_blocklist_filter_drops_denied_hosts(ray_session):
     import ray.data
 
-    from pdf_extractor_ray.functions.url import AnchorTextStage, anchor_text_index
+    from pdf_extractor_ray.functions.url import host_blocklist_filter
 
-    html = (
-        b"<html><body>"
-        b"<a href='/about'>About <b>Us</b>\n now</a>"
-        b"<a href='/about'>About Us now</a>"          # same (dst, anchor): dedup
-        b"<a href='/about'>Other text</a>"            # same dst, new anchor
-        b"<a href='#x'>skip</a>"
-        b"</body></html>"
-    )
-    batch = pa.table({
-        "url": pa.array(["https://e.org/p"] * 1, pa.string()),
-        "html": pa.array([html], pa.large_binary()),
-    })
-    out = AnchorTextStage()(batch)
-    got = set(zip(out["dst_url"].to_pylist(), out["anchor"].to_pylist()))
-    assert got == {
-        ("https://e.org/about", "About Us now"),
-        ("https://e.org/about", "Other text"),
-    }
-
-    ds = ray.data.from_arrow(pa.table({
-        "url": pa.array(["https://e.org/1", "https://e.org/2"], pa.string()),
-        "html": pa.array([html, html], pa.large_binary()),
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "url": pa.array([
+            "https://good.example.com/a",
+            "https://Bad.example.com/b",      # case-insensitive match
+            "http://bad.example.com:8080/c",  # port excluded from host
+            "not a url",                      # unparseable → kept
+        ]),
     }))
-    agg = {(r["dst_url"], r["anchor"]): r["n_refs"]
-           for r in anchor_text_index(ds).take_all()}
-    assert agg[("https://e.org/about", "About Us now")] == 2
-    assert agg[("https://e.org/about", "Other text")] == 2
+    out = host_blocklist_filter(
+        docs, ["bad.example.com"]
+    ).to_pandas().sort_values("doc_id")
+    assert list(out["doc_id"]) == [1, 4]
+
+
+def test_host_blocklist_filter_keep_cols(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.url import host_blocklist_filter
+
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([1], pa.int64()),
+        "url": pa.array(["https://ok.org/x"]),
+        "extra": pa.array(["z"]),
+    }))
+    out = host_blocklist_filter(docs, ["nope.com"], keep_cols=["doc_id"])
+    assert out.to_pandas().columns.tolist() == ["doc_id"]

@@ -211,54 +211,6 @@ def test_semantic_dedup_max_cluster_guard(ray_session):
         semantic_dedup(ds, n_clusters=2, max_cluster=5).to_pandas()
 
 
-def test_edit_distance_pairs_exact_recall(ray_session):
-    import itertools
-
-    import ray
-    import ray.data
-
-    from pdf_extractor_ray.functions.text import (
-        _within_edit1,
-        edit_distance_pairs,
-    )
-
-    vals = [
-        "kitten", "kittens", "mitten", "kitte",   # cluster around kitten
-        "sitting", "sittin",                        # ins/del pair
-        "apple", "appel",                           # distance 2 (no pair)
-        "zebra",                                    # singleton
-        "a", "b",                                   # 1-char substitution
-    ]
-    ds = ray.data.from_arrow(pa.table({"s": pa.array(vals * 3, pa.string())}))
-    got = {
-        (r["val_a"], r["val_b"]): r["dist"]
-        for r in edit_distance_pairs(ds, col="s").take_all()
-    }
-    # exhaustive truth over distinct values
-    def lev(a, b):
-        import numpy as np
-        dp = np.arange(len(b) + 1)
-        for i, ca in enumerate(a, 1):
-            prev = dp.copy()
-            dp[0] = i
-            for j, cb in enumerate(b, 1):
-                dp[j] = min(prev[j] + 1, dp[j - 1] + 1,
-                            prev[j - 1] + (ca != cb))
-        return int(dp[-1])
-
-    want = {}
-    for a, b in itertools.combinations(sorted(set(vals)), 2):
-        d = lev(a, b)
-        if d <= 1:
-            want[(a, b)] = d
-    assert got == want          # recall AND precision exact
-    assert ("apple", "appel") not in got
-
-    # the capped checker agrees with full DP on the ≤1 boundary
-    for a, b in itertools.combinations(sorted(set(vals)), 2):
-        assert (_within_edit1(a, b) <= 1) == (lev(a, b) <= 1)
-
-
 def test_weighted_sample_properties(ray_session):
     import ray
     import ray.data
@@ -306,66 +258,6 @@ def test_string_agg_by_order_and_count(ray_session):
     # user 1 order: (1/1, 11)=a, (1/2, 9)=c, (1/2, 10)=b
     assert out["path"].tolist() == ["a>c>b", "z"]
     assert out["n"].tolist() == [3, 1]
-
-
-def _np_pagerank(edges, d=0.85, iters=20):
-    import numpy as np
-    src = np.asarray([a for a, b in edges], dtype=np.int64)
-    dst = np.asarray([b for a, b in edges], dtype=np.int64)
-    nodes = np.unique(np.concatenate([src, dst]))
-    n = len(nodes)
-    si = np.searchsorted(nodes, src)
-    di = np.searchsorted(nodes, dst)
-    outdeg = np.bincount(si, minlength=n).astype(float)
-    rank = np.full(n, 1.0 / n)
-    for _ in range(iters):
-        contrib = np.zeros(n)
-        np.add.at(contrib, di, rank[si] / outdeg[si])
-        dangling = rank[outdeg == 0].sum()
-        rank = (1 - d) / n + d * (contrib + dangling / n)
-    return dict(zip(nodes.tolist(), rank.tolist()))
-
-
-def test_pagerank_local_matches_reference_and_sums_to_one(ray_session):
-    import random
-
-    import ray
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import pagerank
-
-    rng = random.Random(11)
-    edges = sorted({(rng.randrange(60), rng.randrange(60)) for _ in range(250)})
-    edges = [(a, b) for a, b in edges if a != b]
-    ds = ray.data.from_items([{"src": a, "dst": b} for a, b in edges])
-    got = {r["node"]: r["rank"] for r in pagerank(ds).take_all()}
-    want = _np_pagerank(edges)
-    assert set(got) == set(want)
-    for k in want:
-        assert abs(got[k] - want[k]) < 1e-12
-    assert abs(sum(got.values()) - 1.0) < 1e-9
-
-
-def test_pagerank_distributed_matches_local(ray_session):
-    import random
-
-    import ray
-    import ray.data
-
-    from pdf_extractor_ray.functions.graph import pagerank
-
-    rng = random.Random(13)
-    edges = sorted({(rng.randrange(40), rng.randrange(40)) for _ in range(120)})
-    edges = [(a, b) for a, b in edges if a != b]
-    ds = ray.data.from_items([{"src": a, "dst": b} for a, b in edges])
-    local = {r["node"]: r["rank"] for r in pagerank(ds, iters=6).take_all()}
-    dist = {
-        r["node"]: r["rank"]
-        for r in pagerank(ds, iters=6, local_max_edges=0).take_all()
-    }
-    assert set(local) == set(dist)
-    for k in local:
-        assert abs(local[k] - dist[k]) < 1e-9
 
 
 def test_extract_outlinks_resolves_and_dedups(ray_session):
@@ -478,30 +370,6 @@ def test_range_frame_agg_peer_semantics(ray_session):
     assert out.loc[5, "trailing_n"] == 1 and out.loc[5, "trailing_sum"] == 5.0
     # other key unaffected
     assert out.loc[6, "trailing_n"] == 1 and out.loc[6, "trailing_sum"] == 7.0
-
-
-def test_grouped_linreg_known_line(ray_session):
-    """Points generated on y = 3x + 2 (exact) plus a zero-variance-x
-    group and a singleton group → slope/intercept recovered exactly,
-    NULLs where SQL's regr_slope is NULL."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouped_linreg
-
-    xs = [1.0, 2.0, 3.0, 4.0]
-    ds = ray.data.from_arrow(pa.table({
-        "g": pa.array(["line"] * 4 + ["flatx"] * 3 + ["one"], pa.string()),
-        "x": pa.array(xs + [5.0, 5.0, 5.0] + [9.0], pa.float64()),
-        "y": pa.array([3 * v + 2 for v in xs] + [1.0, 2.0, 3.0] + [4.0],
-                      pa.float64()),
-    }))
-    out = grouped_linreg(ds, key="g", xcol="x", ycol="y").to_pandas()
-    out = out.set_index("g")
-    assert out.loc["line", "slope"] == 3.0
-    assert out.loc["line", "intercept"] == 2.0
-    assert out.loc["line", "regr_count"] == 4
-    assert np.isnan(out.loc["flatx", "slope"])   # zero x-variance
-    assert np.isnan(out.loc["one", "slope"])     # n < 2
 
 
 def test_locf_fill_semantics(ray_session):
@@ -621,63 +489,3 @@ def test_anchor_text_stage_captures_inner_text(ray_session):
            for r in anchor_text_index(ds).take_all()}
     assert agg[("https://e.org/about", "About Us now")] == 2
     assert agg[("https://e.org/about", "Other text")] == 2
-
-
-def test_grouped_spearman_vs_local_reference(ray_session):
-    """Spearman with mid-rank ties must match a local average-rank
-    Pearson computation; a perfectly monotonic group scores 1.0."""
-    import numpy as np
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouped_spearman
-
-    def avg_ranks(v):
-        v = np.asarray(v, dtype=np.float64)
-        order = np.argsort(v, kind="stable")
-        r = np.empty(len(v))
-        sv = v[order]
-        i = 0
-        pos = 1
-        while i < len(sv):
-            j = i
-            while j < len(sv) and sv[j] == sv[i]:
-                j += 1
-            r[order[i:j]] = (pos + (pos + (j - i) - 1)) / 2.0
-            pos += j - i
-            i = j
-        return r
-
-    rng = np.random.default_rng(3)
-    rows = []
-    xs = rng.integers(0, 50, 200) / 4.0  # plenty of ties after cents
-    ys = rng.integers(0, 24, 200)
-    for x, y in zip(xs, ys):
-        rows.append({"g": "a", "x": float(x), "y": int(y)})
-    for i in range(40):  # monotonic group
-        rows.append({"g": "b", "x": float(i), "y": i * 2})
-    ds = ray.data.from_items(rows)
-    got = {r["g"]: r for r in grouped_spearman(
-        ds, key="g", xcol="x", ycol="y", x_scale=100, y_scale=1
-    ).take_all()}
-
-    rx, ry = avg_ranks(np.round(xs * 100)), avg_ranks(ys)
-    expect = np.corrcoef(rx, ry)[0, 1]
-    assert abs(got["a"]["spearman"] - expect) < 2e-6
-    assert got["a"]["n"] == 200
-    assert got["b"]["spearman"] == 1.0
-
-
-def test_grouped_spearman_degenerate(ray_session):
-    """Constant column -> NULL; n=1 group -> NULL."""
-    import ray.data
-
-    from pdf_extractor_ray.functions.agg import grouped_spearman
-
-    rows = [{"g": "c", "x": 5.0, "y": i} for i in range(10)]
-    rows.append({"g": "d", "x": 1.0, "y": 1})
-    ds = ray.data.from_items(rows)
-    got = {r["g"]: r for r in grouped_spearman(
-        ds, key="g", xcol="x", ycol="y"
-    ).take_all()}
-    assert got["c"]["spearman"] is None
-    assert got["d"]["spearman"] is None

@@ -1,8 +1,15 @@
-"""Semi/anti join and grouped top-k."""
+"""Semi/anti join, lag-gap window, grouped top-k, hash sampling."""
 from __future__ import annotations
+
+import datetime as dt
+import hashlib
 
 import pyarrow as pa
 import pytest
+
+
+def _ts(day, hour=0):
+    return dt.datetime(2024, 1, day, hour)
 
 
 def _cust(ray):
@@ -56,6 +63,31 @@ def test_semi_anti_join_bad_how():
         semi_anti_join(None, None, "k", "k", ["k"], how="full")
 
 
+def test_lag_gap_stats(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.window import lag_gap_stats
+
+    ds = ray.data.from_arrow(pa.table({
+        "user_id": pa.array([1, 1, 1, 2, 3], pa.int64()),
+        "ts": pa.array(
+            [_ts(3), _ts(1), _ts(2), _ts(5), _ts(9)], pa.timestamp("us")
+        ),
+        "event_id": pa.array([10, 11, 12, 13, 14], pa.int64()),
+    }))
+    out = (
+        lag_gap_stats(ds, key="user_id", ts_col="ts", tiebreak="event_id")
+        .to_pandas().set_index("user_id")
+    )
+    day_us = 86_400 * 1_000_000
+    # user 1: events sorted day1,2,3 → gaps [1d, 1d]
+    assert out.loc[1, "n_gaps"] == 2
+    assert out.loc[1, "sum_gap_us"] == 2 * day_us
+    assert out.loc[1, "max_gap_us"] == day_us
+    # single-event users produce no row (LAG is null)
+    assert 2 not in out.index and 3 not in out.index
+
+
 def test_topk_per_group_rank_and_ties(ray_session):
     import ray.data
 
@@ -75,6 +107,55 @@ def test_topk_per_group_rank_and_ties(ray_session):
     assert list(out[out["g"] == 1]["rk"]) == [1, 2]
     # group 2 has fewer than k rows — all kept
     assert list(out[out["g"] == 2]["id"]) == [7]
+
+
+def test_hash_sample_deterministic_and_matches_md5(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sample import hash_sample
+
+    ids = list(range(1000))
+    ds = ray.data.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    kept = sorted(hash_sample(ds, "doc_id", keep=2).to_pandas()["doc_id"])
+    expect = [
+        i for i in ids
+        if hashlib.md5(str(i).encode()).hexdigest()[0] in ("0", "1")
+    ]
+    assert kept == expect
+    # ~1/8 rate, deterministic re-run identical
+    assert 60 < len(kept) < 190
+    kept2 = sorted(hash_sample(ds, "doc_id", keep=2).to_pandas()["doc_id"])
+    assert kept == kept2
+
+
+def test_hash_sample_validates():
+    from pdf_extractor_ray.functions.sample import hash_sample
+
+    with pytest.raises(ValueError):
+        hash_sample(None, "x", keep=0)
+    with pytest.raises(ValueError):
+        hash_sample(None, "x", keep=4, out_of=8)
+
+
+def test_stratified_sample_balanced_and_deterministic(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sample import stratified_sample
+
+    ds = ray.data.from_arrow(pa.table({
+        "g": pa.array(["a"] * 50 + ["b"] * 3, pa.string()),
+        "id": pa.array(list(range(53)), pa.int64()),
+    }))
+    out = stratified_sample(ds, "g", "id", n_per_group=5).to_pandas()
+    assert len(out[out["g"] == "a"]) == 5
+    # groups smaller than n keep all rows
+    assert sorted(out[out["g"] == "b"]["id"]) == [50, 51, 52]
+    # deterministic: exact md5-order expectation for group a
+    expect = sorted(range(50),
+                    key=lambda i: (hashlib.md5(str(i).encode()).hexdigest(), i))[:5]
+    assert sorted(out[out["g"] == "a"]["id"]) == sorted(expect)
+    # rank helper column is dropped
+    assert set(out.columns) == {"g", "id"}
 
 
 def test_semi_anti_join_string_keys(ray_session):
@@ -112,3 +193,109 @@ def test_topk_per_group_partial_matches_across_blocks(ray_session):
     out = topk_per_group(ds, "g", "score", "id", k=5).to_pandas()
     want_ids = np.argsort(-scores)[:5]
     assert list(out.sort_values("rk")["id"]) == list(want_ids)
+
+
+def test_fixed_sample_exact_n_and_deterministic(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.sample import fixed_sample
+
+    ids = list(range(500))
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(ids, pa.int64()),
+    })).repartition(8)
+    got = sorted(fixed_sample(ds, "doc_id", n=20).to_pandas()["doc_id"])
+    expect = sorted(sorted(
+        ids, key=lambda i: (hashlib.md5(str(i).encode()).hexdigest(), i)
+    )[:20])
+    assert got == expect
+    # n larger than the corpus: everything survives
+    allr = fixed_sample(ds, "doc_id", n=1000).to_pandas()
+    assert sorted(allr["doc_id"]) == ids
+    assert "__rank" not in allr.columns
+
+
+def test_ntile_sql_semantics(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.window import ntile_in_group
+
+    # group size 10 with n=4 → tile sizes 3,3,2,2 (first c%n get c//n+1)
+    ds = ray.data.from_arrow(pa.table({
+        "g": pa.array([1] * 10 + [2] * 3, pa.int64()),
+        "v": pa.array(list(range(10)) + [5, 1, 9], pa.int64()),
+    })).repartition(4)
+    out = ntile_in_group(ds, "g", ["v"], n=4).to_pandas()
+    g1 = out[out.g == 1].sort_values("v")
+    assert list(g1["tile"]) == [1, 1, 1, 2, 2, 2, 3, 3, 4, 4]
+    # group smaller than n: one row per tile in order
+    g2 = out[out.g == 2].sort_values("v")
+    assert list(g2["tile"]) == [1, 2, 3]
+
+
+def test_dense_rank_ties_and_multicol(ray_session):
+    import ray.data
+
+    from pdf_extractor_ray.functions.window import dense_rank_in_group
+
+    ds = ray.data.from_arrow(pa.table({
+        "g": pa.array([1] * 6, pa.int64()),
+        "a": pa.array([10, 10, 10, 20, 20, 30], pa.int64()),
+        "b": pa.array([1, 1, 2, 1, 1, 1], pa.int64()),
+        "id": pa.array(list(range(6)), pa.int64()),
+    })).repartition(3)
+    out = dense_rank_in_group(ds, "g", ["a", "b"]).to_pandas()
+    out = out.sort_values("id")
+    # distinct (a,b) in order: (10,1)=1 (10,2)=2 (20,1)=3 (30,1)=4
+    assert list(out["drank"]) == [1, 1, 2, 3, 3, 4]
+
+
+def test_train_shuffle_deterministic_and_clustered(ray_session):
+    import numpy as np
+    import ray.data
+
+    from pdf_extractor_ray.functions.sample import shard_assign, train_shuffle
+
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(list(range(400)), pa.int64()),
+    }))
+    out = train_shuffle(docs, key_col="doc_id", n_shards=8, seed="s1")
+    df = out.to_pandas()
+    assert df.shape[0] == 400
+    # every shard populated, no shard hogging (md5 is uniform)
+    counts = df["shard"].value_counts()
+    assert len(counts) == 8 and counts.max() < 3 * counts.min()
+    # in-shard rows are ordered by pos (shard-clustered blocks)
+    for s, g in df.groupby("shard"):
+        assert (np.diff(g["pos"].to_numpy()) >= 0).all()
+    # reproducible: second run gives the identical permutation
+    df2 = train_shuffle(docs, key_col="doc_id", n_shards=8, seed="s1").to_pandas()
+    assert df.sort_values("doc_id").reset_index(drop=True).equals(
+        df2.sort_values("doc_id").reset_index(drop=True))
+    # seed rotation re-permutes (epochs): assignments must differ
+    df3 = shard_assign(docs, key_col="doc_id", n_shards=8, seed="s2").to_pandas()
+    merged = df.merge(df3, on="doc_id", suffixes=("_1", "_2"))
+    assert (merged["shard_1"] != merged["shard_2"]).mean() > 0.5
+
+
+def test_repeat_rows_expansion_and_loud_cap(ray_session):
+    import pytest as _pytest
+    import ray.data
+    import ray.exceptions
+
+    from pdf_extractor_ray.functions.sample import repeat_rows
+
+    ds = ray.data.from_arrow(pa.table({
+        "id": pa.array([1, 2, 3, 4], pa.int64()),
+        "k": pa.array([0, 1, 3, 2], pa.int64()),
+    }))
+    df = repeat_rows(ds, times_col="k").to_pandas()
+    got = sorted(zip(df["id"], df["copy_idx"]))
+    assert got == [(2, 0), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1)]
+    bad = ray.data.from_arrow(pa.table({
+        "id": pa.array([1], pa.int64()),
+        "k": pa.array([10_000], pa.int64()),
+    }))
+    with _pytest.raises((ray.exceptions.RayTaskError, ValueError),
+                        match="max_repeat"):
+        repeat_rows(bad, times_col="k").take_all()

@@ -29,6 +29,14 @@ Every search for a closing delimiter remembers where it failed ("no
 such as ``"<!--" * n`` stays linear.  The differential tests in
 ``tests/`` check all three consumers against the stdlib parser.
 
+For the block builder the same regex first tries a whole block: a block
+tag's start tag, content of text and inert tags only, and a block tag's
+end tag, all with lower-case names, taken as one BLOCK event.  When its
+content is words parted by single spaces the match already holds the
+block's text; anything else (anchors, cells, other tags, comments, raw
+text, charrefs split by a tag, upper-case names) goes token by token as
+before.
+
 Model
 -----
 The document is segmented into flat text *blocks* at block-level tag
@@ -40,7 +48,7 @@ boundaries.  Each block carries:
   (``nav/aside/header/footer``) or the ``head``
 
 Classification (deterministic, order-independent per block, plus one
-context pass):
+context pass; rules 1, 2 and 4-6 are decided when a block is cut):
 
 1. blocks inside boilerplate containers / head are never content
 2. ``link_density = link_chars / chars``; blocks with
@@ -91,6 +99,20 @@ _BLOCK_TAGS = frozenset(
 _VOID_BLOCK_TAGS = frozenset({"br", "hr"})
 _HEADINGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
 
+# what each tag the block builder reacts to does; every other tag is inert
+_IGNORED, _ANCHOR, _BOILER, _ROW, _CELL, _BLOCK, _VOID_BLOCK, _TABLE = range(1, 9)
+_ROLES = {
+    **dict.fromkeys(_IGNORED_SUBTREES, _IGNORED),
+    "a": _ANCHOR,
+    **dict.fromkeys(_BOILER_CONTAINERS, _BOILER),
+    "tr": _ROW,
+    "td": _CELL,
+    "th": _CELL,
+    **dict.fromkeys(_BLOCK_TAGS, _BLOCK),
+    **dict.fromkeys(_VOID_BLOCK_TAGS, _VOID_BLOCK),
+    "table": _TABLE,
+}
+
 
 # legal/disclaimer vocabulary — reference exclusion idea
 _LEGAL_RE = re.compile(
@@ -122,27 +144,58 @@ def _may_be_legal(text: str) -> bool:
 
 
 # ---------------------------------------------------------------- tokenizer
-TEXT, START, END, STARTEND = 0, 1, 2, 3
+TEXT, START, END, STARTEND, BLOCK = 0, 1, 2, 3, 4
 _CDATA_ELEMENTS = ("script", "style")
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-# Fast path.  Alternatives: (1) text run; (2, 3) a start tag whose
+# Fast path.  Alternatives: (6) text run; (7, 8) a start tag whose
 # attributes are whitespace-separated and whose parse the stdlib can only
 # end at this '>' — every part is possessive, so a match is the greedy
 # parse the stdlib makes, and no part crosses a '<' outside a quoted
-# value; (4) an end tag the stdlib's ``endtagfind`` accepts; (5) a '<'
+# value; (9) an end tag the stdlib's ``endtagfind`` accepts; (10) a '<'
 # that opens nothing; the bare '<' is everything else (slow path).
 _ATTR = (
     r"""[^\s/>="'<][^\s/=><]*+"""
     r"""(?:\s*+=+\s*+(?:'[^']*+'|"[^"]*+"|(?!['"])[^>\s<]*+))?"""
 )
-_FAST_RE = re.compile(
-    r"([^<]+)"
-    r"|<([a-zA-Z][^\t\n\r\f />\x00<]*+)(?:\s++(?>" + _ATTR + r"))*+\s*+(/?)>"
+_ATTRS = r"(?:\s++(?>" + _ATTR + r"))*+\s*+"  # up to a start tag's "/>" or ">"
+_TOKEN_ALTS = (
+    r"|([^<]+)"
+    r"|<([a-zA-Z][^\t\n\r\f />\x00<]*+)" + _ATTRS + r"(/?)>"
     r"|</\s*+([a-zA-Z][-.a-zA-Z0-9:_]*+)\s*+>"
     r"|(<)(?![a-zA-Z/!?])"
     r"|<"
 )
+
+
+# Block path, tried before the tokens: (1) blank text, (2) the start tag
+# of a block tag, then its content and an end tag of a block tag.  The
+# content is fast-path tokens only: text runs, '<'s that open nothing and
+# inert tags, whose names have no role.  Either (3) it is blank space
+# around (4) words parted by single spaces, or (5) anything of that kind.
+# Every tag name here is lower-case ASCII, so it is its own ``lower()``;
+# other names go token by token.  A match is exactly the tokens the fast
+# path yields from that span, where every tag but the first and the last
+# is inert.
+_BLOCK_NAMES = "|".join(sorted((t for t, r in _ROLES.items() if r == _BLOCK),
+                               key=len, reverse=True))
+_ROLE_NAMES = "|".join(sorted(_ROLES, key=len, reverse=True))
+# every character str.split() splits at, but the space
+_OTHER_SPACES = (r"\t\n\x0b\x0c\r\x1c-\x1f\x85\xa0\u1680\u2000-\u200a"
+                 r"\u2028\u2029\u202f\u205f\u3000")
+_INERT_TAG = (
+    r"<(?!(?:" + _ROLE_NAMES + r")[\t\n\r\f />])[a-z][-.a-z0-9:_]*+" + _ATTRS + r"/?>"
+    r"|</\s*+(?!(?:" + _ROLE_NAMES + r")[\s>])[a-z][-.a-z0-9:_]*+\s*+>"
+)
+_BLOCK_RE = re.compile(
+    r"(\s*+)<(" + _BLOCK_NAMES + r")(?=[\t\n\r\f >])" + _ATTRS + r">"
+    r"(?:(\s*+([^<&" + _OTHER_SPACES + r"]*+)\s*+)"
+    r"|([^<]*+(?:(?:" + _INERT_TAG + r"|<(?![a-zA-Z/!?]))[^<]*+)*+))"
+    r"</\s*+(?:" + _BLOCK_NAMES + r")\s*+>"
+    + _TOKEN_ALTS
+)
+# the same groups, with a block alternative that never matches
+_FAST_RE = re.compile(r"(?!)()()()()()" + _TOKEN_ALTS)
 
 # The standard library parser's own patterns, for the slow path.
 _TAG_NAME = re.compile(r"[a-zA-Z][^\t\n\r\f />\x00]*")
@@ -359,31 +412,37 @@ def _raw_text(s: str, p: int, elem: str):
         p = gtpos
 
 
-def _tokens(s: str) -> Iterator[Tuple[int, str, int]]:
+def _tokens(s: str, blocks: bool = False) -> Iterator[Tuple[int, object, int]]:
     """``(event, value, pos)`` for the whole document: ``value`` is the
     text of a TEXT event or the lower-cased tag name, ``pos`` the offset
-    of a start tag's ``<`` (0 for other events)."""
+    of a start tag's ``<`` (0 for other events).
+
+    With ``blocks``, a span that ``_BLOCK_RE``'s block path takes is one
+    BLOCK event instead of its tokens; its ``value`` is the match."""
     n = len(s)
     pos = 0
     slow = None
+    fast = _BLOCK_RE if blocks else _FAST_RE
     while pos < n:
-        for m in _FAST_RE.finditer(s, pos):
+        for m in fast.finditer(s, pos):
             g = m.lastindex
-            if g == 1:
-                t = m.group(1)
+            if g == 3 or g == 5:
+                yield BLOCK, m, 0
+            elif g == 6:
+                t = m.group(6)
                 yield TEXT, unescape(t) if "&" in t else t, 0
-            elif g == 3:
-                tag = m.group(2).lower()
-                if m.group(3):
+            elif g == 8:
+                tag = m.group(7).lower()
+                if m.group(8):
                     yield STARTEND, tag, m.start()
                 else:
                     yield START, tag, m.start()
                     if tag in _CDATA_ELEMENTS:
                         pos = yield from _raw_text(s, m.end(), tag)
                         break
-            elif g == 4:
-                yield END, m.group(4).lower(), 0
-            elif g == 5:
+            elif g == 9:
+                yield END, m.group(9).lower(), 0
+            elif g == 10:
                 yield TEXT, "<", 0
             else:
                 if slow is None:
@@ -417,10 +476,30 @@ def _attrs(s: str, pos: int) -> dict:
 
 
 # ------------------------------------------------------------ block builder
-# A block is (text, chars, link_chars, kind, boiler, words): ``chars`` and
-# ``link_chars`` sum the stripped length of each text chunk, ``boiler``
-# marks a block inside nav/aside/header/footer.
-Block = Tuple[str, int, int, str, bool, int]
+# A block is (text, kind, words, rank).  ``rank`` is what rules 1, 2 and
+# 4-6 of the module docstring make of it, decided when the block is cut;
+# rule 3 and the context pass (7) are left to ``_classify``.
+Block = Tuple[str, str, int, int]
+# NEVER: boilerplate or too link-dense; CONTENT: content unless legal;
+# PROMOTE: promoted next to content unless legal; SCORED: none of these
+_NEVER, _SCORED, _PROMOTE, _CONTENT = range(4)
+
+
+def _rank(kind: str, words: int, link: int, chars: int, boiler: bool) -> int:
+    """Rules 1, 2 and 4-6 for a block of ``words`` words whose text
+    chunks hold ``chars`` stripped characters, ``link`` of them in
+    anchors."""
+    if boiler or (chars and link / chars > MAX_LINK_DENSITY):
+        return _NEVER
+    if kind in _HEADINGS:
+        return _CONTENT
+    if kind == "tr":
+        return _SCORED if link else _CONTENT
+    if words >= MIN_CONTENT_WORDS:
+        return _CONTENT
+    if words >= MIN_PROMOTE_WORDS and not (chars and link / chars > 0.2):
+        return _PROMOTE
+    return _SCORED
 
 
 @dataclass
@@ -436,24 +515,16 @@ class HtmlExtraction:
     n_words: int = 0  # len(text.split()), summed from the content blocks
 
 
-# what each tag the block builder reacts to does; every other tag is inert
-_IGNORED, _ANCHOR, _BOILER, _ROW, _CELL, _BLOCK, _VOID_BLOCK, _TABLE = range(1, 9)
-_ROLES = {
-    **dict.fromkeys(_IGNORED_SUBTREES, _IGNORED),
-    "a": _ANCHOR,
-    **dict.fromkeys(_BOILER_CONTAINERS, _BOILER),
-    "tr": _ROW,
-    "td": _CELL,
-    "th": _CELL,
-    **dict.fromkeys(_BLOCK_TAGS, _BLOCK),
-    **dict.fromkeys(_VOID_BLOCK_TAGS, _VOID_BLOCK),
-    "table": _TABLE,
-}
-
-
 def _segment(html: str) -> Tuple[List[Block], List[List[List[Optional[str]]]]]:
     """Stream the document into flat blocks and content tables; no tree
-    is materialized."""
+    is materialized.
+
+    A BLOCK event stands for its start tag, the TEXT events of its
+    content and its end tag; the inert tags in between do nothing.  So
+    unless the content goes to a table cell or lies in an anchor, its
+    text is the block's, and no per-chunk count matters: with no anchor
+    text a block's link density is 0.  Its leading blank text does
+    nothing either, except in a cell."""
     blocks: List[Block] = []
     tables: List[List[List[Optional[str]]]] = []
     ignore = boiler = anchor = 0
@@ -472,13 +543,48 @@ def _segment(html: str) -> Tuple[List[Block], List[List[List[Optional[str]]]]]:
         if buf:
             words = (buf[0] if len(buf) == 1 else "".join(buf)).split()
             if words:
-                blocks.append((" ".join(words), buf_total, buf_link, kind,
-                               boiler > 0, len(words)))
+                blocks.append((" ".join(words), kind, len(words),
+                               _rank(kind, len(words), buf_link, buf_total,
+                                     boiler > 0)))
             buf = []
         buf_link = buf_total = 0
 
     roles = _ROLES
-    for ev, val, _ in _tokens(html):
+    for ev, val, _ in _tokens(html, blocks=True):
+        if ev == BLOCK:
+            if ignore:
+                continue
+            if buf:
+                flush()
+            tag, text = val.group(2, 4)  # text: words parted by single spaces
+            if (text is None or anchor or cell_buf is not None
+                    or "  " in text or text[-1:] == " "):
+                content = val.group(val.lastindex)
+                if "<" in content:
+                    # the content's TEXT events, taken as the event path takes them
+                    chunks = [t for e, t, _ in _tokens(content) if e == TEXT]
+                else:
+                    chunks = [unescape(content) if "&" in content else content]
+                if cell_buf is not None:
+                    n = sum([len(t.strip()) for t in chunks])
+                    cell_buf.append(val.group(1))
+                    cell_buf += chunks
+                    row_total += n
+                    if anchor:
+                        row_link += n
+                    kind = "div"
+                    continue
+                words = "".join(chunks).split()
+                text = " ".join(words)
+                n_words = len(words)
+            else:
+                n_words = text.count(" ") + 1 if text else 0
+            if n_words:
+                # an anchor's text is all link text, so its density is 1
+                blocks.append((text, tag, n_words,
+                               _rank(tag, n_words, 0, 0, boiler > 0 or anchor > 0)))
+            kind = "div"
+            continue
         if ev == TEXT:
             if ignore or not val:
                 continue
@@ -544,8 +650,10 @@ def _segment(html: str) -> Tuple[List[Block], List[List[List[Optional[str]]]]]:
                 cells = [c for c in row_cells if c]
                 if cells:
                     text = " | ".join(cells)
-                    blocks.append((text, row_total or len(text), row_link, "tr",
-                                   boiler > 0, len(text.split())))
+                    words = len(text.split())
+                    blocks.append((text, "tr", words,
+                                   _rank("tr", words, row_link,
+                                         row_total or len(text), boiler > 0)))
                 if open_rows is not None and not boiler:
                     open_rows.append([c if c else None for c in row_cells])
                 row_cells = None
@@ -560,42 +668,24 @@ def _segment(html: str) -> Tuple[List[Block], List[List[List[Optional[str]]]]]:
     return blocks, tables
 
 
-def _classify(blocks: List[Block]) -> List[bool]:
-    """Per-block content flags (see the module docstring's rules)."""
-    content = [False] * len(blocks)
-    legal = [False] * len(blocks)
-    # blocks outside boilerplate containers with low enough link density
-    scored = [
-        i for i, (text, chars, link, _, boiler, _) in enumerate(blocks)
-        if not boiler and text and not (chars and link / chars > MAX_LINK_DENSITY)
-    ]
-    # one anchor test over all of them rules out the vocabulary for most pages
-    if _may_be_legal("\n".join([blocks[i][0] for i in scored])):
-        for i in scored:
-            text = blocks[i][0]
-            legal[i] = _may_be_legal(text) and _LEGAL_RE.search(text) is not None
-    for i in scored:
-        if legal[i]:
-            continue
-        _, _, link, kind, _, words = blocks[i]
-        if kind in _HEADINGS:
-            content[i] = True
-        elif kind == "tr":
-            content[i] = link == 0
-        elif words >= MIN_CONTENT_WORDS:
-            content[i] = True
+def _classify(blocks: List[Block], legal: bool = False) -> List[bool]:
+    """Per-block content flags: each block's rank, with ``legal`` less the
+    blocks that match the legal vocabulary (rule 3), then the context
+    pass (7).  Rule 3 only takes blocks out: without it, each flag can
+    only be the same or set (a promotion needs content next to it), and
+    if no flagged block matches, rule 3 changes nothing."""
+    content = [b[3] == _CONTENT for b in blocks]
+    matched = set()
+    if legal:
+        for i, (text, _, _, rank) in enumerate(blocks):
+            if (rank >= _PROMOTE and _may_be_legal(text)
+                    and _LEGAL_RE.search(text) is not None):
+                matched.add(i)
+                content[i] = False
     # context pass: promote short prose sandwiched next to content
     last = len(blocks) - 1
-    for i, (text, chars, link, kind, boiler, words) in enumerate(blocks):
-        if content[i] or boiler or not text:
-            continue
-        if kind == "tr" or words < MIN_PROMOTE_WORDS:
-            continue
-        # density <= 0.2 passed the 0.33 test above, so ``legal`` holds
-        # this block's vocabulary match
-        if (chars and link / chars > 0.2) or legal[i]:
-            continue
-        if 0 < i < last and content[i - 1] and content[i + 1]:
+    for i in [i for i, b in enumerate(blocks) if b[3] == _PROMOTE]:
+        if 0 < i < last and i not in matched and content[i - 1] and content[i + 1]:
             content[i] = True
     return content
 
@@ -663,29 +753,29 @@ class HtmlCodec:
             # reference: extractor/extractors/pdf_text_extractor.py:195-198)
             return HtmlExtraction(text="", status="parse_error")
 
-        flags = _classify(blocks)
-        content = [b for b, keep in zip(blocks, flags) if keep]
+        for legal in (False, True):  # see _classify
+            content = [b for b, keep in zip(blocks, _classify(blocks, legal)) if keep]
+            texts = [b[0] for b in content]
+            text = "\n\n".join(texts)
+            if not _may_be_legal(text):
+                break
         if not content:
             return HtmlExtraction(
                 text="", status="empty", n_blocks=len(blocks), tables=tables
             )
-
+        sizes = [len(t) if t.isascii() else len(t.encode("utf-8")) for t in texts]
         spans: List[Tuple[int, int, int, str]] = []
         off = 0
-        for i, b in enumerate(content):
-            if i:
-                off += 2  # len(b"\n\n")
-            t = b[0]
-            nbytes = len(t) if t.isascii() else len(t.encode("utf-8"))
-            spans.append((i, off, off + nbytes, b[3]))
-            off += nbytes
+        for i, (nbytes, b) in enumerate(zip(sizes, content)):
+            spans.append((i, off, off + nbytes, b[1]))
+            off += nbytes + 2  # len(b"\n\n")
         return HtmlExtraction(
-            text="\n\n".join([b[0] for b in content]),
+            text=text,
             spans=spans,
             n_blocks=len(blocks),
             status="ok",
             tables=tables,
-            n_words=sum([b[5] for b in content]),
+            n_words=sum([b[2] for b in content]),
         )
 
 

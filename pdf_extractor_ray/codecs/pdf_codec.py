@@ -1651,9 +1651,10 @@ def _page_has_image(doc: "_PdfDocument", resources: dict) -> bool:
 class PdfCodec:
     """Stateless-per-document PDF → (text, pages, tables, spans) codec.
 
-    Use as an actor-pool ``map_batches`` class so the per-instance
-    ``_font_cache`` (font decoders keyed by a hash of the font
-    definition, shared across documents) is amortized across batches.
+    The extraction stage keeps one instance per worker process, so the
+    per-instance ``_font_cache`` (font decoders keyed by a hash of the
+    font definition, shared across documents) is amortized across
+    batches.
     """
 
     def __init__(self, extract_tables: bool = True) -> None:

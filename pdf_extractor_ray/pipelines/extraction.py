@@ -1,8 +1,8 @@
 """Pipeline builders: sniff → route → codecs → downstream.
 
-Engine lifecycle target shape (SURVEY.md §3.4, single-pass dispatch):
+Engine lifecycle shape (SURVEY.md §3.4, single-pass dispatch):
 
-    read_parquet(partitions)
+    read_parquet(input files)
       → map_batches(extract_unified)   # sniff + per-row codec dispatch
       → items / entities / stats / write
 
@@ -17,15 +17,17 @@ former sniff → filter×2 → HTML tasks ∪ PDF actor-pool plan, which was
 removed: its only use was a long-lived OCR/model actor, and extraction
 here is deterministic parsing.
 
-``run_extraction_job`` runs that stage as one streaming execution per
-job and writes each batch inside the same task, committing partition
-by partition as their rows arrive.
+``run_extraction_job`` runs the stage as one streaming execution per
+job: Ray Data fuses the read and the stage into one operator whose
+tasks read, extract and write their share of the input files, so
+payload bytes never enter the object store.  The driver commits
+partition by partition as their rows arrive.
 
-Skew note (north rule): giant PDFs are defused by MODEST BATCH SIZE —
-a straggler document occupies one small batch, not a 1024-row block —
-plus Ray Data's dynamic block splitting; no all-to-all repartition is
-needed, which matters at 100 TB where a shuffle of the payload column
-would move the whole corpus.
+Skew note (north rule): the codecs take ``_BATCH_SIZE`` rows at a time,
+so a giant document holds up one small slice and the worker's Python
+objects stay bounded whatever the block size; no all-to-all
+repartition is needed, which matters at 100 TB where a shuffle of the
+payload column would move the whole corpus.
 """
 from __future__ import annotations
 
@@ -46,8 +48,8 @@ from ..state.manifest import Manifest, partition_plan, rows_checksum
 # for the task path (SURVEY.md §7.3 / A3-A4 analogue)
 _STAGES: Dict[object, object] = {}
 
-# rows per extraction batch: small enough that a giant document holds up
-# one small batch, not a whole block
+# rows the codecs take at a time: small enough that a giant document
+# holds up one small slice, not a whole block
 _BATCH_SIZE = 128
 
 
@@ -434,10 +436,11 @@ _FRAGMENT_METRICS = pa.schema(
 def _write_fragments(
     batch: pa.Table, pid_of: Dict[str, int], tmp_dirs: Dict[int, str]
 ) -> pa.Table:
-    """Extract one batch and write it as one fragment per partition.
+    """Extract one read block and write it as one fragment per partition.
 
-    A batch can straddle partitions, so its rows are grouped by the
-    partition of the input file they came from (``path``).  Each group
+    A block can straddle partitions, so its rows are grouped by the
+    partition of the input file they came from (``path``); each group
+    goes through the codecs ``_BATCH_SIZE`` rows at a time.  Each group
     is written to ``tmp_dirs[pid]`` under a digest of its input paths
     and urls, so a retried task overwrites its own fragment.  Returns
     one metrics row per fragment: partition, fragment name, the
@@ -461,9 +464,12 @@ def _write_fragments(
     rows = []
     for pid in sorted(set(pid_by_name.values())):
         keys = [name for name, i in pid_by_name.items() if i == pid]
-        group = batch.filter(pc.equal(pid_col, pid))
-        out = _extract_unified(group, emit_pages=False)
-        keys += map(str, group.column("url").to_pylist())
+        group = pc.indices_nonzero(pc.equal(pid_col, pid))
+        out = pa.concat_tables([
+            _extract_unified(batch.take(group.slice(i, _BATCH_SIZE)), emit_pages=False)
+            for i in range(0, len(group), _BATCH_SIZE)
+        ])
+        keys += map(str, out.column("url").to_pylist())
         digest = hashlib.sha1("\0".join(keys).encode()).hexdigest()
         fragment = f"{digest[:24]}.parquet"
         pq.write_table(out, os.path.join(tmp_dirs[pid], fragment))
@@ -492,15 +498,18 @@ def run_extraction_job(
     a killed run resumes at partition granularity (see state/manifest.py).
 
     The execution is ``read_parquet(include_paths=True)`` → one
-    ``map_batches`` step that extracts each batch and writes it as
+    ``map_batches`` step that extracts each read block and writes it as
     fragments into the partitions' tmp dirs (``_write_fragments``).  The
+    read runs as many tasks as the larger of the cluster's CPUs and the
+    partitions to run, at most one per input file, and the step takes
+    whole blocks, so Ray Data fuses the two into one operator.  The
     driver folds the fragments' metrics rows per partition and commits
     a partition as soon as its written rows reach the sum of its files'
-    footer row counts.  Partitions whose files hold no rows commit at
-    once without being read; with nothing left to run, no Ray execution
-    starts.  The manifest gives each input file's record the
-    partition's totals (``docs_*`` counts, checksum) and the file's own
-    row range.
+    footer row counts.
+    Partitions whose files hold no rows commit at once without being
+    read; with nothing left to run, no Ray execution starts.  The
+    manifest gives each input file's record the partition's totals
+    (``docs_*`` counts, checksum) and the file's own row range.
 
     Returns summary metrics {partitions_total, partitions_skipped,
     docs_in, docs_ok, docs_html, docs_pdf, parse_errors}.
@@ -534,16 +543,19 @@ def run_extraction_job(
         commit(pid, _NO_ROWS)
 
     if todo:
+        import ray
         import ray.data
 
         acc = {pid: {**_NO_ROWS, "fragments": set()} for pid in todo}
+        cpus = int(ray.cluster_resources().get("CPU", 1))
         stream = ray.data.read_parquet(
-            read, columns=["url", "warc_ts", "html", "lang"], include_paths=True
+            read, columns=["url", "warc_ts", "html", "lang"], include_paths=True,
+            override_num_blocks=min(len(read), max(cpus, len(todo))),
         ).map_batches(
             _write_fragments,
             fn_kwargs={"pid_of": pid_of, "tmp_dirs": tmp_dirs},
             batch_format="pyarrow",
-            batch_size=_BATCH_SIZE,
+            batch_size=None,
         )
         for batch in stream.iter_batches(batch_format="pyarrow", batch_size=None):
             for r in batch.to_pylist():

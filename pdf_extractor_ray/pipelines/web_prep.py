@@ -134,18 +134,17 @@ def run_web_prep_job(
     final = os.path.join(out_dir, "final")
     if os.path.isdir(final):
         shutil.rmtree(final)
-    extracted = ray.data.read_parquet(
-        shards, columns=["url", "extracted_text", "n_words", "extract_status"]
-    )
-    _survivors(extracted, min_words, num_partitions).write_parquet(final)
-    n_final = sum(
-        pq.read_metadata(f).num_rows
-        for f in sorted(glob.glob(os.path.join(final, "*.parquet")))
-    )
+    os.makedirs(final)
+    if shards:  # no input row, no survivor
+        extracted = ray.data.read_parquet(
+            shards, columns=["url", "extracted_text", "n_words", "extract_status"]
+        )
+        _survivors(extracted, min_words, num_partitions).write_parquet(final)
+    survivors = sorted(glob.glob(os.path.join(final, "*.parquet")))
     metrics = {
         "partitions_total": job["partitions_total"],
         "partitions_skipped": job["partitions_skipped"],
-        "survivors": n_final,
+        "survivors": sum(pq.read_metadata(f).num_rows for f in survivors),
         "output": final,
     }
     if emit_wet:
@@ -155,10 +154,12 @@ def run_web_prep_job(
         from ..sources.warc import write_wet
 
         wet_dir = os.path.join(out_dir, "wet")
-        man = write_wet(
-            ray.data.read_parquet(final), wet_dir
-        ).to_pandas()
-        metrics["wet_files"] = len(man)
-        metrics["wet_records"] = int(man["n_records"].sum())
+        os.makedirs(wet_dir, exist_ok=True)
+        n_records = []
+        if survivors:
+            man = write_wet(ray.data.read_parquet(survivors), wet_dir).to_pandas()
+            n_records = man["n_records"].tolist()
+        metrics["wet_files"] = len(n_records)
+        metrics["wet_records"] = int(sum(n_records))
         metrics["wet_output"] = wet_dir
     return metrics

@@ -7,12 +7,11 @@ reference: extractor/extractors/pdf_text_extractor.py:114-125); the
 codecs are per-row Python (inherently — they parse byte payloads) but
 batch in/out stays Arrow so blocks move zero-copy.
 
-Stage shape (SURVEY.md §7.3):
-- sniff + HTML codec: stateless tasks (pattern bank compiles in
-  ``__init__`` once per worker — warm-state analogue A3)
-- PDF codec: actor pool (``concurrency=(min,max)``, small
-  ``batch_size``) so per-instance caches amortize and giant-PDF skew
-  is spread across actors (A4 / north rule)
+Stage shape (SURVEY.md §7.3): the sniff and both codec stages run in
+one task-based ``map_batches`` step (``pipelines/extraction.py``), which
+keeps one instance of each stage per worker process, so the HTML
+pattern bank and the PDF font cache are built once per worker and reused
+by every later batch (warm-state analogue A3).
 """
 from __future__ import annotations
 
@@ -31,29 +30,28 @@ PDF_MAGIC = b"%PDF-"
 def gunzip_payloads(batch: pa.Table) -> pa.Table:
     """Transparently decompress gzip-wrapped payloads (Content-Encoding
     of real crawl bodies): a vectorized magic-prefix check flags gzip
-    rows; only those pay the per-row decompress.  Undecompressable
-    rows fall through unchanged (they degrade downstream like any
-    other malformed payload — never an error)."""
+    rows; only those are taken out, decompressed and put back in place.
+    Undecompressable rows fall through unchanged (they degrade
+    downstream like any other malformed payload — never an error)."""
     import gzip
 
-    payload = batch.column("html")
     if batch.num_rows == 0:
         return batch
-    is_gz = pc.equal(pc.binary_slice(payload, 0, 2), b"\x1f\x8b")
-    if not pc.any(pc.fill_null(is_gz, False)).as_py():
+    payload = batch.column("html")
+    is_gz = pc.fill_null(pc.equal(pc.binary_slice(payload, 0, 2), b"\x1f\x8b"), False)
+    if isinstance(is_gz, pa.ChunkedArray):
+        is_gz = is_gz.combine_chunks()
+    if not pc.any(is_gz).as_py():
         return batch
-    mask = is_gz.to_pylist()
-    vals = payload.to_pylist()
     out = []
-    for flag, v in zip(mask, vals):
-        if flag and v:
-            try:
-                v = gzip.decompress(v)
-            except Exception:
-                pass
+    for v in payload.filter(is_gz).to_pylist():
+        try:
+            v = gzip.decompress(v)
+        except Exception:
+            pass
         out.append(v)
-    idx = batch.column_names.index("html")
-    return batch.set_column(idx, "html", pa.array(out, pa.large_binary()))
+    unzipped = pc.replace_with_mask(payload, is_gz, pa.array(out, payload.type))
+    return batch.set_column(batch.column_names.index("html"), "html", unzipped)
 
 
 def sniff_doc_kind(batch: pa.Table) -> pa.Table:
@@ -260,14 +258,9 @@ class PdfMetaStage:
 
 
 class PdfExtractStage(_ExtractBase):
-    """PDF layout parse over a batch.  Run as an ACTOR POOL:
-
-        ds.map_batches(PdfExtractStage, concurrency=(2, N),
-                       batch_size=16, batch_format="pyarrow")
-
-    so codec instances (and their font-cache slots) persist across
-    batches, and giant-PDF skew is spread across many small batches.
-    """
+    """PDF layout parse over a batch.  The pipeline keeps one instance
+    per worker process, so the codec's font cache persists across
+    batches; the batches are small, so a giant PDF holds up few rows."""
 
     def __init__(self, emit_pages: bool = False, extract_tables: bool = True) -> None:
         self.codec = PdfCodec(extract_tables=extract_tables)

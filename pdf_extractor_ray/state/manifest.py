@@ -6,12 +6,13 @@ the last committed partition (north rule).  Design:
 
 - a *partition* is a group of input files and the unit of commit.
   ``run_extraction_job`` reads every uncommitted partition's files in
-  ONE streaming Ray Data execution; its write tasks put fragments into
+  ONE streaming Ray Data execution, whose tasks each read, extract and
+  write a share of the files: they put fragments into
   ``out_dir/_tmp/part-XXXXX`` and return their counts, and the driver
   commits a partition as soon as its written input rows reach the sum
   of its files' parquet footer row counts
-- before the commit, the job deletes every tmp file its write tasks
-  did not report (an orphan of a retried or killed task); the commit
+- before the commit, the job deletes every tmp file its tasks did
+  not report (an orphan of a retried or killed task); the commit
   atomically renames ``_tmp/part-XXXXX`` to ``out_dir/part-XXXXX`` and
   writes one
   manifest record ``(partition_id, input_file, row_start, row_stop,

@@ -255,5 +255,6 @@ def test_legal_anchor_pretest_is_a_necessary_condition():
     assert "\u212a".lower() == "k"
     assert not any(ch.lower() in string.ascii_letters for ch in "\u0130\u0131\u017f")
     for text in ("Copyright 2025", "cooKie jar", "ſtrictly prohibited",
-                 "confİdential", "terms\nof use", "plain words only"):
+                 "confİdential", "terms\nof use", "plain words only",
+                 "café ©x", "日本 Privacy Policy", "x©y", "coo\u212aie"):
         assert h._may_be_legal(text) or not ref._LEGAL_RE.search(text)

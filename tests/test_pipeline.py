@@ -301,6 +301,12 @@ def test_gunzip_payloads_edge_cases(ray_session):
     empty = pa.table({"url": pa.array([], pa.string()),
                       "html": pa.array([], pa.large_binary())})
     assert gunzip_payloads(empty).num_rows == 0
+    # a column of several chunks, as Ray Data hands over a fused read block
+    two = pa.concat_tables([b, b.slice(0, 3)])
+    assert two.column("html").num_chunks == 2
+    out = gunzip_payloads(two)
+    assert out.column("html").to_pylist() == vals + vals[:3]
+    assert out.schema == two.schema
 
 
 # ------------------------------------------------ checkpointed job: manifest
@@ -507,3 +513,129 @@ def test_partitions_straddling_batches_and_orphan_fragments(
     urls = pa.concat_tables(pq.read_table(f, columns=["url"]) for f in committed)
     assert sorted(urls.column("url").to_pylist()) == sorted(
         pages.slice(0, 187).column("url").to_pylist())
+
+
+# ------------------------------------------ output depends on the input only
+_ONE_CPU_JOB = """
+import sys
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+
+run_extraction_job(sys.argv[2:], sys.argv[1], files_per_partition=3)
+ray.shutdown()
+"""
+
+
+def _rows_sha256(table) -> str:
+    """sha256 over the sorted (url, extracted_text, extract_status) rows."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for row in sorted(zip(*(table.column(c).to_pylist()
+                            for c in ("url", "extracted_text", "extract_status")))):
+        for part in row:
+            part = (part or "").encode()
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    return h.hexdigest()
+
+
+def _committed(out_dir):
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.state.manifest import Manifest
+
+    m = Manifest(out_dir)
+    return pa.concat_tables([
+        pq.read_table(os.path.join(m.partition_dir(pid), f))
+        for pid in m.committed_ids()
+        for f in sorted(os.listdir(m.partition_dir(pid)))
+    ])
+
+
+@pytest.fixture(scope="module")
+def seven_files(page_files, tmp_path_factory):
+    """The sf0.001 pages cut into 7 input files of uneven size."""
+    import pyarrow.parquet as pq
+
+    pages = pa.concat_tables(pq.read_table(f) for f in page_files)
+    d = tmp_path_factory.mktemp("seven")
+    files, start = [], 0
+    for k, n in enumerate((90, 40, 110, 60, 70, 30, 100)):
+        files.append(str(d / f"in-{k}.parquet"))
+        pq.write_table(pages.slice(start, n), files[-1])
+        start += n
+    assert start == pages.num_rows == 500
+    return files
+
+
+def _pipeline_sha(files, **kw) -> str:
+    import ray.data
+
+    from pdf_extractor_ray.pipelines.extraction import extraction_pipeline
+
+    ds = extraction_pipeline(ray.data.read_parquet(files), **kw)
+    return _rows_sha256(pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()]))
+
+
+@pytest.fixture(scope="module")
+def reference_sha(seven_files):
+    """``extraction_pipeline`` at its default batch size (128 rows)."""
+    return _pipeline_sha(seven_files)
+
+
+@pytest.mark.parametrize("files_per_partition", [1, 2, 16])
+def test_job_output_does_not_depend_on_partitioning(
+    seven_files, reference_sha, tmp_path, files_per_partition
+):
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+
+    out = str(tmp_path / "out")
+    r = run_extraction_job(seven_files, out, files_per_partition=files_per_partition)
+    assert r["docs_in"] == 500
+    assert _rows_sha256(_committed(out)) == reference_sha
+    _assert_manifest_matches_output(out)
+
+
+def test_one_cpu_job_straddling_partitions_gives_the_same_output(
+    seven_files, reference_sha, tmp_path
+):
+    """At 1 CPU, 7 files in 3 partitions make 3 fused read tasks, and the
+    last one reads files of two partitions."""
+    import subprocess
+    import sys
+
+    out = str(tmp_path / "out")
+    subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_JOB, out, *seven_files],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        check=True, timeout=600,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert _rows_sha256(_committed(out)) == reference_sha
+    _assert_manifest_matches_output(out)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_pipeline_output_does_not_depend_on_batch_size(
+    seven_files, reference_sha, batch_size
+):
+    assert _pipeline_sha(seven_files, batch_size=batch_size) == reference_sha
+
+
+def test_web_prep_job_with_no_input_rows(page_files, tmp_path):
+    """No input file holds a row: zero survivors and zero WET records,
+    with empty output dirs."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.web_prep import run_web_prep_job
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pq.read_schema(page_files[0]).empty_table(), empty)
+    m = run_web_prep_job([empty], str(tmp_path / "out"), files_per_partition=1,
+                         emit_wet=True)
+    assert (m["partitions_total"], m["survivors"]) == (1, 0)
+    assert (m["wet_files"], m["wet_records"]) == (0, 0)
+    assert os.listdir(m["output"]) == os.listdir(m["wet_output"]) == []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 import pyarrow as pa
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdf_extractor_ray.codecs.html_codec import HtmlCodec
 
@@ -55,6 +55,8 @@ def html_tree(draw, depth=0):
 
 @settings(max_examples=60, deadline=None)
 @given(html_tree())
+@example('<h2>0 00<a href="/x">0</a></h2>0')
+@example('<h2>0 0<a href="/x">0</a><p>0</p></h2>')
 def test_html_codec_invariants(body):
     codec = HtmlCodec()
     payload = f"<html><body>{body}</body></html>".encode("utf-8")
@@ -75,9 +77,11 @@ def test_html_codec_invariants(body):
 
     # every extracted word originates from the input's text content:
     # inline tags concatenate without whitespace (browser semantics), so
-    # accept words from both the space-joined and direct-joined readings
+    # accept words from the space-joined and the direct-joined readings,
+    # and from the codec's own: <a> joins, every other tag here splits
     vocab = set(re.sub(r"<[^>]*>", " ", body).split())
     vocab |= set(re.sub(r"<[^>]*>", "", body).split())
+    vocab |= set(re.sub(r"<[^>]*>", " ", re.sub(r"</?a\b[^>]*>", "", body)).split())
     for w in r.text.replace("\n", " ").replace(" | ", " ").split():
         assert w in vocab or w == "|", w
 

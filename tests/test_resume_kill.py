@@ -119,9 +119,15 @@ def test_sigkill_mid_job_then_resume(ray_session, tmp_path):
         glob.glob(os.path.join(manifest_dir, "part-*.json"))
     )
     assert committed_after_kill < N_SHARDS, "job finished before the kill"
+    # a partition dir renamed but not yet recorded is not committed: the
+    # resume redoes it, so only recorded partitions must stay untouched
+    from pdf_extractor_ray.state.manifest import Manifest
+
+    stage1 = Manifest(os.path.join(out, "stage1"))
     mtimes_before = {
         f: os.path.getmtime(f)
-        for f in glob.glob(os.path.join(out, "stage1", "part-*", "*.parquet"))
+        for pid in stage1.committed_ids()
+        for f in glob.glob(os.path.join(stage1.partition_dir(pid), "*.parquet"))
     }
 
     # resume on the session cluster

@@ -18,24 +18,30 @@ removed: its only use was a long-lived OCR/model actor, and extraction
 here is deterministic parsing.
 
 ``run_extraction_job`` runs the stage as one streaming execution per
-job: Ray Data fuses the read and the stage into one operator whose
-tasks read, extract and write their share of the input files, so
-payload bytes never enter the object store.  The driver commits
-partition by partition as their rows arrive.
+job: ``from_items`` over the plan's ``(pid, path)`` rows, then one
+``map_batches`` operator whose tasks each read their share of the input
+files themselves, extract it and write one fragment per partition, so
+payload bytes never enter the object store and Ray Data plans no read
+(no dataset of file fragments, no sampling tasks).  The driver commits
+partition by partition as the tasks report them.
 
-Skew note (north rule): the codecs take ``_BATCH_SIZE`` rows at a time,
-so a giant document holds up one small slice and the worker's Python
-objects stay bounded whatever the block size; no all-to-all
+Skew note (north rule): the codecs take a slice at a time, which ends
+at ``_BATCH_SIZE`` rows or at ``_BATCH_BYTES`` of payload, whichever
+comes first, and a row over the byte budget rides alone.  So a giant
+document holds up one small slice, and a worker's memory follows the
+budget, not the input's layout or its largest rows; no all-to-all
 repartition is needed, which matters at 100 TB where a shuffle of the
 payload column would move the whole corpus.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import shutil
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -431,61 +437,87 @@ _FRAGMENT_METRICS = pa.schema(
     [("pid", pa.int64()), ("fragment", pa.string())]
     + [(k, pa.int64()) for k in (*_COUNTS, "checksum")]
 )
+_INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]
+
+# payload bytes the codecs take at a time: a slice also ends before the
+# row that would take it past this budget, so a worker's memory follows
+# the budget and not the sizes of the input's rows
+_BATCH_BYTES = 1 << 20
 
 
-def _write_fragments(
-    batch: pa.Table, pid_of: Dict[str, int], tmp_dirs: Dict[int, str]
-) -> pa.Table:
-    """Extract one read block and write it as one fragment per partition.
+def _slices(files: Sequence[str]) -> Iterator[pa.Table]:
+    """The rows of ``files``, in order, cut into codec slices.
 
-    A block can straddle partitions, so its rows are grouped by the
-    partition of the input file they came from (``path``); each group
-    goes through the codecs ``_BATCH_SIZE`` rows at a time.  Each group
-    is written to ``tmp_dirs[pid]`` under a digest of its input paths
-    and urls, so a retried task overwrites its own fragment.  Returns
-    one metrics row per fragment: partition, fragment name, the
-    ``docs_*`` counts (``docs_in`` is its row count: one row per input
-    row) and the rows' checksum.
+    A slice ends at ``_BATCH_SIZE`` rows or before the row that would take
+    its payload (``html``) bytes past ``_BATCH_BYTES``, whichever comes
+    first; a row over the budget rides alone.  Slices run across file
+    boundaries.
     """
-    paths = batch.column("path")
-    names = pc.unique(paths)
-    pid_by_name = {}
-    for name in names.to_pylist():
-        pid = pid_by_name[name] = pid_of.get(os.path.abspath(name))
-        if pid is None:
-            raise ValueError(f"read a file outside the job's plan: {name}")
-    pid_col = pc.take(pa.array(list(pid_by_name.values()), pa.int64()),
-                      pc.index_in(paths, value_set=names))
-    batch = batch.drop_columns(["path"])
+    carry = None
+    for path in files:
+        with pq.ParquetFile(path) as f:
+            for rb in f.iter_batches(columns=_INPUT_COLUMNS):
+                t = pa.Table.from_batches([rb])
+                if carry is not None:
+                    t = pa.concat_tables([carry, t], promote_options="permissive")
+                sizes = pc.fill_null(pc.binary_length(t.column("html")), 0)
+                ends = np.concatenate([[0], np.cumsum(sizes.to_numpy())])
+                start, n = 0, t.num_rows
+                while start < n:
+                    fit = int(np.searchsorted(ends, ends[start] + _BATCH_BYTES, "right")) - 1
+                    stop = max(min(start + _BATCH_SIZE, n, fit), start + 1)
+                    if stop == n and stop - start < _BATCH_SIZE:
+                        break  # the next batch's rows may still fit
+                    yield t.slice(start, stop - start)
+                    start = stop
+                carry = t.slice(start)
+    if carry is not None and carry.num_rows:
+        yield carry
 
+
+def _metrics(out: pa.Table) -> Dict[str, int]:
+    """The ``docs_*`` counts (one row in per row out) and the checksum."""
     def count(col, value) -> int:
-        return pc.sum(pc.equal(col, value)).as_py() or 0
+        return pc.sum(pc.equal(out.column(col), value)).as_py() or 0
 
-    rows = []
-    for pid in sorted(set(pid_by_name.values())):
-        keys = [name for name, i in pid_by_name.items() if i == pid]
-        group = pc.indices_nonzero(pc.equal(pid_col, pid))
-        out = pa.concat_tables([
-            _extract_unified(batch.take(group.slice(i, _BATCH_SIZE)), emit_pages=False)
-            for i in range(0, len(group), _BATCH_SIZE)
-        ])
-        keys += map(str, out.column("url").to_pylist())
-        digest = hashlib.sha1("\0".join(keys).encode()).hexdigest()
+    return {
+        "docs_in": out.num_rows,
+        "docs_ok": count("extract_status", "ok"),
+        "docs_html": count("doc_kind", "html"),
+        "docs_pdf": count("doc_kind", "pdf"),
+        "parse_errors": count("extract_status", "parse_error"),
+        "checksum": rows_checksum(out.column("url").to_pylist(),
+                                  out.column("n_chars").to_pylist()),
+    }
+
+
+def _extract_share(share: pa.Table, tmp_dirs: Dict[int, str]) -> Iterator[pa.Table]:
+    """Extract one task's share of the plan and write it, partition by partition.
+
+    ``share`` is a run of the plan's ``(pid, path)`` rows in plan order.
+    Each partition's files go through the codecs in ``_slices`` and into
+    one fragment in ``tmp_dirs[pid]``, named by a digest of those paths,
+    so a retried task overwrites its own fragment.  As soon as the
+    fragment is closed, yields its metrics row: partition, fragment name,
+    the ``docs_*`` counts and the rows' checksum.
+    """
+    rows = zip(share.column("pid").to_pylist(), share.column("path").to_pylist())
+    for pid, group in itertools.groupby(rows, key=lambda r: r[0]):
+        files = [path for _, path in group]
+        digest = hashlib.sha1("\0".join(files).encode()).hexdigest()
         fragment = f"{digest[:24]}.parquet"
-        pq.write_table(out, os.path.join(tmp_dirs[pid], fragment))
-        status, kind = out.column("extract_status"), out.column("doc_kind")
-        rows.append({
-            "pid": pid,
-            "fragment": fragment,
-            "docs_in": out.num_rows,
-            "docs_ok": count(status, "ok"),
-            "docs_html": count(kind, "html"),
-            "docs_pdf": count(kind, "pdf"),
-            "parse_errors": count(status, "parse_error"),
-            "checksum": rows_checksum(out.column("url").to_pylist(),
-                                      out.column("n_chars").to_pylist()),
-        })
-    return pa.Table.from_pylist(rows, schema=_FRAGMENT_METRICS)
+        outs = (_extract_unified(s, emit_pages=False) for s in _slices(files))
+        first = next(outs)
+        acc = {"pid": pid, "fragment": fragment, **_NO_ROWS}
+        with pq.ParquetWriter(os.path.join(tmp_dirs[pid], fragment),
+                              first.schema) as writer:
+            for out in itertools.chain([first], outs):
+                writer.write_table(out)
+                m = _metrics(out)
+                for k in _COUNTS:
+                    acc[k] += m[k]
+                acc["checksum"] ^= m["checksum"]
+        yield pa.Table.from_pylist([acc], schema=_FRAGMENT_METRICS)
 
 
 def run_extraction_job(
@@ -497,15 +529,20 @@ def run_extraction_job(
     uncommitted input file, committed partition by partition as it goes;
     a killed run resumes at partition granularity (see state/manifest.py).
 
-    The execution is ``read_parquet(include_paths=True)`` → one
-    ``map_batches`` step that extracts each read block and writes it as
-    fragments into the partitions' tmp dirs (``_write_fragments``).  The
-    read runs as many tasks as the larger of the cluster's CPUs and the
-    partitions to run, at most one per input file, and the step takes
-    whole blocks, so Ray Data fuses the two into one operator.  The
-    driver folds the fragments' metrics rows per partition and commits
-    a partition as soon as its written rows reach the sum of its files'
-    footer row counts.
+    Before anything runs, every committed partition's manifest record
+    must list the files the plan now gives it, with their current footer
+    row counts; otherwise the job raises ``ValueError`` naming the first
+    file that differs.
+
+    The execution is ``from_items`` over the plan's ``(pid, path)`` rows
+    of the uncommitted files that hold rows, in plan order, cut into as
+    many blocks as the smaller of those files and the cluster's CPUs,
+    then one ``map_batches`` step (``_extract_share``) that takes a whole
+    block: each task reads its share of the files itself, extracts it
+    and writes one fragment per partition it touches.  The driver folds
+    the fragments' metrics rows per partition and commits a partition as
+    soon as its written rows reach the sum of its files' footer row
+    counts.
     Partitions whose files hold no rows commit at once without being
     read; with nothing left to run, no Ray execution starts.  The
     manifest gives each input file's record the partition's totals
@@ -516,6 +553,8 @@ def run_extraction_job(
     """
     manifest = Manifest(out_dir)
     plan = partition_plan(input_files, files_per_partition)
+    n_rows = {f: pq.read_metadata(f).num_rows for files in plan for f in files}
+    manifest.check_plan(plan, n_rows)
     todo = {pid: files for pid, files in enumerate(plan)
             if not manifest.is_committed(pid)}
     skipped = len(plan) - len(todo)
@@ -528,17 +567,14 @@ def run_extraction_job(
 
     expected: Dict[int, int] = {}
     tmp_dirs: Dict[int, str] = {}
-    pid_of: Dict[str, int] = {}
-    read: list = []
+    items: list = []
     for pid, files in todo.items():
         tmp = tmp_dirs[pid] = manifest.tmp_dir(pid)
         if os.path.isdir(tmp):
             shutil.rmtree(tmp)  # a killed run's fragments
         os.makedirs(tmp)
-        n_rows = {f: pq.read_metadata(f).num_rows for f in files}
-        expected[pid] = sum(n_rows.values())
-        read += [f for f in files if n_rows[f]]
-        pid_of.update((os.path.abspath(f), pid) for f in files if n_rows[f])
+        expected[pid] = sum(n_rows[f] for f in files)
+        items += [{"pid": pid, "path": f} for f in files if n_rows[f]]
     for pid in [p for p, n in expected.items() if n == 0]:
         commit(pid, _NO_ROWS)
 
@@ -548,15 +584,17 @@ def run_extraction_job(
 
         acc = {pid: {**_NO_ROWS, "fragments": set()} for pid in todo}
         cpus = int(ray.cluster_resources().get("CPU", 1))
-        stream = ray.data.read_parquet(
-            read, columns=["url", "warc_ts", "html", "lang"], include_paths=True,
-            override_num_blocks=min(len(read), max(cpus, len(todo))),
+        stream = ray.data.from_items(
+            items, override_num_blocks=min(len(items), cpus),
         ).map_batches(
-            _write_fragments,
-            fn_kwargs={"pid_of": pid_of, "tmp_dirs": tmp_dirs},
+            _extract_share,
+            fn_kwargs={"tmp_dirs": tmp_dirs},
             batch_format="pyarrow",
             batch_size=None,
         )
+        # each metrics row is its own output block, so it reaches the
+        # driver when its fragment closes, not when its task ends
+        stream.context.target_max_block_size = 1
         for batch in stream.iter_batches(batch_format="pyarrow", batch_size=None):
             for r in batch.to_pylist():
                 pid = r["pid"]

@@ -6,11 +6,13 @@ the last committed partition (north rule).  Design:
 
 - a *partition* is a group of input files and the unit of commit.
   ``run_extraction_job`` reads every uncommitted partition's files in
-  ONE streaming Ray Data execution, whose tasks each read, extract and
-  write a share of the files: they put fragments into
-  ``out_dir/_tmp/part-XXXXX`` and return their counts, and the driver
-  commits a partition as soon as its written input rows reach the sum
-  of its files' parquet footer row counts
+  ONE streaming Ray Data execution.  Each task takes a run of the
+  plan's files, reads, extracts and writes them, and puts one fragment
+  per partition it touches into ``out_dir/_tmp/part-XXXXX``; it reports
+  each fragment's counts as soon as the fragment is closed, and the
+  driver commits a partition as soon as its written input rows reach
+  the sum of its files' parquet footer row counts.  A partition whose
+  files all fall to one task is one fragment
 - before the commit, the job deletes every tmp file its tasks did
   not report (an orphan of a retried or killed task); the commit
   atomically renames ``_tmp/part-XXXXX`` to ``out_dir/part-XXXXX`` and
@@ -21,7 +23,11 @@ the last committed partition (north rule).  Design:
   and the checksum are the partition's totals; ``[row_start,
   row_stop)`` is the file's own row range within the partition, from
   its parquet footer, in plan order
-- resume = read the manifest, skip committed partitions; a partition
+- resume = check the manifest against the plan, then skip committed
+  partitions.  Each committed partition's record must list the files
+  the plan now gives it, with their current footer row counts, or the
+  job raises ``ValueError`` naming the first file that differs (a
+  changed input list or a rewritten input).  A partition
   is committed iff its record exists AND its final dir exists, so a
   crash between write and commit re-processes (idempotent: the job
   clears every uncommitted partition's tmp dir before it starts, and
@@ -31,6 +37,7 @@ the last committed partition (north rule).  Design:
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 import os
 import shutil
@@ -58,6 +65,10 @@ def rows_checksum(urls: Sequence[str], n_chars: Sequence[int]) -> int:
     for u, n in zip(urls, n_chars):
         acc ^= zlib.crc32(f"{u}:{n}".encode())
     return acc
+
+
+def _describe(entry) -> str:
+    return "no file" if entry is None else f"{entry[0]} ({entry[1]} rows)"
 
 
 class Manifest:
@@ -96,6 +107,30 @@ class Manifest:
             with open(self.record_path(pid)) as f:
                 out.extend(json.load(f))
         return out
+
+    def check_plan(
+        self, plan: Sequence[Sequence[str]], n_rows: Dict[str, int]
+    ) -> None:
+        """Raise ``ValueError`` unless each committed partition's record
+        lists, in order, the files ``plan`` now gives that partition, with
+        the row counts their footers now hold (``n_rows``).  Paths are
+        compared as absolute paths.  The error names the first file that
+        differs: a resume over a changed input list or a rewritten input
+        would otherwise skip rows it never wrote and write rows twice.
+        """
+        for pid in self.committed_ids():
+            with open(self.record_path(pid)) as f:
+                was = [(os.path.abspath(r["input_file"]), r["row_stop"] - r["row_start"])
+                       for r in json.load(f)]
+            files = plan[pid] if pid < len(plan) else []
+            now = [(os.path.abspath(p), n_rows[p]) for p in files]
+            for old, new in itertools.zip_longest(was, now):
+                if old != new:
+                    raise ValueError(
+                        f"partition {pid} was committed from {_describe(old)}, "
+                        f"but the input now gives it {_describe(new)}; "
+                        f"resume with the input it was committed from, "
+                        f"or use a new output directory")
 
     # -------------------------------------------------------------- commit
     def commit(

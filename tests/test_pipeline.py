@@ -2,6 +2,7 @@
 from conftest; sf0.001)."""
 from __future__ import annotations
 
+import itertools
 import os
 
 import pyarrow as pa
@@ -301,7 +302,7 @@ def test_gunzip_payloads_edge_cases(ray_session):
     empty = pa.table({"url": pa.array([], pa.string()),
                       "html": pa.array([], pa.large_binary())})
     assert gunzip_payloads(empty).num_rows == 0
-    # a column of several chunks, as Ray Data hands over a fused read block
+    # a column of several chunks, as in a job slice that runs across files
     two = pa.concat_tables([b, b.slice(0, 3)])
     assert two.column("html").num_chunks == 2
     out = gunzip_payloads(two)
@@ -436,10 +437,10 @@ def test_empty_input_partition_commits_and_is_skipped(page_files, tmp_path):
     assert again["partitions_skipped"] == 2 and again["docs_in"] == 0
 
 
-def test_one_read_per_job(page_files, tmp_path, monkeypatch):
-    """A job with work left reads every uncommitted non-empty input file
-    in exactly one read_parquet call; a job with every partition
-    committed or empty starts no read at all."""
+def test_one_execution_per_job(page_files, tmp_path, monkeypatch):
+    """A job with work left starts one Ray Data execution, whose items are
+    exactly the uncommitted non-empty input files in plan order; a job
+    with every partition committed or empty starts none."""
     import pyarrow.parquet as pq
     import ray.data
 
@@ -453,18 +454,17 @@ def test_one_read_per_job(page_files, tmp_path, monkeypatch):
     run_extraction_job(page_files[:committed], out_dir, files_per_partition=1)
 
     calls = []
-    real = ray.data.read_parquet
+    real = ray.data.from_items
 
-    def counting(paths, *args, **kw):
-        calls.append(list(paths))
-        return real(paths, *args, **kw)
+    def counting(items, *args, **kw):
+        calls.append([(r["pid"], r["path"]) for r in items])
+        return real(items, *args, **kw)
 
-    monkeypatch.setattr(ray.data, "read_parquet", counting)
+    monkeypatch.setattr(ray.data, "from_items", counting)
     r = run_extraction_job(files, out_dir, files_per_partition=1)
     assert r["partitions_skipped"] == committed
     assert r["partitions_total"] == len(files)
-    assert len(calls) == 1
-    assert set(calls[0]) == set(page_files[committed:])
+    assert calls == [list(enumerate(page_files))[committed:]]
 
     calls.clear()
     again = run_extraction_job(files, out_dir, files_per_partition=1)
@@ -473,6 +473,47 @@ def test_one_read_per_job(page_files, tmp_path, monkeypatch):
                                     files_per_partition=1)
     assert only_empty["partitions_skipped"] == 0 and only_empty["docs_in"] == 0
     assert calls == []
+
+
+def _write_rows(pages, path, start, n):
+    import pyarrow.parquet as pq
+
+    pq.write_table(pages.slice(start, n), path)
+    return path
+
+
+def test_resume_refuses_a_changed_input_list(page_files, tmp_path):
+    """Shards b, c and d commit one partition each; with shard a added,
+    a resume would put a where b was committed and skip it, so it must
+    raise and name the shard instead."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+
+    pages = pq.read_table(page_files[0])
+    shards = {name: _write_rows(pages, str(tmp_path / f"{name}.parquet"), 5 * k, 5)
+              for k, name in enumerate("abcd")}
+    out_dir = str(tmp_path / "out")
+    run_extraction_job([shards[n] for n in "bcd"], out_dir, files_per_partition=1)
+    with pytest.raises(ValueError, match=r"partition 0 .*b\.parquet.*a\.parquet"):
+        run_extraction_job(list(shards.values()), out_dir, files_per_partition=1)
+
+
+def test_resume_refuses_a_rewritten_input(page_files, tmp_path):
+    """A committed input rewritten with another row count is not the
+    input its partition was committed from: the resume must raise."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.extraction import run_extraction_job
+
+    pages = pq.read_table(page_files[0])
+    files = [_write_rows(pages, str(tmp_path / f"in-{k}.parquet"), 5 * k, 5)
+             for k in range(2)]
+    out_dir = str(tmp_path / "out")
+    run_extraction_job(files, out_dir, files_per_partition=1)
+    _write_rows(pages, files[1], 10, 7)
+    with pytest.raises(ValueError, match=r"partition 1 .*in-1\.parquet \(5 rows\)"):
+        run_extraction_job(files, out_dir, files_per_partition=1)
 
 
 @pytest.mark.parametrize("files_per_partition", [1, 2])
@@ -555,9 +596,25 @@ def _committed(out_dir):
     ])
 
 
+GIANT_URL = "https://giant.example/one-page"
+
+
+def _giant_row(pages):
+    """One HTML row of about 1.2 MB, over the job's per-slice byte budget."""
+    from pdf_extractor_ray.pipelines.extraction import _BATCH_BYTES
+
+    para = b"<p>" + b" ".join(b"word%d" % i for i in range(40)) + b".</p>\n"
+    html = b"<html><body><h1>Giant</h1>\n" + para * 4000 + b"</body></html>"
+    assert len(html) > _BATCH_BYTES
+    row = pages.slice(0, 1).to_pylist()[0]
+    row.update(url=GIANT_URL, html=html)
+    return pa.Table.from_pylist([row], schema=pages.schema)
+
+
 @pytest.fixture(scope="module")
 def seven_files(page_files, tmp_path_factory):
-    """The sf0.001 pages cut into 7 input files of uneven size."""
+    """The sf0.001 pages cut into 7 input files of uneven size, with one
+    row over the byte budget among the small rows of the third file."""
     import pyarrow.parquet as pq
 
     pages = pa.concat_tables(pq.read_table(f) for f in page_files)
@@ -565,7 +622,11 @@ def seven_files(page_files, tmp_path_factory):
     files, start = [], 0
     for k, n in enumerate((90, 40, 110, 60, 70, 30, 100)):
         files.append(str(d / f"in-{k}.parquet"))
-        pq.write_table(pages.slice(start, n), files[-1])
+        rows = pages.slice(start, n)
+        if k == 2:
+            rows = pa.concat_tables(
+                [rows.slice(0, 50), _giant_row(pages), rows.slice(50)])
+        pq.write_table(rows, files[-1])
         start += n
     assert start == pages.num_rows == 500
     return files
@@ -594,7 +655,7 @@ def test_job_output_does_not_depend_on_partitioning(
 
     out = str(tmp_path / "out")
     r = run_extraction_job(seven_files, out, files_per_partition=files_per_partition)
-    assert r["docs_in"] == 500
+    assert r["docs_in"] == 501
     assert _rows_sha256(_committed(out)) == reference_sha
     _assert_manifest_matches_output(out)
 
@@ -602,8 +663,8 @@ def test_job_output_does_not_depend_on_partitioning(
 def test_one_cpu_job_straddling_partitions_gives_the_same_output(
     seven_files, reference_sha, tmp_path
 ):
-    """At 1 CPU, 7 files in 3 partitions make 3 fused read tasks, and the
-    last one reads files of two partitions."""
+    """At 1 CPU, one task reads the 7 files of all 3 partitions, and its
+    slices run across the files of a partition."""
     import subprocess
     import sys
 
@@ -615,7 +676,38 @@ def test_one_cpu_job_straddling_partitions_gives_the_same_output(
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     assert _rows_sha256(_committed(out)) == reference_sha
-    _assert_manifest_matches_output(out)
+    n_files = _assert_manifest_matches_output(out)
+    # one task reads every file: each partition is one fragment
+    assert n_files == {0: 1, 1: 1, 2: 1}
+
+
+def test_slices_end_at_batch_size_or_byte_budget(seven_files, reference_sha):
+    """A job task's slices of one partition's files: none holds more than
+    ``_BATCH_SIZE`` rows, only the giant row alone exceeds the byte
+    budget, slices run across file boundaries, and the extracted rows
+    equal ``extraction_pipeline`` at batch 128."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.extraction import (
+        _BATCH_BYTES, _BATCH_SIZE, _extract_unified, _slices)
+
+    slices = list(_slices(seven_files))
+    sizes = [(s.num_rows, pc.sum(pc.binary_length(s.column("html"))).as_py())
+             for s in slices]
+    assert all(0 < n <= _BATCH_SIZE for n, _ in sizes)
+    over = [k for k, (n, b) in enumerate(sizes) if b > _BATCH_BYTES]
+    assert len(over) == 1 and sizes[over[0]][0] == 1
+    assert slices[over[0]].column("url").to_pylist() == [GIANT_URL]
+    # the budget, not the row cap, ends the slice before the giant row
+    assert sizes[over[0] - 1][0] < _BATCH_SIZE
+    n_rows = [pq.read_metadata(f).num_rows for f in seven_files]
+    file_ends = set(itertools.accumulate(n_rows))
+    slice_ends = set(itertools.accumulate(n for n, _ in sizes))
+    assert file_ends - slice_ends  # some slice runs across a file boundary
+    assert sum(n_rows) == max(slice_ends) == 501
+    out = pa.concat_tables(_extract_unified(s, emit_pages=False) for s in slices)
+    assert _rows_sha256(out) == reference_sha
 
 
 @pytest.mark.parametrize("batch_size", [1, 7])
